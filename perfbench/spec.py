@@ -7,23 +7,25 @@ the suite prints.
 Every run must report the same end-to-end metric names, whatever its
 workload, so the end-to-end metrics are workload-generic slots.
 :data:`SLOT_MEANING` maps each slot to what it measures on each
-workload, using the issue's metric name where one exists.
+workload, using the issue's metric name where one exists.  Times and
+rates are on the host-speed scale of ``hostspeed.py``; the ``# report``
+line gives the scale, so ``measured = time / scale = rate * scale``.
 """
 
 from __future__ import annotations
 
 # -- traffic ---------------------------------------------------------------
-RUN_SECONDS = 20  # measured window of one run
+RUN_SECONDS = 25  # measured window of one run
 MAX_SEQ_LEN = 256  # large-tier model context window
 SETUP_REPEATS = 11  # set-up is repeated and its median reported
 
 CHAT = dict(
-    rate_per_s=10.0,  # Poisson arrival rate, about a third of capacity
+    rate_per_s=5.0,  # Poisson arrival rate; the engine idles ~85% of the time, so the medians are single-request figures
     system_prompts=3,
     system_len=96,  # tokens per shared system prompt
     turns=3,  # per session; the longest prompt plus output fits 256 tokens
     user_len=(6, 12),  # tokens per new user turn (inclusive)
-    output_len=(4, 24),  # max_new_tokens per request (inclusive)
+    output_len=(4, 16),  # max_new_tokens per request (inclusive)
     sampled_frac=0.5,  # share decoded at temperature 0.8 / top_k 40
     ttft_limit_ms=250.0,
     itl_limit_ms=100.0,
@@ -61,7 +63,7 @@ WORKLOADS = [
         "chat-shared",
         f"open loop, Poisson {CHAT['rate_per_s']:g} req/s; {CHAT['turns']}-turn sessions: "
         f"{CHAT['system_len']}-tok shared system prompt + history + {_r(CHAT['user_len'])}-tok turn, "
-        f"out {_r(CHAT['output_len'])} tok; ~70% of prompt tokens shared: north-star chat, TTFT/ITL",
+        f"out {_r(CHAT['output_len'])} tok; ~75% of prompt tokens shared: north-star chat, TTFT/ITL",
     ),
     (
         "burst-unshared",
@@ -91,20 +93,21 @@ END_TO_END = [
     ("peak_rss_mb", "MB", "lower"),
     ("work_per_s", "1/s", "higher"),
     ("work2_per_s", "1/s", "higher"),
-    ("lat_p50_ms", "ms", "lower"),
-    ("lat_tail_ms", "ms", "lower"),
     ("gap_p50_ms", "ms", "lower"),
-    ("gap_tail_ms", "ms", "lower"),
 ]
 
-#: Percentile each tail slot reports.  A run keeps measuring past
-#: ``--seconds`` until it has the samples this needs (at most
-#: MAX_OVERRUN times as long), so the percentile does not vary by run.
+#: Percentile each latency tail reports.  The tails, and the ``lat``
+#: median (chat-shared's TTFT), are on the ``# report`` line, not
+#: end-to-end metrics: between ten-seed sets of runs of the same code on a
+#: 2-vCPU shared host, their quartile spreads reached 20-57% (chat TTFT
+#: p50 22% and 35%), past the 25% a regression bound may be.  A run keeps measuring past ``--seconds``
+#: until it has the samples this needs (at most MAX_OVERRUN times as
+#: long), so the percentile does not vary by run.
 TAIL_WANTED = {
-    "chat-shared": {"lat": 90.0, "gap": 99.0},
-    "burst-unshared": {"lat": 90.0, "gap": 99.0},
-    "table1-eval": {"lat": 90.0, "gap": 75.0},
-    "cpt-train": {"lat": 75.0, "gap": 75.0},
+    "chat-shared": {"lat": 90.0, "gap": 99.0},  # lat: TTFT from due time; gap: ITL
+    "burst-unshared": {"lat": 90.0, "gap": 99.0},  # lat: TTFT from burst start; gap: ITL
+    "table1-eval": {"lat": 90.0, "gap": 75.0},  # lat: full_instruct question; gap: token-method call
+    "cpt-train": {"lat": 75.0, "gap": 75.0},  # lat: ContinualPretrainer.run call; gap: optimizer step
 }
 MAX_OVERRUN = 4
 
@@ -112,34 +115,22 @@ SLOT_MEANING = {
     "chat-shared": {
         "work_per_s": "gen_tok_per_s delivered",
         "work2_per_s": "req_per_s completed",
-        "lat_p50_ms": "ttft_p50_ms",
-        "lat_tail_ms": "ttft_p90_ms",
         "gap_p50_ms": "itl_p50_ms",
-        "gap_tail_ms": "itl_p99_ms",
     },
     "burst-unshared": {
         "work_per_s": "gen_tok_per_s",
         "work2_per_s": "req_per_s",
-        "lat_p50_ms": "ttft_p50_ms from burst start",
-        "lat_tail_ms": "ttft_p90_ms from burst start",
         "gap_p50_ms": "itl_p50_ms",
-        "gap_tail_ms": "itl_p99_ms",
     },
     "table1-eval": {
         "work_per_s": "token_q_per_s",
         "work2_per_s": "instruct_q_per_s",
-        "lat_p50_ms": "full_instruct ms per question, p50",
-        "lat_tail_ms": "full_instruct ms per question, p90",
         "gap_p50_ms": "token-method ms per 32-q run call, p50",
-        "gap_tail_ms": "token-method ms per 32-q run call, p75",
     },
     "cpt-train": {
         "work_per_s": "train_tok_per_s",
         "work2_per_s": "optimizer steps per s",
-        "lat_p50_ms": "ms per ContinualPretrainer.run call, p50",
-        "lat_tail_ms": "ms per ContinualPretrainer.run call, p75",
         "gap_p50_ms": "ms per optimizer step, p50",
-        "gap_tail_ms": "ms per optimizer step, p75",
     },
 }
 

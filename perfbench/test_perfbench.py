@@ -19,6 +19,7 @@ from measure import (  # noqa: E402
     tail,
     tail_percentile,
 )
+from hostspeed import CALLS, EVERY_S, NOMINAL_S, HostSpeed  # noqa: E402
 from spans import ROOT, Span, Tracer, self_times  # noqa: E402
 
 
@@ -195,3 +196,23 @@ def test_disabled_tracer_records_nothing():
     finally:
         tracer.unwrap_all()
     assert tracer.spans == []
+
+
+# -- host-speed scale --------------------------------------------------------
+def test_host_scale_is_nominal_over_the_median_reference_time():
+    assert CALLS == 3
+    # one tick: three timed steps of 2, 6 and 3 ms, then the tick's end
+    clock = FakeClock([0.0, 0.002, 1.0, 1.006, 2.0, 2.003, 2.5, 2.5 + EVERY_S / 2, 2.5 + EVERY_S])
+    calls = []
+    speed = HostSpeed(step=lambda: calls.append(1), clock=clock)
+    speed.tick()
+    assert len(calls) == CALLS + 1  # one untimed warm-up step
+    assert speed.took == pytest.approx([0.002, 0.006, 0.003])
+    assert speed.scale() == pytest.approx(NOMINAL_S / 0.003)
+    assert not speed.due()
+    assert speed.due()
+
+
+def test_host_scale_needs_a_timed_step():
+    with pytest.raises(ValueError):
+        HostSpeed(step=lambda: None).scale()

@@ -5,6 +5,11 @@ Each ``run_<workload>(seed, seconds, tracer)`` sets the program up
 ``seed``, measures for ``seconds``, then checks a seeded sample of
 outputs against a reference path and returns a :class:`Result`.  The
 program only ever receives the generated inputs.
+
+Times and rates are put on the host-speed scale of :mod:`hostspeed`
+(:func:`on_host_scale`): the reference step is timed between units of
+work, and in the chat loop's idle time.  An open loop's rates are set
+by its arrival schedule and are left as measured.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from repro.serve.request import InferenceRequest, RequestKind, RequestStatus
 from repro.train.cpt import ContinualPretrainer, CPTConfig
 
 import spec
+from hostspeed import HostSpeed
 from measure import RequestOutcome, percentile, samples_needed, slo_ok_frac, tail
 
 
@@ -48,7 +54,7 @@ class Result:
     layer: Dict[str, float] = field(default_factory=dict)  # measured by the workload
 
 
-def timed_setup(build: Callable[[], object], tracer) -> tuple:
+def timed_setup(build: Callable[[], object], tracer, speed: HostSpeed) -> tuple:
     """Run ``build`` :data:`spec.SETUP_REPEATS` times, then start the
     tracer's measured phase; returns ``(median_s, last_result)``."""
     times, value = [], None
@@ -58,9 +64,23 @@ def timed_setup(build: Callable[[], object], tracer) -> tuple:
         t0 = time.perf_counter()
         value = build()
         times.append(time.perf_counter() - t0)
+        speed.tick()
     gc.collect()
     tracer.phase = "run"
     return statistics.median(times), value
+
+
+def on_host_scale(metrics: Dict[str, float], speed: HostSpeed, open_loop: bool = False) -> Dict[str, float]:
+    """Times multiplied and rates divided by the run's host-speed scale;
+    memory, and an open loop's rates, as measured."""
+    scale = speed.scale()
+    out = dict(metrics)
+    for name in ("setup_s", "gap_p50_ms"):
+        out[name] = metrics[name] * scale
+    if not open_loop:
+        for name in ("work_per_s", "work2_per_s"):
+            out[name] = metrics[name] / scale
+    return out
 
 
 def peak_rss_mb() -> float:
@@ -88,16 +108,21 @@ def keep_measuring(started: float, seconds: float, workload: str, n_lat: int, n_
 
 
 def latency_slots(lat_s, gap_s, wanted) -> tuple:
-    """The four latency slots in ms, and which tails they report."""
+    """The ``gap`` median in ms, and for the report the ``lat`` median
+    and both tails (as measured, not on the host-speed scale), the
+    percentile each tail is, and the sample counts."""
     lat_tail, lat_p = tail(lat_s, wanted["lat"])
     gap_tail, gap_p = tail(gap_s, wanted["gap"])
-    slots = {
+    slots = {"gap_p50_ms": 1e3 * percentile(gap_s, 50)}
+    report = {
         "lat_p50_ms": 1e3 * percentile(lat_s, 50),
         "lat_tail_ms": 1e3 * lat_tail,
-        "gap_p50_ms": 1e3 * percentile(gap_s, 50),
+        "lat_tail_pct": lat_p,
+        "lat_n": len(lat_s),
         "gap_tail_ms": 1e3 * gap_tail,
+        "gap_tail_pct": gap_p,
+        "gap_n": len(gap_s),
     }
-    report = {"lat_tail_pct": lat_p, "lat_n": len(lat_s), "gap_tail_pct": gap_p, "gap_n": len(gap_s)}
     return slots, report
 
 
@@ -209,9 +234,20 @@ class LoopStats:
     refused: List[str]
 
 
-def drive(engine: ServeEngine, schedule: list) -> LoopStats:
+#: Idle time a tick of the reference step needs before the next request
+#: is due, so that it never delays a send.
+TICK_ROOM_S = 0.05
+
+#: The loop sleeps until this long before a request is due, then spins:
+#: waking from a sleep can take a millisecond on a shared host, which
+#: would count in the request's TTFT.
+SPIN_S = 0.002
+
+
+def drive(engine: ServeEngine, schedule: list, speed: HostSpeed) -> LoopStats:
     """Send each request at its due time (open loop) and step the engine
-    until everything sent has drained."""
+    until everything sent has drained, timing the reference step in idle
+    time."""
     t0 = time.perf_counter()
     sent, idle, lags, refused = 0, 0.0, [], []
     while True:
@@ -230,7 +266,11 @@ def drive(engine: ServeEngine, schedule: list) -> LoopStats:
             break
         else:
             start = time.perf_counter()
-            time.sleep(max(0.0, schedule[sent][0] - (start - t0)))
+            if speed.due() and t0 + schedule[sent][0] - start > TICK_ROOM_S:
+                speed.tick()
+            time.sleep(max(0.0, schedule[sent][0] - SPIN_S - (time.perf_counter() - t0)))
+            while time.perf_counter() - t0 < schedule[sent][0]:
+                pass
             idle += time.perf_counter() - start
     return LoopStats(t0, time.perf_counter() - t0, idle, lags, refused)
 
@@ -299,7 +339,7 @@ def serve_layer(engines) -> Dict[str, float]:
     }
 
 
-def serve_result(model, engines, schedules, logs, loops, rng, workload, setup_s, tracer) -> Result:
+def serve_result(model, engines, schedules, logs, loops, rng, workload, setup_s, tracer, speed) -> Result:
     """Fold one or more drained engines into the workload's result; rates
     are medians over the engines (bursts)."""
     outcomes, generate_outcomes, lat, gaps = [], [], [], []
@@ -329,6 +369,7 @@ def serve_result(model, engines, schedules, logs, loops, rng, workload, setup_s,
         failed=failed,
         refused=sum(len(loop.refused) for loop in loops),
         wrong=wrong,
+        host_scale=speed.scale(),
         slo_ok_frac=slo_ok_frac(
             generate_outcomes, spec.CHAT["ttft_limit_ms"] / 1e3, spec.CHAT["itl_limit_ms"] / 1e3
         ),
@@ -345,6 +386,7 @@ def serve_result(model, engines, schedules, logs, loops, rng, workload, setup_s,
         "work2_per_s": statistics.median(req_rates),
         **slots,
     }
+    metrics = on_host_scale(metrics, speed, open_loop=workload == "chat-shared")
     return Result(metrics, len(outcomes), failed, wrong, report, layer)
 
 
@@ -366,17 +408,21 @@ def run_chat_shared(seed: int, seconds: float, tracer) -> Result:
         systems = [ids[i * n : (i + 1) * n] for i in range(spec.CHAT["system_prompts"])]
         return model, word_ids, systems
 
-    setup_s, (model, word_ids, systems) = timed_setup(setup, tracer)
+    speed = HostSpeed()
+    setup_s, (model, word_ids, systems) = timed_setup(setup, tracer, speed)
     rng = np.random.default_rng(seed)
     log = TokenLog()
     schedule = chat_schedule(rng, word_ids, systems, seconds, log)
     engine = ServeEngine(model, clock=WallClock())
-    loop = drive(engine, schedule)
-    return serve_result(model, [engine], [schedule], [log], [loop], rng, "chat-shared", setup_s, tracer)
+    loop = drive(engine, schedule, speed)
+    return serve_result(
+        model, [engine], [schedule], [log], [loop], rng, "chat-shared", setup_s, tracer, speed
+    )
 
 
 def run_burst_unshared(seed: int, seconds: float, tracer) -> Result:
-    setup_s, (_, _, model, word_ids) = timed_setup(serve_setup, tracer)
+    speed = HostSpeed()
+    setup_s, (_, _, model, word_ids) = timed_setup(serve_setup, tracer, speed)
     rng = np.random.default_rng(seed)
     engines, schedules, logs, loops = [], [], [], []
     started, n_first, n_gaps = time.perf_counter(), 0, 0
@@ -384,14 +430,17 @@ def run_burst_unshared(seed: int, seconds: float, tracer) -> Result:
         log = TokenLog()
         schedule = burst_schedule(rng, word_ids, log, f"b{len(loops)}")
         engine = ServeEngine(model, clock=WallClock())
-        loop = drive(engine, schedule)
+        speed.maybe_tick()
+        loop = drive(engine, schedule, speed)
         n_first += len(log.times)
         n_gaps += sum(len(t) - 1 for t in log.times.values())
         engines.append(engine)
         schedules.append(schedule)
         logs.append(log)
         loops.append(loop)
-    return serve_result(model, engines, schedules, logs, loops, rng, "burst-unshared", setup_s, tracer)
+    return serve_result(
+        model, engines, schedules, logs, loops, rng, "burst-unshared", setup_s, tracer, speed
+    )
 
 
 # -- Table I evaluation ------------------------------------------------------
@@ -425,7 +474,10 @@ def run_table1_eval(seed: int, seconds: float, tracer) -> Result:
         }
         return world, tokenizer, instruct, prefix, generation, evaluators
 
-    setup_s, (world, tokenizer, instruct, prefix, generation, evaluators) = timed_setup(setup, tracer)
+    speed = HostSpeed()
+    setup_s, (world, tokenizer, instruct, prefix, generation, evaluators) = timed_setup(
+        setup, tracer, speed
+    )
     rng = np.random.default_rng(seed)
     questions = world.benchmark.test
     order = [questions[i] for i in rng.permutation(len(questions))]
@@ -441,6 +493,7 @@ def run_table1_eval(seed: int, seconds: float, tracer) -> Result:
 
     def run(method, chunk):
         runner = BatchedEvaluationRunner(SimpleNamespace(test=chunk))
+        speed.maybe_tick()
         t0 = time.perf_counter()
         result = runner.run(evaluators[method], method, "bench")
         return time.perf_counter() - t0, result.predictions
@@ -484,7 +537,7 @@ def run_table1_eval(seed: int, seconds: float, tracer) -> Result:
 
     attempted = sum(len(p) for p in token_preds.values()) + len(instruct_preds)
     slots, report = latency_slots(instruct_qs, token_calls, spec.TAIL_WANTED["table1-eval"])
-    report.update(questions=attempted, wrong=wrong)
+    report.update(questions=attempted, wrong=wrong, host_scale=speed.scale())
     metrics = {
         "setup_s": setup_s,
         "peak_rss_mb": peak_rss_mb(),
@@ -492,7 +545,7 @@ def run_table1_eval(seed: int, seconds: float, tracer) -> Result:
         "work2_per_s": statistics.median(instruct_rates),
         **slots,
     }
-    return Result(metrics, attempted, wrong, wrong, report)
+    return Result(on_host_scale(metrics, speed), attempted, wrong, wrong, report)
 
 
 # -- continual pretraining ---------------------------------------------------
@@ -515,7 +568,8 @@ def run_cpt_train(seed: int, seconds: float, tracer) -> Result:
         model = large_model(tokenizer.vocab_size, seed=0)
         return tokenizer, docs, model
 
-    setup_s, (tokenizer, docs, model) = timed_setup(setup, tracer)
+    speed = HostSpeed()
+    setup_s, (tokenizer, docs, model) = timed_setup(setup, tracer, speed)
     params = model.named_parameters()
     initial = {name: p.copy() for name, p in params.items()}
     config = CPTConfig(
@@ -544,6 +598,7 @@ def run_cpt_train(seed: int, seconds: float, tracer) -> Result:
         for name, p in params.items():
             p[...] = initial[name]
         window = corpus_slice(start)
+        speed.maybe_tick()
         t0 = time.perf_counter()
         result = ContinualPretrainer(config).run(model, window, tokenizer.vocab.eos_id)
         return time.perf_counter() - t0, result
@@ -573,7 +628,7 @@ def run_cpt_train(seed: int, seconds: float, tracer) -> Result:
     tracer.enabled = False
 
     slots, report = latency_slots(calls, step_s, spec.TAIL_WANTED["cpt-train"])
-    report.update(calls=len(calls), wrong=wrong, digest=digest_a[:16])
+    report.update(calls=len(calls), wrong=wrong, digest=digest_a[:16], host_scale=speed.scale())
     metrics = {
         "setup_s": setup_s,
         "peak_rss_mb": peak_rss_mb(),
@@ -581,7 +636,7 @@ def run_cpt_train(seed: int, seconds: float, tracer) -> Result:
         "work2_per_s": statistics.median(step_rates),
         **slots,
     }
-    return Result(metrics, len(calls), wrong, wrong, report)
+    return Result(on_host_scale(metrics, speed), len(calls), wrong, wrong, report)
 
 
 WORKLOADS = {
