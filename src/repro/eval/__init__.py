@@ -35,7 +35,6 @@ from repro.eval.runner import (
     EvaluationRunner,
     assemble_result,
 )
-from repro.eval.serving import ServingEvaluationRunner
 from repro.eval.probes import circuit_quality, knowledge_recall
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "BatchedEvaluationRunner",
     "EvaluationResult",
     "assemble_result",
-    "ServingEvaluationRunner",
     "knowledge_recall",
     "circuit_quality",
 ]

@@ -3,16 +3,19 @@
 The full-instruct benchmarking method generates up to 512 tokens per
 question; the KV cache makes that linear rather than quadratic in the
 response length.
+
+:func:`generate` and the serving scheduler share one prompt-to-decode
+path: :func:`clamp_prompt`, :func:`open_prompt`, :class:`DecodeStream`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.model.kv_cache import PrefixCache
+from repro.model.kv_cache import KVCache, PrefixCache
 from repro.model.layers import softmax
 from repro.model.transformer import TransformerLM
 
@@ -77,6 +80,103 @@ def _select_token(
     return int(rng.choice(probs.size, p=probs))
 
 
+def clamp_prompt(
+    prompt_ids: Sequence[int], max_new_tokens: int, max_seq_len: int
+) -> Tuple[Tuple[int, ...], int]:
+    """``(prompt, budget)`` with prompt + budget within the context window.
+
+    The budget is capped at ``max_seq_len - 1``; the prompt is truncated
+    *from the left*, keeping the most recent context as serving stacks do.
+    """
+    budget = min(max_new_tokens, max(0, max_seq_len - 1))
+    prompt = tuple(prompt_ids)
+    keep = max_seq_len - budget
+    if len(prompt) > keep:
+        prompt = prompt[-keep:]
+    if not prompt:
+        raise ValueError("prompt must contain at least one token")
+    return prompt, budget
+
+
+class OpenedPrompt(NamedTuple):
+    cache: KVCache  # a fork covering the whole prompt
+    logits: np.ndarray  # next-token logits after the last prompt token
+    forwarded: int  # prompt tokens this call ran through the model
+    prefilled: Optional[PrefixCache]  # a fresh prefill a store may keep
+
+
+def open_prompt(
+    model: TransformerLM,
+    prompt: Sequence[int],
+    prefix: Optional[PrefixCache] = None,
+) -> OpenedPrompt:
+    """Forward ``prompt``, reusing as much of ``prefix`` as it covers.
+
+    With no usable prefix this is one :meth:`TransformerLM.prefill`
+    (returned as ``prefilled``); a prefix that is exactly the prompt
+    needs no forward; otherwise the shared run (at most ``len(prompt) -
+    1`` tokens) is forked and the rest forwarded.
+    """
+    overlap = prefix.overlap(prompt) if prefix is not None else 0
+    if overlap == 0:
+        fresh = model.prefill(prompt)
+        return OpenedPrompt(fresh.fork(), fresh.last_logits, len(prompt), fresh)
+    if overlap == prefix.length == len(prompt):
+        return OpenedPrompt(prefix.fork(), prefix.last_logits, 0, None)
+    reused = min(overlap, len(prompt) - 1)
+    cache = prefix.fork(length=reused)
+    logits = model.forward(
+        np.asarray(prompt[reused:], dtype=np.int64), start_pos=reused, cache=cache
+    )
+    return OpenedPrompt(cache, logits[0, -1], len(prompt) - reused, None)
+
+
+class DecodeStream:
+    """One sequence's decode state: cache, step logits, position, rng.
+
+    :func:`generate` and the serving scheduler both decode through it, so
+    a sequence's tokens and logits never depend on who else is decoding.
+    """
+
+    def __init__(
+        self,
+        model: TransformerLM,
+        opened: OpenedPrompt,
+        pos: int,
+        config: GenerationConfig,
+        budget: int,
+    ) -> None:
+        self.model = model
+        self.cache = opened.cache
+        self.logits = opened.logits  # logits the next select() samples from
+        self.pos = pos  # absolute position of the next forward
+        self.config = config
+        self.budget = budget
+        self.emitted = 0
+        self.rng = np.random.default_rng(config.seed)
+
+    def select(self) -> Tuple[int, Optional[str]]:
+        """The next token, and ``"stop"``/``"length"``/``"context"`` if
+        decoding ends with it (else None)."""
+        tok = _select_token(self.logits, self.config, self.rng)
+        self.emitted += 1
+        if tok in self.config.stop_token_ids:
+            return tok, "stop"
+        if self.emitted >= self.budget:
+            return tok, "length"
+        if self.pos >= self.model.config.max_seq_len:
+            return tok, "context"
+        return tok, None
+
+    def advance(self, tok: int) -> None:
+        """Forward ``tok`` so the next :meth:`select` can run."""
+        logits = self.model.forward(
+            np.asarray([[tok]], dtype=np.int64), start_pos=self.pos, cache=self.cache
+        )
+        self.logits = logits[0, -1]
+        self.pos += 1
+
+
 def generate(
     model: TransformerLM,
     prompt_ids: Sequence[int],
@@ -86,59 +186,28 @@ def generate(
 ) -> List[int]:
     """Generate a continuation of ``prompt_ids``; returns only new tokens.
 
-    The prompt is truncated *from the left* if prompt + generation would
-    exceed the model's context window (keeping the most recent context, as
-    serving stacks do).
-
-    ``prefix`` is an optional prefilled cache (see
-    :meth:`TransformerLM.prefill`): the longest leading run of the prompt
-    it covers is reused instead of re-prefilled, which turns a benchmark's
-    shared chat scaffold into a one-time cost.
+    The prompt is left-truncated to fit the context window.  ``prefix`` is
+    an optional prefilled cache (see :meth:`TransformerLM.prefill`) whose
+    covered run of the prompt is reused instead of re-prefilled, which
+    turns a benchmark's shared chat scaffold into a one-time cost.
+    ``logit_hook`` sees each step's logits before its token is picked.
     """
     config = config or GenerationConfig()
-    rng = np.random.default_rng(config.seed)
-    max_ctx = model.config.max_seq_len
-    budget = min(config.max_new_tokens, max(0, max_ctx - 1))
-    prompt = list(prompt_ids)
-    keep = max_ctx - budget
-    if budget > 0 and len(prompt) > keep:
-        prompt = prompt[-keep:]
-    elif budget == 0 and len(prompt) > max_ctx:
-        prompt = prompt[-max_ctx:]
-    if not prompt:
-        raise ValueError("prompt must contain at least one token")
-
-    # At least the final prompt token is always forwarded so the step
-    # logits come from a real forward against the (possibly forked) cache.
-    reused = min(prefix.overlap(prompt), len(prompt) - 1) if prefix else 0
-    if reused > 0:
-        cache = prefix.fork(batch_size=1, length=reused)
-        logits = model.forward(
-            np.asarray(prompt[reused:], dtype=np.int64),
-            start_pos=reused,
-            cache=cache,
-        )
-    else:
-        cache = model.new_cache()
-        logits = model.forward(np.asarray(prompt, dtype=np.int64), cache=cache)
+    prompt, budget = clamp_prompt(
+        prompt_ids, config.max_new_tokens, model.config.max_seq_len
+    )
+    stream = DecodeStream(
+        model, open_prompt(model, prompt, prefix), len(prompt), config, budget
+    )
     out: List[int] = []
-    stop = set(config.stop_token_ids)
-    pos = len(prompt)
-    step_logits = logits[0, -1]
     for _ in range(budget):
         if logit_hook is not None:
-            logit_hook(step_logits)
-        tok = _select_token(step_logits, config, rng)
+            logit_hook(stream.logits)
+        tok, reason = stream.select()
         out.append(tok)
-        if tok in stop:
+        if reason is not None:
             break
-        if pos >= max_ctx:
-            break
-        logits = model.forward(
-            np.asarray([[tok]], dtype=np.int64), start_pos=pos, cache=cache
-        )
-        step_logits = logits[0, -1]
-        pos += 1
+        stream.advance(tok)
     return out
 
 

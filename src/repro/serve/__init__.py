@@ -12,7 +12,10 @@ This package is that serving layer:
   ordering, admission deadlines, and ``QueueFullError`` backpressure;
 * :mod:`~repro.serve.scheduler` — iteration-level continuous batching
   under a token budget, routed through the ``PrefixCacheStore`` so
-  shared scaffolds are never re-prefilled;
+  shared scaffolds are never re-prefilled; it decodes through the same
+  ``repro.model.sampling`` calls as ``generate()``, so GENERATE tokens
+  and step logits are bit-equal to ``generate()`` (store miss, exact or
+  partial cover) and SCORE logits to ``prefill().last_logits``;
 * :mod:`~repro.serve.engine` — the ``submit()/step()/drain()`` loop with
   per-token streaming callbacks;
 * :mod:`~repro.serve.clock` / :mod:`~repro.serve.sim` — the injected
@@ -21,12 +24,12 @@ This package is that serving layer:
 * :mod:`~repro.serve.metrics` — counters/histograms snapshotable as
   plain dicts.
 
-See ``docs/serving.md`` for the architecture tour and
-``repro.eval.serving`` for the benchmark replayed through this engine.
+See ``docs/serving.md`` for the architecture tour.
 """
 
 from repro.serve.admission import (
     AdmissionQueue,
+    InvalidRequestError,
     OversizedRequestError,
     QueueFullError,
 )
@@ -57,6 +60,7 @@ __all__ = [
     "AdmissionQueue",
     "QueueFullError",
     "OversizedRequestError",
+    "InvalidRequestError",
     "Clock",
     "VirtualClock",
     "WallClock",

@@ -19,6 +19,7 @@ __all__ = [
     "AdmissionQueue",
     "QueueFullError",
     "OversizedRequestError",
+    "InvalidRequestError",
     "QUEUE_POLICIES",
 ]
 
@@ -54,6 +55,10 @@ class OversizedRequestError(ValueError):
             f"request {request_id!r} needs {needed} tokens but the "
             f"scheduler budget is {budget}"
         )
+
+
+class InvalidRequestError(ValueError):
+    """The request can never run (a prompt token id is out of vocabulary)."""
 
 
 class AdmissionQueue:

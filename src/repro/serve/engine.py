@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.model.kv_cache import PrefixCacheStore
-from repro.serve.admission import AdmissionQueue, OversizedRequestError, QueueFullError
+from repro.model.sampling import clamp_prompt
+from repro.serve.admission import (
+    AdmissionQueue,
+    InvalidRequestError,
+    OversizedRequestError,
+    QueueFullError,
+)
 from repro.serve.clock import Clock, VirtualClock
 from repro.serve.metrics import ServeMetrics
 from repro.serve.request import (
@@ -77,8 +83,9 @@ class ServeConfig:
 class ServeEngine:
     """Continuous-batching inference engine over one model.
 
-    ``submit`` applies admission control *immediately*: an oversized
-    request raises :class:`OversizedRequestError`, a full queue raises
+    ``submit`` applies admission control *immediately*: an invalid or
+    oversized request raises :class:`InvalidRequestError` or
+    :class:`OversizedRequestError`, a full queue raises
     :class:`QueueFullError` carrying a deterministic ``retry_after``
     hint — overload is refused, never buffered unboundedly.  ``step``
     runs one scheduler iteration; ``drain`` steps until idle.
@@ -129,34 +136,35 @@ class ServeEngine:
         return self.states[request_id]
 
     # ------------------------------------------------------------------
-    def _clamp_prompt(self, request: InferenceRequest) -> tuple:
-        """Left-truncate the prompt to the context window, exactly as
-        :func:`repro.model.sampling.generate` does, and return
-        ``(prompt, decode_budget)``."""
-        max_ctx = self.model.config.max_seq_len
-        if request.kind is RequestKind.SCORE:
-            budget = 0
-        else:
-            budget = min(request.generation.max_new_tokens, max(0, max_ctx - 1))
-        prompt = list(request.prompt_ids)
-        keep = max_ctx - budget
-        if budget > 0 and len(prompt) > keep:
-            prompt = prompt[-keep:]
-        elif budget == 0 and len(prompt) > max_ctx:
-            prompt = prompt[-max_ctx:]
-        return tuple(prompt), budget
+    def _reject(self, request: InferenceRequest, reason: str) -> None:
+        self.metrics.inc("rejected")
+        self.scheduler.events.append(
+            ("reject", self._step_index, request.request_id, reason)
+        )
 
     def submit(self, request: InferenceRequest) -> RequestState:
         """Admission-control a new request into the wait queue.
 
-        Raises :class:`OversizedRequestError` if the request can never
-        fit the scheduler's token budget, :class:`QueueFullError` (with
+        Raises :class:`InvalidRequestError` on an out-of-vocabulary token
+        id, :class:`OversizedRequestError` if the request can never fit
+        the scheduler's token budget, :class:`QueueFullError` (with
         ``retry_after``) under overload, ``ValueError`` on a duplicate
         request id.
         """
         if request.request_id in self.states:
             raise ValueError(f"duplicate request_id {request.request_id!r}")
-        prompt, budget = self._clamp_prompt(request)
+        vocab_size = self.model.config.vocab_size
+        if not all(0 <= t < vocab_size for t in request.prompt_ids):
+            self._reject(request, "invalid")
+            raise InvalidRequestError(
+                f"request {request.request_id!r} has a token id outside "
+                f"[0, {vocab_size})"
+            )
+        scored = request.kind is RequestKind.SCORE
+        max_new = 0 if scored else request.generation.max_new_tokens
+        prompt, budget = clamp_prompt(
+            request.prompt_ids, max_new, self.model.config.max_seq_len
+        )
         state = RequestState(
             request=request,
             submitted_at=self.clock.now(),
@@ -166,20 +174,14 @@ class ServeEngine:
         )
         needed = state.tokens_reserved()
         if needed > self.config.scheduler.token_budget:
-            self.metrics.inc("rejected")
-            self.scheduler.events.append(
-                ("reject", self._step_index, request.request_id, "oversized")
-            )
+            self._reject(request, "oversized")
             raise OversizedRequestError(
                 request.request_id, needed, self.config.scheduler.token_budget
             )
         try:
             self.queue.push(state)
         except QueueFullError:
-            self.metrics.inc("rejected")
-            self.scheduler.events.append(
-                ("reject", self._step_index, request.request_id, "queue-full")
-            )
+            self._reject(request, "queue-full")
             raise
         self._seq += 1
         self.states[request.request_id] = state

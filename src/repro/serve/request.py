@@ -21,8 +21,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.model.kv_cache import KVCache
-from repro.model.sampling import GenerationConfig
+from repro.model.sampling import DecodeStream, GenerationConfig
 
 __all__ = [
     "RequestKind",
@@ -109,10 +108,7 @@ class RequestState:
     prefix_hit_tokens: int = 0  # prompt tokens served from the prefix cache
     preemptions: int = 0
     # -- engine internals (not part of the caller-facing result) --------
-    cache: Optional[KVCache] = None
-    step_logits: Optional[np.ndarray] = None
-    rng: Optional[np.random.Generator] = None
-    pos: int = 0  # absolute position of the next forward
+    decode: Optional[DecodeStream] = None  # a running GENERATE's decode state
     prompt: Tuple[int, ...] = ()  # possibly left-truncated prompt
     budget: int = 0  # decode-token budget after context clamping
     seq: int = 0  # submission sequence number (FIFO tiebreak)
@@ -129,12 +125,6 @@ class RequestState:
         """Worst-case sequence length this request can reach (the token-
         budget unit the scheduler admits against)."""
         return len(self.prompt) + self.budget
-
-    def release_engine_state(self) -> None:
-        """Drop decode state (cache, logits, rng) on finish/preemption."""
-        self.cache = None
-        self.step_logits = None
-        self.rng = None
 
     def result_summary(self) -> dict:
         """Plain-dict view for logs and tests (no arrays)."""

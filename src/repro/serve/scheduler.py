@@ -20,10 +20,10 @@ Invariants this scheduler maintains:
   :class:`~repro.model.kv_cache.PrefixCacheStore`: prompts sharing the
   MCQ scaffold fork a cached prefix instead of re-prefilling it;
 * **determinism** — no wall-clock reads (all time arrives as ``now``
-  arguments), no unseeded randomness; per-request decode streams come
-  from each request's own seeded generator, so outputs are independent
-  of batch composition and bit-equal to sequential
-  :func:`repro.model.sampling.generate`.
+  arguments), no unseeded randomness; each request opens and decodes its
+  prompt through the same calls as :func:`repro.model.sampling.generate`,
+  from its own seeded generator, so its tokens and step logits are
+  independent of batch composition and bit-equal to sequential generation.
 
 Fault injection enters through :class:`StepDirectives` (produced by
 ``repro.faults.serve.ServeFaultInjector`` from a ``FaultPlan``): a
@@ -36,10 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.model.kv_cache import PrefixCacheStore
-from repro.model.sampling import _select_token
+from repro.model.sampling import DecodeStream, open_prompt
 from repro.serve.admission import AdmissionQueue
 from repro.serve.metrics import ServeMetrics
 from repro.serve.request import RequestKind, RequestState, RequestStatus
@@ -150,63 +148,34 @@ class ContinuousBatchingScheduler:
         )
 
     def _start(self, state: RequestState, step: int, now: float) -> int:
-        """Prefill (via the prefix store) and move ``state`` to running.
+        """Open ``state``'s prompt (via the prefix store) and run it.
 
         Returns the number of prompt tokens actually forwarded.  The
-        forward sequence mirrors :func:`repro.model.sampling.generate`
-        exactly — fork the longest cached prefix, forward the remainder
-        (always at least the final prompt token for GENERATE, so step
-        logits come from a real forward) — which is what makes engine
-        outputs bit-equal to sequential generation.
+        prompt is opened by :func:`repro.model.sampling.open_prompt`, the
+        call :func:`~repro.model.sampling.generate` makes, and a fresh
+        prefill is kept in the store for later prompts to fork.
         """
-        prompt = list(state.prompt)
         hit = self.prefix_store.match(
-            prompt, min_overlap=self.config.min_prefix_overlap
+            state.prompt, min_overlap=self.config.min_prefix_overlap
         )
-        kind = state.request.kind
-        forwarded = 0
-        if hit is None:
-            prefix = self.prefix_store.put(self.model.prefill(prompt))
-            forwarded += len(prompt)
-            overlap = len(prompt)
+        prefix, state.prefix_hit_tokens = hit or (None, 0)
+        opened = open_prompt(self.model, state.prompt, prefix)
+        if opened.prefilled is not None:
+            self.prefix_store.put(opened.prefilled)
+        if state.request.kind is RequestKind.SCORE:
+            state.final_logits = opened.logits
         else:
-            prefix, overlap = hit
-            state.prefix_hit_tokens = overlap
-
-        if kind is RequestKind.SCORE:
-            if overlap == len(prompt) and prefix.length == len(prompt):
-                # exact hit (or our own fresh prefill): boundary logits
-                # are already computed
-                state.final_logits = prefix.last_logits
-            else:
-                reused = min(overlap, len(prompt) - 1)
-                cache = prefix.fork(batch_size=1, length=reused)
-                logits = self.model.forward(
-                    np.asarray(prompt[reused:], dtype=np.int64),
-                    start_pos=reused,
-                    cache=cache,
-                )
-                state.final_logits = logits[0, -1]
-                forwarded += len(prompt) - reused
-        else:
-            reused = min(overlap, len(prompt) - 1)
-            state.cache = prefix.fork(batch_size=1, length=reused)
-            logits = self.model.forward(
-                np.asarray(prompt[reused:], dtype=np.int64),
-                start_pos=reused,
-                cache=state.cache,
+            state.decode = DecodeStream(
+                self.model, opened, len(state.prompt),
+                state.request.generation, state.budget,
             )
-            state.step_logits = logits[0, -1]
-            forwarded += len(prompt) - reused
-            state.pos = len(prompt)
-            state.rng = np.random.default_rng(state.request.generation.seed)
 
         state.status = RequestStatus.RUNNING
         state.admitted_at = now
         self.running.append(state)
         self._log("admit", step, state.request_id, state.prefix_hit_tokens)
         self.metrics.inc("admitted")
-        return forwarded
+        return opened.forwarded
 
     # -- lifecycle ------------------------------------------------------
     def _finish(
@@ -215,7 +184,7 @@ class ContinuousBatchingScheduler:
         state.status = RequestStatus.FINISHED
         state.finish_reason = reason
         state.finished_at = now
-        state.release_engine_state()
+        state.decode = None
         if state in self.running:
             self.running.remove(state)
         self._log("finish", step, state.request_id, reason, len(state.output_ids))
@@ -233,10 +202,9 @@ class ContinuousBatchingScheduler:
         Already-streamed tokens will be re-streamed (at-least-once).
         """
         self.running.remove(state)
-        state.release_engine_state()
+        state.decode = None
         state.output_ids = []
         state.first_token_at = None
-        state.pos = 0
         state.preemptions += 1
         self.queue.requeue(state)
         self._log("preempt", step, state.request_id)
@@ -290,34 +258,18 @@ class ContinuousBatchingScheduler:
 
         # 4. one decode token per running request (admission order)
         for state in list(self.running):
-            tok = _select_token(
-                state.step_logits, state.request.generation, state.rng
-            )
+            tok, reason = state.decode.select()
             state.output_ids.append(tok)
             if state.first_token_at is None:
                 state.first_token_at = now
             report.decode_rows += 1
             self.metrics.inc("decoded_tokens")
-
-            reason = None
-            if tok in state.request.generation.stop_token_ids:
-                reason = "stop"
-            elif len(state.output_ids) >= state.budget:
-                reason = "length"
-            elif state.pos >= self.model.config.max_seq_len:
-                reason = "context"
             if state.request.stream is not None:
                 state.request.stream(state.request_id, tok, reason is not None)
             if reason is not None:
                 self._finish(state, step, now, reason)
                 report.finished += 1
             else:
-                logits = self.model.forward(
-                    np.asarray([[tok]], dtype=np.int64),
-                    start_pos=state.pos,
-                    cache=state.cache,
-                )
-                state.step_logits = logits[0, -1]
-                state.pos += 1
+                state.decode.advance(tok)
 
         return report

@@ -159,13 +159,18 @@ class TestGenerateWithPrefix:
             )
             assert cold == warm
 
-    def test_whole_prompt_covered_still_forwards_last_token(self):
+    def test_whole_prompt_covered_matches_cold_bit_for_bit(self):
+        """An exact-cover prefix runs no forward, and every step's logits
+        are bit-equal to cold generation's."""
         model = small_model(seed=6)
         prompt = [1, 2, 3, 4, 5]
         pc = model.prefill(prompt)
-        cold = generate(model, prompt, GenerationConfig(max_new_tokens=5))
-        warm = generate(model, prompt, GenerationConfig(max_new_tokens=5), prefix=pc)
-        assert cold == warm
+        config = GenerationConfig(max_new_tokens=5, temperature=0.9, seed=4)
+        cold_steps, warm_steps = [], []
+        cold = generate(model, prompt, config, cold_steps.append)
+        warm = generate(model, prompt, config, warm_steps.append, prefix=pc)
+        assert cold == warm and len(cold_steps) == len(warm_steps) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(cold_steps, warm_steps))
 
     def test_disjoint_prefix_is_ignored(self):
         model = small_model(seed=6)

@@ -12,12 +12,11 @@ from repro.model import (
     bf16_round,
     generate,
     greedy_decode,
-    load_model,
     merge_lora,
-    save_model,
 )
 from repro.model.config import scaled_config
 from repro.model.precision import bf16_ulp
+from repro.train.checkpointing import load_state_arrays, save_state_arrays
 
 
 def small_model(seed=0, **kw):
@@ -75,18 +74,22 @@ class TestConfig:
 
 class TestGeneration:
     def test_kv_cache_matches_full_forward(self):
-        """Incremental decoding must agree with the full-sequence forward."""
+        """Cached decoding agrees with the no-cache full forward, a
+        reference that shares no code with DecodeStream."""
         model = small_model(seed=2)
         prompt = [1, 5, 9, 3]
-        out = greedy_decode(model, prompt, max_new_tokens=6)
+        steps = []
+        out = generate(model, prompt, GenerationConfig(max_new_tokens=6), steps.append)
         # recompute each step with a full forward
         seq = list(prompt)
         expected = []
-        for _ in range(6):
+        for step_logits in steps:
             logits = model.forward(np.asarray([seq]))
+            np.testing.assert_allclose(step_logits, logits[0, -1], atol=1e-5)
             tok = int(np.argmax(logits[0, -1]))
             expected.append(tok)
             seq.append(tok)
+        assert len(steps) == 6
         assert out == expected
 
     def test_greedy_deterministic(self):
@@ -241,12 +244,16 @@ class TestGeneration:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
+        """A model round-trips bit-exactly through the manifest format."""
         model = small_model(seed=9)
-        save_model(model, tmp_path / "ckpt")
-        loaded = load_model(tmp_path / "ckpt")
+        meta = {"config": model.config.to_dict()}
+        save_state_arrays(tmp_path / "ckpt", model.named_parameters(), meta=meta)
+        arrays, meta = load_state_arrays(tmp_path / "ckpt")
+        loaded = TransformerLM(ModelConfig.from_dict(meta["config"]))
+        loaded.load_state(arrays)
         assert loaded.config == model.config
         x = np.asarray([[1, 2, 3]])
-        np.testing.assert_allclose(model.forward(x), loaded.forward(x), atol=1e-6)
+        assert np.array_equal(model.forward(x), loaded.forward(x))
 
     def test_state_mismatch_detected(self):
         a = small_model()

@@ -2,18 +2,22 @@
 
 Covers the clock, the bounded admission queue, request/state plumbing,
 the continuous-batching scheduler's invariants, and the headline engine
-contract: outputs bit-equal to sequential
-:func:`repro.model.sampling.generate` regardless of batch composition.
+contract: tokens and step logits bit-equal to sequential
+:func:`repro.model.sampling.generate` regardless of batch composition
+or prefix-store warmth.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
-from repro.model import ModelConfig, TransformerLM
-from repro.model.sampling import GenerationConfig, generate
+from repro.model import ModelConfig, PrefixCacheStore, TransformerLM
+from repro.model.sampling import DecodeStream, GenerationConfig, generate
 from repro.serve import (
     AdmissionQueue,
     InferenceRequest,
+    InvalidRequestError,
     OversizedRequestError,
     QueueFullError,
     RequestKind,
@@ -48,6 +52,34 @@ def req(rid, prompt, kind=RequestKind.GENERATE, **kw):
     return InferenceRequest(
         request_id=rid, prompt_ids=tuple(prompt), kind=kind, **kw
     )
+
+
+def reference(model, prompt, config, prefix=None):
+    """generate()'s tokens and the logits of each of its steps."""
+    steps = []
+    return generate(model, prompt, config, steps.append, prefix), steps
+
+
+def assert_bit_equal(steps, reference_steps):
+    assert len(steps) == len(reference_steps)
+    assert all(np.array_equal(a, b) for a, b in zip(steps, reference_steps))
+
+
+@contextlib.contextmanager
+def recording_step_logits(engine):
+    """Yield {request id: the logits each of its decode steps sampled
+    from}, recorded by wrapping ``DecodeStream.select`` in the block."""
+    recorded, select = {}, DecodeStream.select
+
+    def spy(stream):
+        for state in engine.scheduler.running:
+            if state.decode is stream:
+                recorded.setdefault(state.request_id, []).append(stream.logits)
+        return select(stream)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(DecodeStream, "select", spy)
+        yield recorded
 
 
 def queued_state(rid="r", prompt=(1, 2, 3), seq=0, **kw):
@@ -210,6 +242,21 @@ class TestEngineLifecycle:
         assert ("reject", 0, "big", "oversized") in engine.events
         assert engine.metrics_snapshot()["rejected"] == 1
 
+    def test_out_of_vocab_prompt_rejected_at_submit(self, model):
+        engine = ServeEngine(model)
+        good = engine.submit(
+            req("good", (1, 2, 3), generation=GenerationConfig(max_new_tokens=3))
+        )
+        assert issubclass(InvalidRequestError, ValueError)
+        for rid, bad_id in (("high", 99), ("negative", -1)):
+            with pytest.raises(InvalidRequestError):
+                engine.submit(req(rid, (1, bad_id, 2)))
+            assert ("reject", 0, rid, "invalid") in engine.events
+            assert rid not in engine.states
+        engine.drain()
+        assert good.status is RequestStatus.FINISHED and len(good.output_ids) == 3
+        assert engine.metrics_snapshot()["rejected"] == 2
+
     def test_queue_full_rejection_logged(self, model):
         engine = ServeEngine(model, config=ServeConfig(queue_capacity=1))
         engine.submit(req("a", (1, 2)))
@@ -249,36 +296,47 @@ class TestEngineLifecycle:
 
 
 class TestEngineGenerateParity:
-    """Engine decode is bit-equal to sequential generate()."""
+    """Engine decode is bit-equal to generate(): tokens and step logits."""
 
     PROMPT = (3, 5, 7, 9, 11, 13)
 
+    SAMPLERS = [
+        GenerationConfig(max_new_tokens=8, temperature=0.0),
+        GenerationConfig(max_new_tokens=8, temperature=0.9, seed=7),
+        GenerationConfig(max_new_tokens=8, temperature=0.8, top_k=8, seed=11),
+        GenerationConfig(max_new_tokens=8, temperature=0.8, top_p=0.9, seed=13),
+        GenerationConfig(
+            max_new_tokens=8, temperature=1.1, top_k=12, top_p=0.7, seed=3
+        ),
+    ]
+
     @pytest.mark.parametrize(
-        "config",
-        [
-            GenerationConfig(max_new_tokens=8, temperature=0.0),
-            GenerationConfig(max_new_tokens=8, temperature=0.9, seed=7),
-            GenerationConfig(
-                max_new_tokens=8, temperature=0.8, top_k=8, seed=11
-            ),
-            GenerationConfig(
-                max_new_tokens=8, temperature=0.8, top_p=0.9, seed=13
-            ),
-            GenerationConfig(
-                max_new_tokens=8, temperature=1.1, top_k=12, top_p=0.7, seed=3
-            ),
+        "config, covered",
+        # every sampler on a store miss, then a warm store entry covering
+        # exactly / part of the prompt
+        [(c, 0) for c in SAMPLERS] + [(SAMPLERS[1], 6), (SAMPLERS[1], 4)],
+        ids=[
+            "greedy", "sampled", "top_k", "top_p", "top_k_p",
+            "exact_cover", "partial_cover",
         ],
-        ids=["greedy", "sampled", "top_k", "top_p", "top_k_p"],
     )
-    def test_single_request_matches_generate(self, model, config):
-        reference = generate(model, list(self.PROMPT), config)
-        engine = ServeEngine(model)
+    def test_single_request_matches_generate(self, model, config, covered):
+        store = PrefixCacheStore()
+        entry = store.put(model.prefill(self.PROMPT[:covered])) if covered else None
+        tokens, steps = reference(model, self.PROMPT, config, prefix=entry)
+        engine = ServeEngine(model, prefix_store=store)
         engine.submit(req("r", self.PROMPT, generation=config))
-        state = engine.drain()[0]
-        assert list(state.output_ids) == reference
+        with recording_step_logits(engine) as recorded:
+            state = engine.drain()[0]
+        assert list(state.output_ids) == tokens
+        assert_bit_equal(recorded["r"], steps)
+        assert state.prefix_hit_tokens == covered
+        # no prompt token is forwarded twice
+        assert engine.metrics_snapshot()["prefill_tokens"] == len(self.PROMPT) - covered
 
     def test_batch_composition_does_not_change_outputs(self, model):
-        """Each request's tokens are independent of its batchmates."""
+        """Each request's tokens and logits are independent of its
+        batchmates."""
         configs = {
             f"r{i}": GenerationConfig(
                 max_new_tokens=4 + i, temperature=0.9, seed=100 + i
@@ -291,22 +349,26 @@ class TestEngineGenerateParity:
         engine = ServeEngine(model)
         for rid, config in configs.items():
             engine.submit(req(rid, prompts[rid], generation=config))
-        engine.drain()
+        with recording_step_logits(engine) as recorded:
+            engine.drain()
         for rid, config in configs.items():
-            reference = generate(model, list(prompts[rid]), config)
-            assert list(engine.state_of(rid).output_ids) == reference
+            tokens, steps = reference(model, prompts[rid], config)
+            assert list(engine.state_of(rid).output_ids) == tokens
+            assert_bit_equal(recorded[rid], steps)
 
     def test_overlong_prompt_left_truncates_like_generate(self, model):
         config = GenerationConfig(max_new_tokens=6, temperature=0.0)
         long_prompt = tuple((i % 50) + 1 for i in range(150))  # > max_seq_len
-        reference = generate(model, list(long_prompt), config)
+        tokens, steps = reference(model, long_prompt, config)
         engine = ServeEngine(
             model,
             config=ServeConfig(scheduler=SchedulerConfig(token_budget=4096)),
         )
         engine.submit(req("long", long_prompt, generation=config))
-        state = engine.drain()[0]
-        assert list(state.output_ids) == reference
+        with recording_step_logits(engine) as recorded:
+            state = engine.drain()[0]
+        assert list(state.output_ids) == tokens
+        assert_bit_equal(recorded["long"], steps)
         assert state.finish_reason in ("length", "context")
 
     def test_score_matches_prefill_boundary_logits(self, model):
@@ -399,9 +461,10 @@ class TestContinuousBatching:
         engine.drain()
         snap = engine.metrics_snapshot()
         store = snap["prefix_cache"]
-        assert store["misses"] >= 1
-        assert store["hits"] >= 3
-        assert snap["prefix_hit_tokens"] >= 3 * 12
+        # one cold prefill, then every later prompt forks the scaffold
+        assert store["misses"] == 1
+        assert store["hits"] == 3
+        assert snap["prefix_hit_tokens"] == 3 * 12
 
     def test_step_cost_model_drives_virtual_clock(self, model):
         cost = StepCostModel(base=2.0, per_prefill_token=0.0, per_decode_row=0.0)

@@ -33,6 +33,7 @@ from repro.serve import (
     simulate,
 )
 from repro.model.sampling import GenerationConfig
+from tests.test_serve import assert_bit_equal, recording_step_logits, reference
 
 VOCAB = 48
 MAX_SEQ = 64
@@ -166,19 +167,20 @@ class TestSamplingProperties:
     def test_engine_matches_generate_under_any_sampler(
         self, model, top_p, top_k, seed
     ):
-        """Decode parity is sampler-independent (greedy, top-k, top-p)."""
-        from repro.model.sampling import generate
-
+        """Decode parity (tokens and step logits) is sampler-independent
+        (greedy, top-k, top-p)."""
         config = GenerationConfig(
             max_new_tokens=5, temperature=0.8, top_k=top_k, top_p=top_p,
             seed=seed,
         )
         prompt = [3, 5, 7, 9]
-        reference = generate(model, prompt, config)
+        tokens, steps = reference(model, prompt, config)
         engine = ServeEngine(model)
         engine.submit(
             InferenceRequest(
                 request_id="r", prompt_ids=tuple(prompt), generation=config
             )
         )
-        assert list(engine.drain()[0].output_ids) == reference
+        with recording_step_logits(engine) as recorded:
+            assert list(engine.drain()[0].output_ids) == tokens
+        assert_bit_equal(recorded["r"], steps)

@@ -179,6 +179,8 @@ class TestOverloadAndDeadlines:
         result = simulate(model, specs, config=self.TIGHT, max_retries=50)
         assert result.dropped == []
         assert result.metrics["finished"] == len(specs)
+        # backpressure costs time, never answers
+        assert result.outputs == simulate(model, specs).outputs
 
     def test_deadlines_expire_queued_requests(self, model):
         specs = workload(n=16, mean_gap=0.0, deadline_offset=0.5)
