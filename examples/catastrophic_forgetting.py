@@ -19,7 +19,7 @@ import time
 from repro.core import AstroLLaMAPipeline, PipelineConfig, get_entry
 from repro.core.pretrain import BasePretrainConfig
 from repro.core.world import MicroWorld
-from repro.eval import EvaluationRunner, TokenPredictionEvaluator
+from repro.eval import BatchedEvaluationRunner, TokenPredictionEvaluator
 
 
 def token_base_score(world, model, tokenizer, max_questions=None) -> float:
@@ -29,8 +29,8 @@ def token_base_score(world, model, tokenizer, max_questions=None) -> float:
         few_shot=world.benchmark.few_shot(2),
         prefix_ids=[tokenizer.vocab.eos_id],
     )
-    runner = EvaluationRunner(world.benchmark, max_questions=max_questions)
-    return runner.run(evaluator.predict, "token_base", "model").score_percent
+    runner = BatchedEvaluationRunner(world.benchmark, max_questions=max_questions)
+    return runner.run(evaluator, "token_base", "model").score_percent
 
 
 def main() -> None:

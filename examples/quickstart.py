@@ -19,7 +19,7 @@ from repro.analysis import table_one_from_surrogate
 from repro.core import get_entry
 from repro.core.pretrain import BasePretrainConfig, BasePretrainer
 from repro.core.world import MicroWorld
-from repro.eval import EvaluationRunner, TokenPredictionEvaluator
+from repro.eval import BatchedEvaluationRunner, TokenPredictionEvaluator
 
 
 def main() -> None:
@@ -63,8 +63,8 @@ def main() -> None:
     )
     print(f"   discovered answer-token convention: "
           f"{evaluator.answer_map.convention}")
-    runner = EvaluationRunner(world.benchmark, max_questions=args.questions)
-    result = runner.run(evaluator.predict, "token_base", entry.name)
+    runner = BatchedEvaluationRunner(world.benchmark, max_questions=args.questions)
+    result = runner.run(evaluator, "token_base", entry.name)
     print(f"   accuracy: {result.score_percent:.1f}% on "
           f"{result.n_questions} questions (chance = 25%)")
 

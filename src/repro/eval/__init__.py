@@ -6,8 +6,14 @@
 * :class:`~repro.eval.token_pred.TokenPredictionEvaluator` — the two-shot
   next-token method with dynamic answer-token discovery, applicable to base
   models (method 2) and instruct models (method 3);
-* :class:`~repro.eval.runner.EvaluationRunner` — batch evaluation over a
-  benchmark with per-topic accuracy breakdowns.
+* :class:`~repro.eval.runner.BatchedEvaluationRunner` — the one way to
+  run a method over a benchmark: it calls the evaluator's
+  ``predict_many`` on the test split and folds the predictions into an
+  accuracy with per-topic breakdowns.
+
+Full-instruct generation opens every prompt through one prefix store
+(:func:`repro.model.sampling.open_prompt`, the call the serving engine
+makes), so the chat scaffold shared by all questions is prefilled once.
 """
 
 from repro.eval.prompts import (
@@ -32,7 +38,6 @@ from repro.eval.full_instruct import FullInstructEvaluator
 from repro.eval.runner import (
     BatchedEvaluationRunner,
     EvaluationResult,
-    EvaluationRunner,
     assemble_result,
 )
 from repro.eval.probes import circuit_quality, knowledge_recall
@@ -51,7 +56,6 @@ __all__ = [
     "discover_answer_tokens",
     "TokenPredictionEvaluator",
     "FullInstructEvaluator",
-    "EvaluationRunner",
     "BatchedEvaluationRunner",
     "EvaluationResult",
     "assemble_result",

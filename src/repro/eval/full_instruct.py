@@ -60,35 +60,17 @@ class FullInstructEvaluator:
         )
         self.interpreter = interpreter or FallbackInterpreter()
         self.prefix_ids = list(prefix_ids)
-        self.reuse_prefix = reuse_prefix and hasattr(model, "prefill")
-        self._prefix_store = PrefixCacheStore(max_entries=2)
+        # every question's prompt opens through this store, so the chat
+        # scaffold they share is prefilled once and then forked
+        self._prefix_store = PrefixCacheStore(max_entries=2) if reuse_prefix else None
         self.records: List[FullInstructRecord] = []
-
-    def _scaffold_prefix(self, prompt_ids: List[int]):
-        """The prefilled chat scaffold shared by every question's prompt.
-
-        The first prompt is prefilled in full and stored; later prompts
-        fork the stored cache at their (token-level) common prefix — the
-        scaffold — so it is never re-prefilled.
-        """
-        if not self.reuse_prefix:
-            return None
-        if len(prompt_ids) > self.model.config.max_seq_len:
-            return None  # generate() will left-truncate; nothing reusable
-        hit = self._prefix_store.match(prompt_ids)
-        if hit is not None:
-            return hit[0]
-        return self._prefix_store.put(self.model.prefill(prompt_ids))
 
     def answer(self, question: MCQuestion) -> ParseOutcome:
         """Prompt, generate, parse; records the transcript."""
         prompt = self.prompt_builder(question)
         prompt_ids = self.prefix_ids + self.tokenizer.encode(prompt)
         out_ids = generate(
-            self.model,
-            prompt_ids,
-            self.generation,
-            prefix=self._scaffold_prefix(prompt_ids),
+            self.model, prompt_ids, self.generation, store=self._prefix_store
         )
         response = self.tokenizer.decode(out_ids)
         outcome = parse_model_answer(response, question.options, self.interpreter)

@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.mcq.dataset import MCQBenchmark
 from repro.mcq.generation import MCQuestion
-
-Predictor = Callable[[MCQuestion], Optional[int]]
-#: Maps a whole question list to a prediction list (order-aligned).
-BatchPredictor = Callable[[Sequence[MCQuestion]], Sequence[Optional[int]]]
 
 
 @dataclass
@@ -33,8 +29,12 @@ class EvaluationResult:
         return f"{self.model_name:<36s} {self.method:<24s} {self.score_percent:5.1f}%"
 
 
-class EvaluationRunner:
-    """Applies a per-question predictor across a benchmark's test split."""
+class BatchedEvaluationRunner:
+    """Runs one evaluator over a benchmark's test split.
+
+    The evaluator's ``predict_many`` maps the whole question list to an
+    order-aligned prediction list, so each method batches its own work.
+    """
 
     def __init__(
         self, benchmark: MCQBenchmark, max_questions: Optional[int] = None
@@ -42,54 +42,15 @@ class EvaluationRunner:
         self.benchmark = benchmark
         self.max_questions = max_questions
 
-    def _questions(self) -> List[MCQuestion]:
-        qs = self.benchmark.test
-        if self.max_questions is not None:
-            qs = qs[: self.max_questions]
-        return qs
-
-    def run(
-        self, predictor: Predictor, method: str, model_name: str
-    ) -> EvaluationResult:
-        questions = self._questions()
-        predictions: List[Optional[int]] = [predictor(q) for q in questions]
+    def run(self, evaluator, method: str, model_name: str) -> EvaluationResult:
+        questions = self.benchmark.test[: self.max_questions]
+        predictions = list(evaluator.predict_many(questions))
+        if len(predictions) != len(questions):
+            raise ValueError(
+                f"predict_many returned {len(predictions)} predictions "
+                f"for {len(questions)} questions"
+            )
         return assemble_result(questions, predictions, method, model_name)
-
-
-class BatchedEvaluationRunner(EvaluationRunner):
-    """Evaluation runner that prefers whole-benchmark batch prediction.
-
-    ``run`` accepts either a :data:`BatchPredictor` (e.g. a bound
-    ``predict_many``) or an evaluator object exposing one; a plain
-    per-question :data:`Predictor` still works via :meth:`run_sequential`,
-    so every existing call site is a valid fallback.
-    """
-
-    def run(
-        self, predictor, method: str, model_name: str
-    ) -> EvaluationResult:
-        questions = self._questions()
-        batched: Optional[BatchPredictor] = getattr(
-            predictor, "predict_many", None
-        )
-        if batched is None and getattr(predictor, "__name__", "") == "predict_many":
-            batched = predictor  # a bound predict_many passed directly
-        if batched is not None:
-            predictions = list(batched(questions))
-            if len(predictions) != len(questions):
-                raise ValueError(
-                    f"batch predictor returned {len(predictions)} predictions "
-                    f"for {len(questions)} questions"
-                )
-        else:
-            predictions = [predictor(q) for q in questions]
-        return assemble_result(questions, predictions, method, model_name)
-
-    def run_sequential(
-        self, predictor: Predictor, method: str, model_name: str
-    ) -> EvaluationResult:
-        """Force the one-question-at-a-time path (timing baselines)."""
-        return EvaluationRunner.run(self, predictor, method, model_name)
 
 
 def assemble_result(

@@ -26,23 +26,11 @@ from repro.eval.prompts import (
 )
 from repro.mcq.generation import MCQuestion
 from repro.model.kv_cache import PrefixCache, shared_prefix
+from repro.model.transformer import TransformerLM
 
 
 class CausalLM(Protocol):
     def next_token_logits(self, tokens: np.ndarray) -> np.ndarray: ...
-
-
-class BatchedCausalLM(CausalLM, Protocol):
-    """A model that can also score many shared-prefix prompts at once."""
-
-    def prefill(self, token_ids: Sequence[int]) -> PrefixCache: ...
-
-    def next_token_logits_many(
-        self,
-        suffixes: Sequence[Sequence[int]],
-        prefix: Optional[PrefixCache] = ...,
-        pad_id: int = ...,
-    ) -> np.ndarray: ...
 
 
 class TokenizerLike(Protocol):
@@ -121,7 +109,7 @@ class TokenPredictionEvaluator:
 
     def __init__(
         self,
-        model: CausalLM,
+        model: TransformerLM,
         tokenizer: TokenizerLike,
         few_shot: Sequence[MCQuestion],
         answer_map: Optional[AnswerTokenMap] = None,
@@ -199,18 +187,12 @@ class TokenPredictionEvaluator:
     def predict_many(self, questions: Sequence[MCQuestion]) -> List[int]:
         """Batched :meth:`predict`: same predictions, one forward per batch.
 
-        When the model supports prefix-cached batch scoring
-        (:class:`BatchedCausalLM`), the shared two-shot scaffold is
-        forwarded exactly once and the per-question suffixes are scored
-        in padded batches; otherwise this falls back to the sequential
-        per-question path.
+        The shared two-shot scaffold is forwarded exactly once
+        (:meth:`TransformerLM.prefill`) and the per-question suffixes are
+        scored in padded batches (:meth:`TransformerLM.next_token_logits_many`).
         """
         if not questions:
             return []
-        if not hasattr(self.model, "next_token_logits_many") or not hasattr(
-            self.model, "prefill"
-        ):
-            return [self.predict(q) for q in questions]
         shared_ids, suffixes = self._split_prompts(questions)
         prefix = self._prefix_cache_for(shared_ids)
         pad_id = getattr(getattr(self.tokenizer, "vocab", None), "pad_id", 0)

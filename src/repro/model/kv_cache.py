@@ -166,14 +166,13 @@ class PrefixCacheStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def match(
-        self, token_ids: Sequence[int], min_overlap: int = 1
-    ) -> Optional[Tuple[PrefixCache, int]]:
-        """Best ``(entry, overlap)`` for ``token_ids``, or None."""
+    def match(self, token_ids: Sequence[int]) -> Optional[Tuple[PrefixCache, int]]:
+        """Best ``(entry, overlap)`` for ``token_ids``, or None if no entry
+        shares even its first token."""
         best: Optional[Tuple[PrefixCache, int]] = None
         for entry in self._entries:
             n = entry.overlap(token_ids)
-            if n >= min_overlap and (best is None or n > best[1]):
+            if n > (best[1] if best else 0):
                 best = (entry, n)
         if best is None:
             self.misses += 1

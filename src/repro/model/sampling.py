@@ -15,7 +15,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.model.kv_cache import KVCache, PrefixCache
+from repro.model.kv_cache import KVCache, PrefixCacheStore
 from repro.model.layers import softmax
 from repro.model.transformer import TransformerLM
 
@@ -102,33 +102,36 @@ class OpenedPrompt(NamedTuple):
     cache: KVCache  # a fork covering the whole prompt
     logits: np.ndarray  # next-token logits after the last prompt token
     forwarded: int  # prompt tokens this call ran through the model
-    prefilled: Optional[PrefixCache]  # a fresh prefill a store may keep
+    hit: int  # prompt tokens the store's best entry covered (0 on a miss)
 
 
 def open_prompt(
     model: TransformerLM,
     prompt: Sequence[int],
-    prefix: Optional[PrefixCache] = None,
+    store: Optional[PrefixCacheStore] = None,
 ) -> OpenedPrompt:
-    """Forward ``prompt``, reusing as much of ``prefix`` as it covers.
+    """Forward ``prompt``, reusing as much of it as ``store`` covers.
 
-    With no usable prefix this is one :meth:`TransformerLM.prefill`
-    (returned as ``prefilled``); a prefix that is exactly the prompt
-    needs no forward; otherwise the shared run (at most ``len(prompt) -
-    1`` tokens) is forked and the rest forwarded.
+    With no covering entry this is one :meth:`TransformerLM.prefill`,
+    which is kept in ``store``; an entry that is exactly the prompt needs
+    no forward; otherwise the shared run (at most ``len(prompt) - 1``
+    tokens) is forked and the rest forwarded.
     """
-    overlap = prefix.overlap(prompt) if prefix is not None else 0
-    if overlap == 0:
+    match = store.match(prompt) if store is not None else None
+    if match is None:
         fresh = model.prefill(prompt)
-        return OpenedPrompt(fresh.fork(), fresh.last_logits, len(prompt), fresh)
+        if store is not None:
+            store.put(fresh)
+        return OpenedPrompt(fresh.fork(), fresh.last_logits, len(prompt), 0)
+    prefix, overlap = match
     if overlap == prefix.length == len(prompt):
-        return OpenedPrompt(prefix.fork(), prefix.last_logits, 0, None)
+        return OpenedPrompt(prefix.fork(), prefix.last_logits, 0, overlap)
     reused = min(overlap, len(prompt) - 1)
     cache = prefix.fork(length=reused)
     logits = model.forward(
         np.asarray(prompt[reused:], dtype=np.int64), start_pos=reused, cache=cache
     )
-    return OpenedPrompt(cache, logits[0, -1], len(prompt) - reused, None)
+    return OpenedPrompt(cache, logits[0, -1], len(prompt) - reused, overlap)
 
 
 class DecodeStream:
@@ -182,14 +185,14 @@ def generate(
     prompt_ids: Sequence[int],
     config: Optional[GenerationConfig] = None,
     logit_hook: Optional[Callable[[np.ndarray], None]] = None,
-    prefix: Optional[PrefixCache] = None,
+    store: Optional[PrefixCacheStore] = None,
 ) -> List[int]:
     """Generate a continuation of ``prompt_ids``; returns only new tokens.
 
-    The prompt is left-truncated to fit the context window.  ``prefix`` is
-    an optional prefilled cache (see :meth:`TransformerLM.prefill`) whose
-    covered run of the prompt is reused instead of re-prefilled, which
-    turns a benchmark's shared chat scaffold into a one-time cost.
+    The prompt is left-truncated to fit the context window, then opened
+    through ``store`` (see :func:`open_prompt`): the run of it a stored
+    prefill covers is reused, and a miss's prefill is kept, which turns a
+    benchmark's shared chat scaffold into a one-time cost.
     ``logit_hook`` sees each step's logits before its token is picked.
     """
     config = config or GenerationConfig()
@@ -197,7 +200,7 @@ def generate(
         prompt_ids, config.max_new_tokens, model.config.max_seq_len
     )
     stream = DecodeStream(
-        model, open_prompt(model, prompt, prefix), len(prompt), config, budget
+        model, open_prompt(model, prompt, store), len(prompt), config, budget
     )
     out: List[int] = []
     for _ in range(budget):

@@ -139,17 +139,7 @@ class TransformerLM(Module):
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
-        x = self.embed.forward(tokens)
-        for i, block in enumerate(self.blocks):
-            layer_cache = cache[i] if cache is not None else None
-            x = block.forward(x, start_pos, layer_cache)
-        x = self.final_norm.forward(x)
-        if self.lm_head is not None:
-            logits = self.lm_head.forward(x)
-        else:
-            logits = x @ self.embed.params["weight"].T
-            self._tied_cache = x
-        return logits
+        return self._project_logits(self._hidden_states(tokens, start_pos, cache))
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Backpropagate from logits gradient; accumulates parameter grads."""
@@ -258,6 +248,7 @@ class TransformerLM(Module):
         h = self.final_norm.forward(h)
         if self.lm_head is not None:
             return self.lm_head.forward(h)
+        self._tied_cache = h  # the tied projection's input, for backward
         return h @ self.embed.params["weight"].T
 
     def prefill(self, token_ids: Sequence[int]) -> PrefixCache:

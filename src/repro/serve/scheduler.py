@@ -16,9 +16,11 @@ Invariants this scheduler maintains:
   order; the head blocks until it fits, so equal-priority requests are
   FIFO and nothing is starved (every admitted request finishes within
   its decode budget, freeing tokens for the head);
-* **prefix reuse** — admission routes through a
-  :class:`~repro.model.kv_cache.PrefixCacheStore`: prompts sharing the
-  MCQ scaffold fork a cached prefix instead of re-prefilling it;
+* **prefix reuse** — admission opens each prompt through one
+  :class:`~repro.model.kv_cache.PrefixCacheStore` with
+  :func:`repro.model.sampling.open_prompt`: prompts sharing the MCQ
+  scaffold fork a cached prefix instead of re-prefilling it, and every
+  miss's prefill is kept for later prompts;
 * **determinism** — no wall-clock reads (all time arrives as ``now``
   arguments), no unseeded randomness; each request opens and decodes its
   prompt through the same calls as :func:`repro.model.sampling.generate`,
@@ -66,22 +68,17 @@ class SchedulerConfig:
 
     ``token_budget`` bounds the sum of reserved sequence lengths across
     the in-flight batch (the KV-memory analogue); ``max_running`` bounds
-    batch width.  ``min_prefix_overlap`` is the shortest shared prefix
-    worth forking from the store.
+    batch width.
     """
 
     token_budget: int = 2048
     max_running: int = 8
-    min_prefix_overlap: int = 1
-    store_entries: int = 4
 
     def __post_init__(self) -> None:
         if self.token_budget < 1:
             raise ValueError("token_budget must be >= 1")
         if self.max_running < 1:
             raise ValueError("max_running must be >= 1")
-        if self.min_prefix_overlap < 1:
-            raise ValueError("min_prefix_overlap must be >= 1")
 
 
 @dataclass
@@ -125,8 +122,8 @@ class ContinuousBatchingScheduler:
         self.model = model
         self.queue = queue
         self.config = config or SchedulerConfig()
-        self.prefix_store = prefix_store or PrefixCacheStore(
-            max_entries=self.config.store_entries
+        self.prefix_store = (
+            prefix_store if prefix_store is not None else PrefixCacheStore()
         )
         self.metrics = metrics or ServeMetrics()
         self.running: List[RequestState] = []
@@ -152,16 +149,10 @@ class ContinuousBatchingScheduler:
 
         Returns the number of prompt tokens actually forwarded.  The
         prompt is opened by :func:`repro.model.sampling.open_prompt`, the
-        call :func:`~repro.model.sampling.generate` makes, and a fresh
-        prefill is kept in the store for later prompts to fork.
+        call :func:`~repro.model.sampling.generate` makes.
         """
-        hit = self.prefix_store.match(
-            state.prompt, min_overlap=self.config.min_prefix_overlap
-        )
-        prefix, state.prefix_hit_tokens = hit or (None, 0)
-        opened = open_prompt(self.model, state.prompt, prefix)
-        if opened.prefilled is not None:
-            self.prefix_store.put(opened.prefilled)
+        opened = open_prompt(self.model, state.prompt, self.prefix_store)
+        state.prefix_hit_tokens = opened.hit
         if state.request.kind is RequestKind.SCORE:
             state.final_logits = opened.logits
         else:

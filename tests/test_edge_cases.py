@@ -1,12 +1,14 @@
 """Edge-case tests across subsystems (run after the main suites)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.datasets import CorpusDataset
-from repro.eval.runner import EvaluationRunner
+from repro.eval.runner import BatchedEvaluationRunner
 from repro.mcq import build_benchmark
 from repro.corpus import make_astro_knowledge
 from repro.model import ModelConfig, TransformerLM
@@ -75,6 +77,11 @@ class TestChunkedPrefill:
         np.testing.assert_allclose(last[0, -1], full[0, -1], atol=1e-4)
 
 
+def per_question(predict):
+    """An evaluator whose ``predict_many`` applies ``predict`` per question."""
+    return SimpleNamespace(predict_many=lambda qs: [predict(q) for q in qs])
+
+
 class TestRunnerEdges:
     @pytest.fixture(scope="class")
     def bench(self):
@@ -82,20 +89,20 @@ class TestRunnerEdges:
         return build_benchmark(kb, n_articles=6, dev_size=4, seed=32)
 
     def test_all_none_predictions_score_zero(self, bench):
-        runner = EvaluationRunner(bench, max_questions=10)
-        result = runner.run(lambda q: None, "m", "null-model")
+        runner = BatchedEvaluationRunner(bench, max_questions=10)
+        result = runner.run(per_question(lambda q: None), "m", "null-model")
         assert result.accuracy == 0.0
         assert result.parse_failures == 10
 
     def test_perfect_predictor(self, bench):
-        runner = EvaluationRunner(bench)
-        result = runner.run(lambda q: q.correct_idx, "m", "oracle")
+        runner = BatchedEvaluationRunner(bench)
+        result = runner.run(per_question(lambda q: q.correct_idx), "m", "oracle")
         assert result.accuracy == 1.0
         assert result.parse_failures == 0
 
     def test_constant_predictor_near_letter_frequency(self, bench):
-        runner = EvaluationRunner(bench)
-        result = runner.run(lambda q: 0, "m", "always-A")
+        runner = BatchedEvaluationRunner(bench)
+        result = runner.run(per_question(lambda q: 0), "m", "always-A")
         # should be near 25% by letter balance
         assert 0.0 <= result.accuracy <= 0.6
 

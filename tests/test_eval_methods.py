@@ -6,13 +6,14 @@ full-instruct generate-and-parse loop, and the batch runner — without any
 training.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.corpus import make_astro_knowledge
 from repro.eval import (
     BatchedEvaluationRunner,
-    EvaluationRunner,
     FullInstructEvaluator,
     TokenPredictionEvaluator,
     discover_answer_tokens,
@@ -45,6 +46,12 @@ def make_tokenizer(astro, space_prefix):
                  "Multiple choice questions Solution set :")
     texts.append("User : Assistant : the answer is .")
     return WordTokenizer.train(texts, vocab_size=4000, space_prefix=space_prefix)
+
+
+def per_question(evaluator):
+    """A ``predict_many`` over ``evaluator.predict``, for fake models
+    that have no batch scoring."""
+    return SimpleNamespace(predict_many=lambda qs: [evaluator.predict(q) for q in qs])
 
 
 class OracleModel:
@@ -219,16 +226,16 @@ class TestTokenPrediction:
         tok = make_tokenizer(astro, False)
         model = OracleModel(tok, astro, "bare", accuracy=1.0)
         evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
-        runner = EvaluationRunner(bench)
-        result = runner.run(evaluator.predict, "token_base", "oracle")
+        runner = BatchedEvaluationRunner(bench)
+        result = runner.run(per_question(evaluator), "token_base", "oracle")
         assert result.accuracy == 1.0
 
     def test_partial_oracle_scores_between(self, astro, bench):
         tok = make_tokenizer(astro, False)
         model = OracleModel(tok, astro, "bare", accuracy=0.5, seed=3)
         evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
-        runner = EvaluationRunner(bench)
-        result = runner.run(evaluator.predict, "token_base", "half-oracle")
+        runner = BatchedEvaluationRunner(bench)
+        result = runner.run(per_question(evaluator), "token_base", "half-oracle")
         # 0.5 oracle + chance on the rest ~= 0.625
         assert 0.4 < result.accuracy < 0.85
 
@@ -236,7 +243,9 @@ class TestTokenPrediction:
         tok = make_tokenizer(astro, False)
         model = OracleModel(tok, astro, "bare")
         evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
-        result = EvaluationRunner(bench).run(evaluator.predict, "m", "oracle")
+        result = BatchedEvaluationRunner(bench).run(
+            per_question(evaluator), "m", "oracle"
+        )
         assert result.per_topic
         for acc in result.per_topic.values():
             assert acc == 1.0
@@ -245,8 +254,8 @@ class TestTokenPrediction:
         tok = make_tokenizer(astro, False)
         model = OracleModel(tok, astro, "bare")
         evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
-        result = EvaluationRunner(bench, max_questions=7).run(
-            evaluator.predict, "m", "oracle"
+        result = BatchedEvaluationRunner(bench, max_questions=7).run(
+            per_question(evaluator), "m", "oracle"
         )
         assert result.n_questions == 7
 
@@ -344,37 +353,18 @@ class TestBatchedPrediction:
         evaluator = TokenPredictionEvaluator(
             model, tok, bench.few_shot(2), batch_size=16
         )
-        slow = EvaluationRunner(bench).run(evaluator.predict, "m", "lm")
+        slow = BatchedEvaluationRunner(bench).run(per_question(evaluator), "m", "lm")
         fast = BatchedEvaluationRunner(bench).run(evaluator, "m", "lm")
         assert fast.predictions == slow.predictions
         assert fast.accuracy == slow.accuracy
         assert fast.per_topic == slow.per_topic
 
-    def test_predict_many_falls_back_without_batch_support(self, astro, bench):
-        """OracleModel has no prefill/next_token_logits_many: the batched
-        entry points must quietly use the per-question path."""
-        tok = make_tokenizer(astro, False)
-        model = OracleModel(tok, astro, "bare", accuracy=1.0)
-        evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
-        result = BatchedEvaluationRunner(bench).run(evaluator, "m", "oracle")
-        assert result.accuracy == 1.0
-
-    def test_batched_runner_accepts_plain_predictor(self, astro, bench):
-        tok = make_tokenizer(astro, False)
-        model = OracleModel(tok, astro, "bare")
-        evaluator = TokenPredictionEvaluator(model, tok, bench.few_shot(2))
-        result = BatchedEvaluationRunner(bench, max_questions=5).run(
-            evaluator.predict, "m", "oracle"
-        )
-        assert result.n_questions == 5
-
     def test_batched_runner_rejects_misaligned_batch(self, bench):
-        def predict_many(questions):
-            return [0]  # wrong length: one prediction for N questions
-
+        # wrong length: one prediction for N questions
+        broken = SimpleNamespace(predict_many=lambda questions: [0])
         runner = BatchedEvaluationRunner(bench)
         with pytest.raises(ValueError):
-            runner.run(predict_many, "m", "broken")
+            runner.run(broken, "m", "broken")
 
     def test_empty_question_list(self, astro, bench):
         tok = make_tokenizer(astro, False)
@@ -404,6 +394,21 @@ class TestFullInstructPrefixReuse:
         # the scaffold cache was built exactly once and then re-hit
         assert len(warm._prefix_store) == 1
         assert warm._prefix_store.hits == len(questions) - 1
+        assert cold._prefix_store is None
+
+        # a prompt past the context window is left-truncated before the
+        # store sees it, with reuse on or off
+        overlong = bench.test[4]
+        max_seq_len = model.config.max_seq_len
+        padding = overlong.question
+        while len(tok.encode(padding)) <= max_seq_len:
+            padding += " " + overlong.question
+        for evaluator in (cold, warm):
+            evaluator.prompt_builder = (
+                lambda q: padding + " " + format_micro_chat_prompt(q)
+            )
+            evaluator.answer(overlong)
+        assert warm.records[-1].response == cold.records[-1].response
 
 
 class BoundaryMergingTokenizer:

@@ -6,7 +6,6 @@ import pytest
 from repro.model import (
     GenerationConfig,
     ModelConfig,
-    PrefixCache,
     PrefixCacheStore,
     TransformerLM,
     cache_length,
@@ -146,38 +145,60 @@ class TestBatchedNextTokenLogits:
 
 
 class TestGenerateWithPrefix:
+    """generate(store=...) reuses what the store covers and keeps a miss."""
+
     def test_same_tokens_as_cold_generate(self):
         model = small_model(seed=6)
         rng = np.random.default_rng(7)
         scaffold = random_ids(rng, 20)
-        pc = model.prefill(scaffold)
+        store = PrefixCacheStore()
+        store.put(model.prefill(scaffold))
         for _ in range(3):
             prompt = scaffold + random_ids(rng, 6)
             cold = generate(model, prompt, GenerationConfig(max_new_tokens=8))
             warm = generate(
-                model, prompt, GenerationConfig(max_new_tokens=8), prefix=pc
+                model, prompt, GenerationConfig(max_new_tokens=8), store=store
             )
             assert cold == warm
+        # every prompt forked the scaffold; a partial cover is not stored
+        assert store.hits == 3 and len(store) == 1
 
     def test_whole_prompt_covered_matches_cold_bit_for_bit(self):
-        """An exact-cover prefix runs no forward, and every step's logits
+        """An exact-cover entry runs no forward, and every step's logits
         are bit-equal to cold generation's."""
         model = small_model(seed=6)
         prompt = [1, 2, 3, 4, 5]
-        pc = model.prefill(prompt)
+        store = PrefixCacheStore()
+        store.put(model.prefill(prompt))
         config = GenerationConfig(max_new_tokens=5, temperature=0.9, seed=4)
         cold_steps, warm_steps = [], []
         cold = generate(model, prompt, config, cold_steps.append)
-        warm = generate(model, prompt, config, warm_steps.append, prefix=pc)
+        warm = generate(model, prompt, config, warm_steps.append, store=store)
         assert cold == warm and len(cold_steps) == len(warm_steps) == 5
         assert all(np.array_equal(a, b) for a, b in zip(cold_steps, warm_steps))
 
     def test_disjoint_prefix_is_ignored(self):
         model = small_model(seed=6)
-        pc = model.prefill([50, 51, 52])
+        store = PrefixCacheStore()
+        store.put(model.prefill([50, 51, 52]))
         cold = generate(model, [1, 2, 3], GenerationConfig(max_new_tokens=4))
-        warm = generate(model, [1, 2, 3], GenerationConfig(max_new_tokens=4), prefix=pc)
+        warm = generate(
+            model, [1, 2, 3], GenerationConfig(max_new_tokens=4), store=store
+        )
         assert cold == warm
+        assert store.misses == 1 and len(store) == 2
+
+    def test_miss_prefill_is_kept_and_reused(self):
+        model = small_model(seed=6)
+        prompt = [9, 8, 7, 6]
+        config = GenerationConfig(max_new_tokens=4, temperature=0.7, seed=2)
+        store = PrefixCacheStore()
+        first_steps, second_steps = [], []
+        first = generate(model, prompt, config, first_steps.append, store=store)
+        assert store.misses == 1 and len(store) == 1
+        second = generate(model, prompt, config, second_steps.append, store=store)
+        assert first == second and store.hits == 1
+        assert all(np.array_equal(a, b) for a, b in zip(first_steps, second_steps))
 
 
 class TestDebugCacheGuard:
@@ -244,9 +265,3 @@ class TestPrefixCacheStore:
         assert store.misses == 1
         assert store.match([3, 5]) is not None
         assert store.hits == 1
-
-    def test_min_overlap_threshold(self):
-        store = PrefixCacheStore()
-        store.put(PrefixCache((1, 2, 3), [], None))
-        assert store.match([1, 9], min_overlap=2) is None
-        assert store.match([1, 2, 9], min_overlap=2) is not None

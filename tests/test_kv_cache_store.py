@@ -136,7 +136,7 @@ class TestStoreLRU:
         assert store.match([40, 41]) is None
         store.put(model.prefill([5, 6]))
         assert store.match([5, 6, 7]) is not None
-        assert store.match([1, 2, 3], min_overlap=3) is None  # overlap too short
+        assert store.match([2, 1, 5]) is None  # no entry shares its first token
         assert (store.hits, store.misses) == (2, 2)
 
 

@@ -54,10 +54,10 @@ def req(rid, prompt, kind=RequestKind.GENERATE, **kw):
     )
 
 
-def reference(model, prompt, config, prefix=None):
+def reference(model, prompt, config, store=None):
     """generate()'s tokens and the logits of each of its steps."""
     steps = []
-    return generate(model, prompt, config, steps.append, prefix), steps
+    return generate(model, prompt, config, steps.append, store), steps
 
 
 def assert_bit_equal(steps, reference_steps):
@@ -321,9 +321,14 @@ class TestEngineGenerateParity:
         ],
     )
     def test_single_request_matches_generate(self, model, config, covered):
-        store = PrefixCacheStore()
-        entry = store.put(model.prefill(self.PROMPT[:covered])) if covered else None
-        tokens, steps = reference(model, self.PROMPT, config, prefix=entry)
+        # generate() and the engine each open the prompt through their own
+        # store, both holding the same entry
+        reference_store, store = PrefixCacheStore(), PrefixCacheStore()
+        if covered:
+            entry = model.prefill(self.PROMPT[:covered])
+            reference_store.put(entry)
+            store.put(entry)
+        tokens, steps = reference(model, self.PROMPT, config, reference_store)
         engine = ServeEngine(model, prefix_store=store)
         engine.submit(req("r", self.PROMPT, generation=config))
         with recording_step_logits(engine) as recorded:
@@ -450,6 +455,17 @@ class TestContinuousBatching:
         snap = engine.metrics_snapshot()
         assert snap["engine_steps"] == 1
         assert snap["decode_steps"] == 0
+
+    def test_caller_store_is_used_even_when_empty(self, model):
+        """An empty store is falsy (it has ``__len__``); the engine must
+        still open prompts through the caller's object."""
+        store = PrefixCacheStore()
+        engine = ServeEngine(model, prefix_store=store)
+        assert engine.scheduler.prefix_store is store
+        engine.submit(req("s", (1, 2, 3), kind=RequestKind.SCORE))
+        engine.drain()
+        assert len(store) == 1
+        assert engine.metrics_snapshot()["prefix_cache"] == store.stats()
 
     def test_prefix_store_stats_in_snapshot(self, model):
         engine = ServeEngine(model)
