@@ -160,7 +160,7 @@ class BasePretrainer:
             epoch_counter["epoch"] += 1
             docs = self._epoch_documents(entry, covered, e)
             token_docs = [tokenizer.encode(d) for d in docs]
-            windows = pack_documents(token_docs, cfg.seq_len, eos, drop_last=False)
+            windows = pack_documents(token_docs, cfg.seq_len, eos)
             dataset = PackedDataset(windows, cfg.batch_size, seed=e)
             for inputs, targets in dataset.batches():
                 yield inputs, targets, None
@@ -171,7 +171,6 @@ class BasePretrainer:
                 learning_rate=lr,
                 total_steps=total_steps,
                 warmup_ratio=cfg.warmup_ratio,
-                schedule="cosine",
                 clip_norm=1.0,
             ),
         )

@@ -13,7 +13,7 @@ guide idioms; there are no per-token Python loops in forward or backward.
 """
 
 from repro.model.config import ModelConfig
-from repro.model.layers import Embedding, LayerNorm, Linear, Module, RMSNorm
+from repro.model.layers import Embedding, Linear, Module, RMSNorm
 from repro.model.attention import MultiHeadAttention, RotaryEmbedding
 from repro.model.kv_cache import (
     KVCache,
@@ -25,7 +25,7 @@ from repro.model.kv_cache import (
     fork_cache,
     shared_prefix,
 )
-from repro.model.mlp import GeluMLP, SwiGLU
+from repro.model.mlp import SwiGLU
 from repro.model.transformer import TransformerBlock, TransformerLM
 from repro.model.sampling import GenerationConfig, generate, greedy_decode
 from repro.model.lora import LoRAConfig, LoRALinear, apply_lora, merge_lora
@@ -37,11 +37,9 @@ __all__ = [
     "Linear",
     "Embedding",
     "RMSNorm",
-    "LayerNorm",
     "RotaryEmbedding",
     "MultiHeadAttention",
     "SwiGLU",
-    "GeluMLP",
     "TransformerBlock",
     "TransformerLM",
     "KVCache",

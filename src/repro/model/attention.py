@@ -145,9 +145,6 @@ class MultiHeadAttention(Module):
             if B > 1 and kp.shape[0] == 1:
                 ctx = self._shared_prefix_attention(q, k, v, kp, vp, start_pos)
                 return self.wo.forward(self._merge_heads(ctx))
-            if kp.shape[0] != B:
-                kp = np.broadcast_to(kp, (B,) + kp.shape[1:])
-                vp = np.broadcast_to(vp, (B,) + vp.shape[1:])
             k = np.concatenate([kp, k], axis=2)
             v = np.concatenate([vp, v], axis=2)
 

@@ -24,11 +24,8 @@ class ModelConfig:
     max_seq_len: int = 256
     rope_theta: float = 10000.0
     norm_eps: float = 1e-5
-    norm_type: str = "rmsnorm"  # "rmsnorm" | "layernorm"
-    activation: str = "swiglu"  # "swiglu" | "gelu"
     tie_embeddings: bool = False
     init_std: float = 0.02
-    dtype: str = "float32"
 
     def __post_init__(self) -> None:
         if self.d_model % self.n_heads != 0:
@@ -40,10 +37,6 @@ class ModelConfig:
         if self.d_ff <= 0:
             raw = int(self.d_model * 8 / 3)
             self.d_ff = max(8, ((raw + 7) // 8) * 8)
-        if self.norm_type not in ("rmsnorm", "layernorm"):
-            raise ValueError(f"unknown norm_type {self.norm_type!r}")
-        if self.activation not in ("swiglu", "gelu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.vocab_size <= 0:
             raise ValueError("vocab_size must be positive")
 
@@ -57,10 +50,7 @@ class ModelConfig:
         embed = v * d
         lm_head = 0 if self.tie_embeddings else d * v
         attn = 4 * d * d
-        if self.activation == "swiglu":
-            mlp = 3 * d * f
-        else:
-            mlp = 2 * d * f + f + d  # two biased linears
+        mlp = 3 * d * f
         norms = 2 * d * L + d
         return embed + lm_head + L * (attn + mlp) + norms
 

@@ -5,8 +5,7 @@ prompt scaffold thousands of times.  This module makes the scaffold a
 first-class, reusable artifact:
 
 * :func:`fork_cache` — cheap (zero-copy) per-call views of a prefilled
-  cache, optionally trimmed to a shorter prefix and broadcast over a
-  batch dimension;
+  cache, optionally trimmed to a shorter prefix;
 * :class:`PrefixCache` — a prefilled prompt prefix: the token ids, the
   per-layer K/V tensors, and the next-token logits at the prefix
   boundary;
@@ -16,8 +15,8 @@ first-class, reusable artifact:
 Safety relies on one invariant of :class:`~repro.model.attention.
 MultiHeadAttention`: an incremental forward *rebinds* ``cache["k"]`` /
 ``cache["v"]`` to freshly concatenated arrays and never writes into the
-existing ones.  Forked caches may therefore share (even read-only,
-broadcast) views of the parent's tensors.
+existing ones.  Forked caches may therefore share (trimmed) slice views
+of the parent's tensors.
 """
 
 from __future__ import annotations
@@ -57,15 +56,12 @@ def cache_length(cache: KVCache) -> int:
     return 0
 
 
-def fork_cache(
-    cache: KVCache, batch_size: int = 1, length: Optional[int] = None
-) -> KVCache:
+def fork_cache(cache: KVCache, length: Optional[int] = None) -> KVCache:
     """A child cache sharing the parent's K/V storage.
 
     The child may be extended by further incremental forwards without
     touching the parent (attention rebinds, never mutates).  ``length``
-    trims the fork to the first ``length`` positions; ``batch_size``
-    broadcasts a single-row cache across a batch without copying.
+    trims the fork to the first ``length`` positions.
 
     With ``REPRO_DEBUG_CACHE`` set (see :func:`debug_cache_guard_enabled`)
     the returned views are marked non-writeable, turning contract
@@ -81,13 +77,6 @@ def fork_cache(
         if length is not None:
             k = k[:, :, :length, :]
             v = v[:, :, :length, :]
-        if batch_size != k.shape[0]:
-            if k.shape[0] != 1:
-                raise ValueError(
-                    f"cannot broadcast cache batch {k.shape[0]} -> {batch_size}"
-                )
-            k = np.broadcast_to(k, (batch_size,) + k.shape[1:])
-            v = np.broadcast_to(v, (batch_size,) + v.shape[1:])
         if freeze:
             # fresh views so the parent's own arrays keep their flags
             k, v = k.view(), v.view()
@@ -140,10 +129,10 @@ class PrefixCache:
         """How many leading tokens of ``token_ids`` this prefix covers."""
         return common_prefix_len(self.token_ids, token_ids)
 
-    def fork(self, batch_size: int = 1, length: Optional[int] = None) -> KVCache:
+    def fork(self, length: Optional[int] = None) -> KVCache:
         if length is not None and length > self.length:
             raise ValueError(f"length {length} exceeds prefix length {self.length}")
-        return fork_cache(self.cache, batch_size=batch_size, length=length)
+        return fork_cache(self.cache, length=length)
 
 
 class PrefixCacheStore:

@@ -94,7 +94,7 @@ class Module:
 
 
 class Linear(Module):
-    """Affine map ``y = x @ W (+ b)`` over the last axis.
+    """Bias-free linear map ``y = x @ W`` over the last axis.
 
     ``x`` may have any number of leading batch axes; gradients are reduced
     over all of them.
@@ -105,7 +105,6 @@ class Linear(Module):
         d_in: int,
         d_out: int,
         rng: np.random.Generator,
-        bias: bool = False,
         init_std: float = 0.02,
     ) -> None:
         super().__init__()
@@ -113,24 +112,16 @@ class Linear(Module):
         self.register(
             "weight", rng.normal(0.0, init_std, size=(d_in, d_out)).astype(np.float32)
         )
-        self.has_bias = bias
-        if bias:
-            self.register("bias", np.zeros(d_out, dtype=np.float32))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = (x,)
-        y = x @ self.params["weight"]
-        if self.has_bias:
-            y = y + self.params["bias"]
-        return y
+        return x @ self.params["weight"]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         (x,) = self._cache
         x2 = x.reshape(-1, self.d_in)
         d2 = dout.reshape(-1, self.d_out)
         self.grads["weight"] += x2.T @ d2
-        if self.has_bias:
-            self.grads["bias"] += d2.sum(axis=0)
         return dout @ self.params["weight"].T
 
 
@@ -189,37 +180,6 @@ class RMSNorm(Module):
         #   dx = r * dg - x * r^3 / d * sum(dg * x)
         inner = np.sum(dg * x, axis=-1, keepdims=True)
         return inv_rms * dg - x * (inv_rms**3) * inner / d
-
-
-class LayerNorm(Module):
-    """Classic layer normalization with gain and bias."""
-
-    def __init__(self, d_model: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.eps = eps
-        self.register("gain", np.ones(d_model, dtype=np.float32))
-        self.register("bias", np.zeros(d_model, dtype=np.float32))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = np.mean(xc * xc, axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = xc * inv_std
-        self._cache = (xhat, inv_std)
-        return xhat * self.params["gain"] + self.params["bias"]
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        xhat, inv_std = self._cache
-        g = self.params["gain"]
-        d = xhat.shape[-1]
-        reduce_axes = tuple(range(xhat.ndim - 1))
-        self.grads["gain"] += np.sum(dout * xhat, axis=reduce_axes)
-        self.grads["bias"] += np.sum(dout, axis=reduce_axes)
-        dxhat = dout * g
-        mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-        mean_dxhat_xhat = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        return inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

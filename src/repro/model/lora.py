@@ -51,7 +51,6 @@ class LoRALinear(Module):
         self.config = config
         d_in, d_out = base.d_in, base.d_out
         self.d_in, self.d_out = d_in, d_out
-        self.has_bias = base.has_bias
         # Kaiming-ish init for A, zeros for B so the adapter starts as identity.
         self.register(
             "lora_A",
@@ -64,15 +63,11 @@ class LoRALinear(Module):
         # parameter here, so optimizers driven by named_parameters() of the
         # adapted model only ever see A and B).
         self.frozen_weight = base.params["weight"]
-        self.frozen_bias = base.params.get("bias")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         xa = x @ self.params["lora_A"]
         self._cache = (x, xa)
-        y = x @ self.frozen_weight + xa @ self.params["lora_B"] * self.config.scaling
-        if self.frozen_bias is not None:
-            y = y + self.frozen_bias
-        return y
+        return x @ self.frozen_weight + xa @ self.params["lora_B"] * self.config.scaling
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x, xa = self._cache

@@ -1,4 +1,4 @@
-"""Feed-forward blocks: SwiGLU (LLaMA) and GELU (GPT-2 style, for ablations)."""
+"""The LLaMA feed-forward block: SwiGLU, no biases."""
 
 from __future__ import annotations
 
@@ -16,21 +16,6 @@ def silu(x: np.ndarray) -> np.ndarray:
 def silu_grad(x: np.ndarray) -> np.ndarray:
     s = 1.0 / (1.0 + np.exp(-x))
     return s * (1.0 + x * (1.0 - s))
-
-
-_GELU_C = np.float32(np.sqrt(2.0 / np.pi))
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-approximate GELU."""
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(u)
-    du = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
 
 class SwiGLU(Module):
@@ -66,35 +51,3 @@ class SwiGLU(Module):
         dx = self.w1.backward(d_a) + self.w3.backward(d_b)
         self._cache = None
         return dx
-
-
-class GeluMLP(Module):
-    """GPT-2 style MLP: ``w2 gelu(w1 x + b1) + b2``."""
-
-    def __init__(
-        self,
-        d_model: int,
-        d_ff: int,
-        rng: np.random.Generator,
-        init_std: float = 0.02,
-        out_init_std: Optional[float] = None,
-    ) -> None:
-        super().__init__()
-        self.w1 = self.add_child(
-            "w1", Linear(d_model, d_ff, rng, bias=True, init_std=init_std)
-        )
-        self.w2 = self.add_child(
-            "w2",
-            Linear(d_ff, d_model, rng, bias=True, init_std=out_init_std or init_std),
-        )
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        h = self.w1.forward(x)
-        self._cache = (h,)
-        return self.w2.forward(gelu(h))
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        (h,) = self._cache
-        dh = self.w2.backward(dout) * gelu_grad(h)
-        self._cache = None
-        return self.w1.backward(dh)

@@ -11,20 +11,13 @@ from repro.model.config import ModelConfig
 from repro.model.kv_cache import KVCache, PrefixCache
 from repro.model.layers import (
     Embedding,
-    LayerNorm,
     Linear,
     Module,
     RMSNorm,
     log_softmax,
     softmax,
 )
-from repro.model.mlp import GeluMLP, SwiGLU
-
-
-def _make_norm(config: ModelConfig) -> Module:
-    if config.norm_type == "rmsnorm":
-        return RMSNorm(config.d_model, config.norm_eps)
-    return LayerNorm(config.d_model, config.norm_eps)
+from repro.model.mlp import SwiGLU
 
 
 class TransformerBlock(Module):
@@ -37,7 +30,9 @@ class TransformerBlock(Module):
         # GPT-2 trick: scale residual-writing projections by 1/sqrt(2L) so
         # the residual stream variance stays bounded with depth.
         out_std = config.init_std / np.sqrt(2.0 * config.n_layers)
-        self.attn_norm = self.add_child("attn_norm", _make_norm(config))
+        self.attn_norm = self.add_child(
+            "attn_norm", RMSNorm(config.d_model, config.norm_eps)
+        )
         self.attn = self.add_child(
             "attn",
             MultiHeadAttention(
@@ -49,11 +44,12 @@ class TransformerBlock(Module):
                 out_init_std=out_std,
             ),
         )
-        self.mlp_norm = self.add_child("mlp_norm", _make_norm(config))
-        mlp_cls = SwiGLU if config.activation == "swiglu" else GeluMLP
+        self.mlp_norm = self.add_child(
+            "mlp_norm", RMSNorm(config.d_model, config.norm_eps)
+        )
         self.mlp = self.add_child(
             "mlp",
-            mlp_cls(
+            SwiGLU(
                 config.d_model,
                 config.d_ff,
                 rng,
@@ -113,7 +109,9 @@ class TransformerLM(Module):
             block = TransformerBlock(config, self.rope, rng)
             self.add_child(f"block{i}", block)
             self.blocks.append(block)
-        self.final_norm = self.add_child("final_norm", _make_norm(config))
+        self.final_norm = self.add_child(
+            "final_norm", RMSNorm(config.d_model, config.norm_eps)
+        )
         self.lm_head: Optional[Linear] = None
         if not config.tie_embeddings:
             self.lm_head = self.add_child(
@@ -256,8 +254,8 @@ class TransformerLM(Module):
 
         The returned :class:`PrefixCache` carries the per-layer K/V
         tensors plus the next-token logits at the prefix boundary, and
-        can be forked (trimmed and/or broadcast over a batch) for any
-        continuation that shares the prefix.  Only the final position is
+        can be forked (and trimmed) for any continuation that shares the
+        prefix.  Only the final position is
         projected to the vocabulary (the interior logits are never
         needed), so prefilling is cheaper than :meth:`forward`.
         """

@@ -23,7 +23,7 @@ from repro.model.transformer import TransformerLM
 from repro.parallel.collectives import Communicator, RingCostModel
 from repro.parallel.mesh import DeviceMesh
 from repro.train.optimizer import AdamW, clip_grad_norm
-from repro.train.schedule import make_schedule
+from repro.train.schedule import CosineSchedule
 
 
 @dataclass
@@ -31,7 +31,6 @@ class DDPConfig:
     learning_rate: float = 1e-3
     total_steps: int = 10
     warmup_ratio: float = 0.03
-    schedule: str = "cosine"
     clip_norm: float = 1.0
     weight_decay: float = 0.0
     betas: Tuple[float, float] = (0.9, 0.95)
@@ -90,8 +89,7 @@ class DataParallelTrainer:
             )
             for r in self.replicas
         ]
-        self.schedule = make_schedule(
-            self.config.schedule,
+        self.schedule = CosineSchedule(
             self.config.learning_rate,
             self.config.total_steps,
             self.config.warmup_ratio,

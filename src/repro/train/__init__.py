@@ -14,13 +14,8 @@ knobs the paper reports (lr 2e-5 / 3e-7, warmup ratio 0.03, cosine decay,
 bf16, one epoch).
 """
 
-from repro.train.optimizer import SGD, AdamW, Optimizer, clip_grad_norm
-from repro.train.schedule import (
-    ConstantSchedule,
-    CosineSchedule,
-    LinearSchedule,
-    make_schedule,
-)
+from repro.train.optimizer import AdamW, clip_grad_norm
+from repro.train.schedule import CosineSchedule
 from repro.train.dataloader import (
     PackedDataset,
     PaddedBatch,
@@ -52,14 +47,9 @@ from repro.train.sft import (
 from repro.train.metrics import corpus_perplexity, ema
 
 __all__ = [
-    "Optimizer",
     "AdamW",
-    "SGD",
     "clip_grad_norm",
     "CosineSchedule",
-    "LinearSchedule",
-    "ConstantSchedule",
-    "make_schedule",
     "PackedDataset",
     "PaddedBatch",
     "pack_documents",

@@ -31,7 +31,6 @@ class CPTConfig:
     max_token_length: int = 512
     warmup_ratio: float = 0.03
     epochs: float = 1.0
-    schedule: str = "cosine"
     weight_decay: float = 0.0
     clip_norm: float = 1.0
     bf16: bool = True
@@ -64,7 +63,6 @@ class CPTConfig:
             max_token_length=512,
             warmup_ratio=0.03,
             epochs=1.0,
-            schedule="cosine",
             bf16=True,
         )
         base.update(overrides)
@@ -79,7 +77,6 @@ class CPTConfig:
             max_token_length=2048,
             warmup_ratio=0.03,
             epochs=1.0,
-            schedule="cosine",
             bf16=True,
         )
         base.update(overrides)
@@ -113,12 +110,8 @@ class ContinualPretrainer:
         if not token_docs:
             raise ValueError("corpus produced no training windows")
         seq_len = min(cfg.max_token_length, model.config.max_seq_len)
-        windows = pack_documents(token_docs, seq_len, eos_id, drop_last=False)
-        if windows.shape[0] == 0:
-            raise ValueError("corpus produced no training windows")
-        dataset = PackedDataset(
-            windows, cfg.microbatch_size, seed=cfg.seed, drop_last_batch=False
-        )
+        windows = pack_documents(token_docs, seq_len, eos_id)
+        dataset = PackedDataset(windows, cfg.microbatch_size, seed=cfg.seed)
         micro_per_epoch = max(len(dataset), 1)
         steps_per_epoch = max(micro_per_epoch // cfg.grad_accum, 1)
         total_steps = max(int(round(steps_per_epoch * cfg.epochs)), cfg.min_steps)
@@ -128,7 +121,6 @@ class ContinualPretrainer:
                 learning_rate=cfg.learning_rate,
                 total_steps=total_steps,
                 warmup_ratio=cfg.warmup_ratio,
-                schedule=cfg.schedule,
                 grad_accum=cfg.grad_accum,
                 clip_norm=cfg.clip_norm,
                 weight_decay=cfg.weight_decay,

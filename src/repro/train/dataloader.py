@@ -20,14 +20,13 @@ def pack_documents(
     token_docs: Sequence[Sequence[int]],
     seq_len: int,
     eos_id: int,
-    drop_last: bool = True,
 ) -> np.ndarray:
     """Concatenate documents (EOS-separated) and slice into windows.
 
     Returns an int64 array of shape ``(n_windows, seq_len + 1)``; window
     ``[i, :-1]`` is the input and ``[i, 1:]`` the target.  The final
-    partial window is dropped unless ``drop_last=False``, in which case it
-    is padded with EOS (EOS predictions are harmless for the LM objective).
+    partial window is padded with EOS (EOS predictions are harmless for
+    the LM objective), so no token is dropped.
     """
     if seq_len < 1:
         raise ValueError("seq_len must be >= 1")
@@ -36,17 +35,9 @@ def pack_documents(
         stream.extend(int(t) for t in doc)
         stream.append(eos_id)
     window = seq_len + 1
-    if len(stream) < window:
-        if drop_last:
-            return np.zeros((0, window), dtype=np.int64)
-        stream = stream + [eos_id] * (window - len(stream))
-    n_full = len(stream) // window
-    remainder = len(stream) - n_full * window
-    if remainder and not drop_last:
-        stream = stream + [eos_id] * (window - remainder)
-        n_full += 1
-    arr = np.asarray(stream[: n_full * window], dtype=np.int64)
-    return arr.reshape(n_full, window)
+    n_windows = max(-(-len(stream) // window), 1)
+    stream.extend([eos_id] * (n_windows * window - len(stream)))
+    return np.asarray(stream, dtype=np.int64).reshape(n_windows, window)
 
 
 class PackedDataset:
@@ -62,7 +53,6 @@ class PackedDataset:
         windows: np.ndarray,
         batch_size: int,
         seed: int = 0,
-        drop_last_batch: bool = False,
     ) -> None:
         if windows.ndim != 2:
             raise ValueError("windows must be 2-D (n, seq_len+1)")
@@ -71,14 +61,10 @@ class PackedDataset:
         self.windows = windows
         self.batch_size = batch_size
         self.seed = seed
-        self.drop_last_batch = drop_last_batch
         self.epoch = 0
 
     def __len__(self) -> int:
-        n = self.windows.shape[0]
-        if self.drop_last_batch:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return -(-self.windows.shape[0] // self.batch_size)
 
     @property
     def num_windows(self) -> int:
@@ -92,11 +78,8 @@ class PackedDataset:
         """Yield ``(inputs, targets)`` batches for one epoch, then bump epoch."""
         rng = new_rng(self.seed, "epoch", self.epoch)
         order = rng.permutation(self.windows.shape[0])
-        n = len(self) * self.batch_size if self.drop_last_batch else len(order)
-        for start in range(0, n, self.batch_size):
+        for start in range(0, len(order), self.batch_size):
             idx = order[start : start + self.batch_size]
-            if len(idx) == 0:
-                break
             batch = self.windows[idx]
             yield batch[:, :-1], batch[:, 1:]
         self.epoch += 1

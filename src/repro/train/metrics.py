@@ -36,7 +36,7 @@ def corpus_perplexity(
     windows (weighted by token count, which is constant per window here).
     """
     seq_len = seq_len or model.config.max_seq_len
-    windows = pack_documents(token_docs, seq_len, eos_id, drop_last=False)
+    windows = pack_documents(token_docs, seq_len, eos_id)
     if max_windows is not None:
         windows = windows[:max_windows]
     if windows.shape[0] == 0:

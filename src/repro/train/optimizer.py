@@ -1,4 +1,4 @@
-"""Optimizers operating on named parameter/gradient dicts.
+"""The AdamW optimizer over named parameter/gradient dicts.
 
 Parameters are updated in place (the model exposes references, not copies),
 so an optimizer bound to a model at construction keeps working as training
@@ -8,7 +8,7 @@ proceeds.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -31,25 +31,12 @@ def clip_grad_norm(grads: ParamDict, max_norm: float) -> float:
     return norm
 
 
-class Optimizer:
-    """Base optimizer over a (params, grads) pair of name-aligned dicts."""
-
-    def __init__(self, params: ParamDict, grads: ParamDict) -> None:
-        if set(params) != set(grads):
-            raise KeyError("params and grads must have identical keys")
-        self.params = params
-        self.grads = grads
-        self.step_count = 0
-
-    def step(self, lr: float) -> None:
-        raise NotImplementedError
-
-
-class AdamW(Optimizer):
+class AdamW:
     """Adam with decoupled weight decay (Loshchilov & Hutter).
 
-    Weight decay is skipped for 1-D parameters (norm gains, biases), the
-    standard practice that LMFlow and friends follow.
+    Updates a (params, grads) pair of name-aligned dicts.  Weight decay is
+    skipped for 1-D parameters (the RMSNorm gains), the standard practice
+    that LMFlow and friends follow.
     """
 
     def __init__(
@@ -60,7 +47,11 @@ class AdamW(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params, grads)
+        if set(params) != set(grads):
+            raise KeyError("params and grads must have identical keys")
+        self.params = params
+        self.grads = grads
+        self.step_count = 0
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -84,28 +75,3 @@ class AdamW(Optimizer):
             if self.weight_decay > 0 and p.ndim > 1:
                 p -= lr * self.weight_decay * p
             p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class SGD(Optimizer):
-    """Plain SGD with optional classical momentum."""
-
-    def __init__(
-        self, params: ParamDict, grads: ParamDict, momentum: float = 0.0
-    ) -> None:
-        super().__init__(params, grads)
-        self.momentum = momentum
-        self.velocity: Optional[ParamDict] = None
-        if momentum > 0:
-            self.velocity = {k: np.zeros_like(v) for k, v in params.items()}
-
-    def step(self, lr: float) -> None:
-        self.step_count += 1
-        for key, p in self.params.items():
-            g = self.grads[key]
-            if self.velocity is not None:
-                vel = self.velocity[key]
-                vel *= self.momentum
-                vel += g
-                p -= lr * vel
-            else:
-                p -= lr * g

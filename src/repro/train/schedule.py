@@ -1,8 +1,8 @@
-"""Learning-rate schedules.
+"""The learning-rate schedule.
 
 The paper uses linear warmup (ratio 0.03) into cosine decay (SGDR-style,
-Loshchilov & Hutter 2016) for both CPT and SFT; we provide that plus linear
-and constant schedules for ablations.
+Loshchilov & Hutter 2016) for both CPT and SFT, and so does every trainer
+here.
 """
 
 from __future__ import annotations
@@ -39,61 +39,3 @@ class CosineSchedule:
         progress = min(max(step - w, 0) / span, 1.0)
         cos = 0.5 * (1.0 + math.cos(math.pi * progress))
         return self.min_lr + (self.peak_lr - self.min_lr) * cos
-
-
-@dataclass(frozen=True)
-class LinearSchedule:
-    """Linear warmup then linear decay to ``min_lr``."""
-
-    peak_lr: float
-    total_steps: int
-    warmup_ratio: float = 0.03
-    min_lr: float = 0.0
-
-    @property
-    def warmup_steps(self) -> int:
-        return int(round(self.total_steps * self.warmup_ratio))
-
-    def lr(self, step: int) -> float:
-        w = self.warmup_steps
-        if w > 0 and step < w:
-            return self.peak_lr * (step + 1) / w
-        span = max(self.total_steps - w, 1)
-        progress = min(max(step - w, 0) / span, 1.0)
-        return self.peak_lr + (self.min_lr - self.peak_lr) * progress
-
-
-@dataclass(frozen=True)
-class ConstantSchedule:
-    """Optional warmup then a flat learning rate."""
-
-    peak_lr: float
-    total_steps: int = 0
-    warmup_ratio: float = 0.0
-
-    @property
-    def warmup_steps(self) -> int:
-        return int(round(self.total_steps * self.warmup_ratio))
-
-    def lr(self, step: int) -> float:
-        w = self.warmup_steps
-        if w > 0 and step < w:
-            return self.peak_lr * (step + 1) / w
-        return self.peak_lr
-
-
-def make_schedule(
-    name: str,
-    peak_lr: float,
-    total_steps: int,
-    warmup_ratio: float = 0.03,
-    min_lr: float = 0.0,
-):
-    """Factory keyed by name: ``cosine`` | ``linear`` | ``constant``."""
-    if name == "cosine":
-        return CosineSchedule(peak_lr, total_steps, warmup_ratio, min_lr)
-    if name == "linear":
-        return LinearSchedule(peak_lr, total_steps, warmup_ratio, min_lr)
-    if name == "constant":
-        return ConstantSchedule(peak_lr, total_steps, warmup_ratio)
-    raise ValueError(f"unknown schedule {name!r}")

@@ -72,7 +72,6 @@ class SFTConfig:
     max_token_length: int = 2048
     warmup_ratio: float = 0.03
     epochs: float = 1.0
-    schedule: str = "cosine"
     clip_norm: float = 1.0
     weight_decay: float = 0.0
     bf16: bool = True
@@ -81,6 +80,10 @@ class SFTConfig:
     min_steps: int = 1
 
     def __post_init__(self) -> None:
+        if self.epochs <= 0:
+            raise ValueError("epochs must be positive")
+        if self.microbatch_size < 0:
+            raise ValueError("microbatch_size must be >= 0")
         if self.microbatch_size == 0:
             self.microbatch_size = self.total_batch_size
         if self.total_batch_size % self.microbatch_size != 0:
@@ -98,7 +101,6 @@ class SFTConfig:
             max_token_length=2048,
             warmup_ratio=0.03,
             epochs=1.0,
-            schedule="cosine",
             bf16=True,
         )
         base.update(overrides)
@@ -183,7 +185,6 @@ class SupervisedFineTuner:
                 learning_rate=cfg.learning_rate,
                 total_steps=total_steps,
                 warmup_ratio=cfg.warmup_ratio,
-                schedule=cfg.schedule,
                 grad_accum=cfg.grad_accum,
                 clip_norm=cfg.clip_norm,
                 weight_decay=cfg.weight_decay,

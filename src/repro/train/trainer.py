@@ -15,7 +15,7 @@ import numpy as np
 from repro.model.layers import Module
 from repro.model.precision import bf16_round_
 from repro.train.optimizer import AdamW, clip_grad_norm
-from repro.train.schedule import make_schedule
+from repro.train.schedule import CosineSchedule
 
 Batch = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 # (inputs, targets, loss_mask-or-None)
@@ -33,14 +33,12 @@ class TrainingConfig:
     learning_rate: float = 1e-3
     total_steps: int = 100
     warmup_ratio: float = 0.03
-    schedule: str = "cosine"
     min_lr: float = 0.0
     grad_accum: int = 1
     clip_norm: float = 1.0
     weight_decay: float = 0.0
     betas: Tuple[float, float] = (0.9, 0.95)
     bf16: bool = False
-    log_every: int = 10
 
     def __post_init__(self) -> None:
         if self.total_steps <= 0:
@@ -104,14 +102,12 @@ class Trainer:
         self,
         model: Module,
         config: TrainingConfig,
-        step_callback: Optional[Callable[[int, float, float], None]] = None,
         hooks: Optional[TrainerHooks] = None,
     ) -> None:
         self.model = model
         self.config = config
         self.hooks = hooks
-        self.schedule = make_schedule(
-            config.schedule,
+        self.schedule = CosineSchedule(
             config.learning_rate,
             config.total_steps,
             config.warmup_ratio,
@@ -123,7 +119,6 @@ class Trainer:
             betas=config.betas,
             weight_decay=config.weight_decay,
         )
-        self.step_callback = step_callback
 
     def train(
         self,
@@ -173,6 +168,4 @@ class Trainer:
             history.grad_norms.append(norm)
             history.tokens_seen += tokens
             history.steps += 1
-            if self.step_callback and (step % max(cfg.log_every, 1) == 0):
-                self.step_callback(step, accum_loss, lr)
         return history

@@ -10,7 +10,6 @@ from repro.model import (
     TransformerLM,
     cache_length,
     common_prefix_len,
-    fork_cache,
     generate,
     shared_prefix,
 )
@@ -51,12 +50,12 @@ class TestHelpers:
 
 
 class TestFork:
-    def test_fork_trims_and_broadcasts(self):
+    def test_fork_trims(self):
         model = small_model()
         pc = model.prefill([1, 2, 3, 4, 5, 6])
-        forked = pc.fork(batch_size=3, length=4)
+        forked = pc.fork(length=4)
         for layer in forked:
-            assert layer["k"].shape[0] == 3
+            assert layer["k"].shape[0] == 1
             assert layer["k"].shape[2] == 4
         with pytest.raises(ValueError):
             pc.fork(length=7)
@@ -66,17 +65,10 @@ class TestFork:
         rng = np.random.default_rng(0)
         ids = random_ids(rng, 10)
         pc = model.prefill(ids)
-        child = pc.fork(batch_size=1)
+        child = pc.fork()
         model.forward(np.asarray([[7, 8]]), start_pos=pc.length, cache=child)
         assert cache_length(child) == pc.length + 2
         assert cache_length(pc.cache) == pc.length
-
-    def test_fork_rejects_multi_row_broadcast(self):
-        model = small_model()
-        pc = model.prefill([1, 2, 3])
-        two = pc.fork(batch_size=2)
-        with pytest.raises(ValueError):
-            fork_cache(two, batch_size=3)
 
 
 class TestPrefillEquivalence:
@@ -91,7 +83,7 @@ class TestPrefillEquivalence:
             cached = model.forward(
                 np.asarray(suffix, dtype=np.int64),
                 start_pos=pc.length,
-                cache=pc.fork(batch_size=1),
+                cache=pc.fork(),
             )[0, -1]
             np.testing.assert_allclose(cached, full, atol=1e-5)
 
@@ -208,7 +200,7 @@ class TestDebugCacheGuard:
         monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
         model = small_model()
         pc = model.prefill([1, 2, 3, 4])
-        forked = pc.fork(batch_size=2)
+        forked = pc.fork(length=3)
         with pytest.raises(ValueError):
             # lint: disable=R1 (intentional violation: proves the guard trips)
             forked[0]["k"][..., 0] = 0.0
@@ -226,7 +218,7 @@ class TestDebugCacheGuard:
         monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
         model = small_model()
         pc = model.prefill([1, 2, 3])
-        child = pc.fork(batch_size=1)
+        child = pc.fork()
         model.forward(np.asarray([[7, 8]]), start_pos=pc.length, cache=child)
         assert cache_length(child) == pc.length + 2
         assert cache_length(pc.cache) == pc.length

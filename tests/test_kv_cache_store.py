@@ -141,7 +141,7 @@ class TestStoreLRU:
 
 
 class TestInterleavedForkTrim:
-    """Forks at varying trims/batch sizes never disturb stored parents."""
+    """Forks at varying trims never disturb stored parents."""
 
     def test_fork_trim_sequence_leaves_parents_intact(self):
         model = small_model()
@@ -152,13 +152,13 @@ class TestInterleavedForkTrim:
         b = store.put(model.prefill(ids_b))
         saved_a, saved_b = snapshot(a.cache), snapshot(b.cache)
 
-        # interleave matches, trimmed forks and broadcast forks
+        # interleave matches and trimmed forks
         forks = []
         for length in (2, 4, 6):
             entry, overlap = store.match(ids_a[:length] + [50])
             assert entry is a and overlap == length
-            forks.append(entry.fork(batch_size=3, length=length))
-        forks.append(b.fork(batch_size=1, length=3))
+            forks.append(entry.fork(length=length))
+        forks.append(b.fork(length=3))
         store.put(model.prefill([30, 31]))  # triggers an eviction mid-sequence
 
         for length, fork in zip((2, 4, 6, 3), forks):
@@ -170,7 +170,7 @@ class TestInterleavedForkTrim:
         model = small_model(seed=2)
         ids = [3, 1, 4, 1, 5, 9, 2, 6]
         full = model.prefill(ids)
-        trimmed = full.fork(batch_size=1, length=5)
+        trimmed = full.fork(length=5)
         for layer, parent in zip(trimmed, full.cache):
             for key in ("k", "v"):
                 np.testing.assert_array_equal(
@@ -182,8 +182,8 @@ class TestInterleavedForkTrim:
         model = small_model(seed=1)
         pc = model.prefill([7, 8, 9, 10])
         saved = snapshot(pc.cache)
-        left = pc.fork(batch_size=1, length=4)
-        right = pc.fork(batch_size=1, length=2)
+        left = pc.fork(length=4)
+        right = pc.fork(length=2)
         saved_right = snapshot(right)
         model.forward(np.asarray([[11, 12]]), start_pos=4, cache=left)
         assert cache_length(left) == 6
@@ -201,7 +201,7 @@ class TestInterleavedForkTrim:
         model = small_model()
         store = PrefixCacheStore(max_entries=2)
         entry = store.put(model.prefill([1, 2, 3, 4]))
-        fork = entry.fork(batch_size=2, length=3)
+        fork = entry.fork(length=3)
         assert not fork[0]["k"].flags.writeable
         # the stored parent stays writable and matchable
         assert entry.cache[0]["k"].flags.writeable
@@ -253,12 +253,12 @@ class TestDebugGuardMutatorMatrix:
 
     @pytest.mark.parametrize("mutate", MUTATORS)
     def test_mutator_raises_on_forked_cache(self, monkeypatch, mutate):
-        # batch_size=1 so the fork is a plain slice view: writable without
-        # the guard, which isolates the guard as the thing that trips
+        # the fork is a plain slice view, writable without the guard,
+        # which isolates the guard as the thing that trips
         monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
         model = small_model()
         pc = model.prefill([1, 2, 3, 4])
-        forked = fork_cache(pc.cache, batch_size=1, length=3)
+        forked = fork_cache(pc.cache, length=3)
         saved = snapshot(pc.cache)
         with pytest.raises(ValueError):
             mutate(_layer(forked))
@@ -272,17 +272,8 @@ class TestDebugGuardMutatorMatrix:
         monkeypatch.delenv("REPRO_DEBUG_CACHE", raising=False)
         model = small_model()
         pc = model.prefill([1, 2, 3, 4])
-        forked = fork_cache(pc.cache, batch_size=1, length=3)
+        forked = fork_cache(pc.cache, length=3)
         mutate(_layer(forked))  # no raise
-
-    @pytest.mark.parametrize("mutate", MUTATORS)
-    def test_mutator_raises_on_broadcast_fork(self, monkeypatch, mutate):
-        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
-        model = small_model()
-        pc = model.prefill([1, 2, 3, 4])
-        forked = fork_cache(pc.cache, batch_size=2)
-        with pytest.raises(ValueError):
-            mutate(_layer(forked))
 
     def test_guard_accepts_any_truthy_value(self, monkeypatch):
         for on in ("1", "yes", "true", "on", "2"):
@@ -295,7 +286,7 @@ class TestDebugGuardMutatorMatrix:
         monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
         model = small_model()
         pc = model.prefill([5, 6, 7, 8])
-        forked = fork_cache(pc.cache, batch_size=3, length=2)
+        forked = fork_cache(pc.cache, length=2)
         for layer in forked:
             for key in ("k", "v"):
                 assert not layer[key].flags.writeable

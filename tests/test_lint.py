@@ -54,7 +54,7 @@ VIOLATIONS = {
         "R1",
         """
         def scale(pc):
-            forked = pc.fork(batch_size=2)
+            forked = pc.fork(length=2)
             for layer in forked:
                 layer["v"] += 1.0
         """,

@@ -20,7 +20,7 @@ from repro.parallel import (
 )
 from repro.parallel.cluster import transformer_train_flops_per_token
 from repro.train.optimizer import AdamW
-from repro.train.schedule import make_schedule
+from repro.train.schedule import CosineSchedule
 
 
 class TestMesh:
@@ -170,7 +170,7 @@ class TestDDP:
             seed=0,
         )
         opt = AdamW(solo.named_parameters(), solo.named_gradients(), betas=(0.9, 0.95))
-        schedule = make_schedule("cosine", 1e-3, 3, 0.03)
+        schedule = CosineSchedule(1e-3, 3, 0.03)
         from repro.train.optimizer import clip_grad_norm
 
         for step, (x, t) in enumerate(batches):

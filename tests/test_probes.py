@@ -40,7 +40,7 @@ def trained():
             docs.append(render_mcq_exercise(f, rng))
         order = rng.permutation(len(docs))
         token_docs = [tok.encode(docs[i]) for i in order]
-        windows = pack_documents(token_docs, 96, eos, drop_last=False)
+        windows = pack_documents(token_docs, 96, eos)
         for x, t in PackedDataset(windows, 8, seed=e).batches():
             yield x, t, None
 

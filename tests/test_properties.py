@@ -108,7 +108,7 @@ class TestPackingProperties:
     @settings(max_examples=100, deadline=None)
     def test_token_conservation(self, docs, seq_len):
         """Without dropping, every non-EOS token of every doc survives."""
-        windows = pack_documents(docs, seq_len, eos_id=0, drop_last=False)
+        windows = pack_documents(docs, seq_len, eos_id=0)
         flat = windows.reshape(-1).tolist()
         total_in = sum(len(d) for d in docs)
         assert len([t for t in flat if t != 0]) == total_in
@@ -123,7 +123,7 @@ class TestPackingProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_window_shape(self, docs, seq_len):
-        windows = pack_documents(docs, seq_len, eos_id=0, drop_last=False)
+        windows = pack_documents(docs, seq_len, eos_id=0)
         assert windows.shape[1] == seq_len + 1
 
 
