@@ -7,6 +7,7 @@ from repro.lint.rules.float_equality import FloatEqualityRule
 from repro.lint.rules.export_drift import ExportDriftRule
 from repro.lint.rules.fault_registry import FaultRegistryRule
 from repro.lint.rules.wall_clock import WallClockRule
+from repro.lint.rules.scalar_promotion import ScalarPromotionRule
 
 __all__ = [
     "CacheMutationRule",
@@ -16,4 +17,5 @@ __all__ = [
     "ExportDriftRule",
     "FaultRegistryRule",
     "WallClockRule",
+    "ScalarPromotionRule",
 ]

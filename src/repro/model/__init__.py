@@ -10,6 +10,11 @@ manifest format in :mod:`repro.train.checkpointing`.
 
 All hot paths are vectorized over ``(batch, head, position)`` per the HPC
 guide idioms; there are no per-token Python loops in forward or backward.
+
+Compute dtype = parameter dtype (float32); bf16 is emulated by rounding
+float32 parameters.  Activations, KV caches, logits and gradients all
+take the parameters' dtype (``tests/test_dtype_contract.py``; lint rule R8
+keeps float64 NumPy scalars out).
 """
 
 from repro.model.config import ModelConfig

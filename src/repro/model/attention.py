@@ -7,6 +7,7 @@ batch and heads (a view, never copied per example).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 import numpy as np
@@ -96,6 +97,9 @@ class MultiHeadAttention(Module):
             raise ValueError("d_model must divide n_heads")
         self.d_model, self.n_heads = d_model, n_heads
         self.head_dim = d_model // n_heads
+        # a float32 scalar: a float64 one would promote every score, and
+        # from there the whole residual stream, to float64 (NEP 50)
+        self.scale = np.float32(1.0 / math.sqrt(self.head_dim))
         self.rope = rope
         self.wq = self.add_child("wq", Linear(d_model, d_model, rng, init_std=init_std))
         self.wk = self.add_child("wk", Linear(d_model, d_model, rng, init_std=init_std))
@@ -148,8 +152,7 @@ class MultiHeadAttention(Module):
             k = np.concatenate([kp, k], axis=2)
             v = np.concatenate([vp, v], axis=2)
 
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale  # (B,H,T,Tk)
+        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B,H,T,Tk)
         Tk = k.shape[2]
         if T > 1:
             # Query i (absolute position start_pos+i) may attend to keys
@@ -161,7 +164,7 @@ class MultiHeadAttention(Module):
         ctx = probs @ v  # (B,H,T,hd)
         out = self.wo.forward(self._merge_heads(ctx))
         if cache is None:
-            self._cache = (q, k, v, probs, scale, start_pos)
+            self._cache = (q, k, v, probs, start_pos)
         return out
 
     def _shared_prefix_attention(
@@ -184,11 +187,9 @@ class MultiHeadAttention(Module):
         float32 summation order.
         """
         B, H, T, hd = q.shape
-        Tp = kp.shape[2]
-        scale = np.float32(1.0 / np.sqrt(hd))
-        qh = (q * scale).transpose(1, 0, 2, 3).reshape(H, B * T, hd)
+        qh = (q * self.scale).transpose(1, 0, 2, 3).reshape(H, B * T, hd)
         sp = qh @ kp[0].transpose(0, 2, 1)  # (H, B*T, Tp)
-        sn = (q @ k.transpose(0, 1, 3, 2)) * scale  # (B, H, T, T)
+        sn = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B, H, T, T)
         if T > 1:
             # every prefix key precedes every query; only suffix-internal
             # positions need the causal mask
@@ -211,7 +212,7 @@ class MultiHeadAttention(Module):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called without a cached training forward")
-        q, k, v, probs, scale, start_pos = self._cache
+        q, k, v, probs, start_pos = self._cache
         d_ctx_merged = self.wo.backward(dout)  # (B,T,D)
         B, T, _ = d_ctx_merged.shape
         d_ctx = d_ctx_merged.reshape(B, T, self.n_heads, self.head_dim).transpose(
@@ -225,8 +226,8 @@ class MultiHeadAttention(Module):
         inner = np.sum(d_probs * probs, axis=-1, keepdims=True)
         d_scores = probs * (d_probs - inner)
 
-        d_q = (d_scores @ k) * scale
-        d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
+        d_q = (d_scores @ k) * self.scale
+        d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * self.scale
 
         d_q = self.rope.apply_backward(d_q, start_pos)
         d_k = self.rope.apply_backward(d_k, start_pos)

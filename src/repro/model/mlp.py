@@ -9,13 +9,14 @@ import numpy as np
 from repro.model.layers import Linear, Module
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
-
-
-def silu_grad(x: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-x))
-    return s * (1.0 + x * (1.0 - s))
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` as ``(1 + tanh(x / 2)) / 2``: tanh saturates
+    where ``exp(-x)`` overflows (x < -88 in float32), in ``x``'s dtype."""
+    s = x * 0.5
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 class SwiGLU(Module):
@@ -39,15 +40,17 @@ class SwiGLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         a = self.w1.forward(x)
         b = self.w3.forward(x)
-        gated = silu(a) * b
-        self._cache = (a, b)
-        return self.w2.forward(gated)
+        s = sigmoid(a)
+        silu_a = a * s
+        self._cache = (b, s, silu_a)
+        return self.w2.forward(silu_a * b)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        a, b = self._cache
+        b, s, silu_a = self._cache
         d_gated = self.w2.backward(dout)
-        d_a = d_gated * b * silu_grad(a)
-        d_b = d_gated * silu(a)
+        # silu'(a) = s * (1 + a * (1 - s)) = s + silu(a) * (1 - s)
+        d_a = d_gated * b * (s + silu_a * (1.0 - s))
+        d_b = d_gated * silu_a
         dx = self.w1.backward(d_a) + self.w3.backward(d_b)
         self._cache = None
         return dx

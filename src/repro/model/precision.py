@@ -1,5 +1,8 @@
 """bfloat16 emulation.
 
+Compute dtype = parameter dtype (float32); bf16 is emulated by rounding
+float32 parameters.
+
 The paper trains in bf16; NumPy has no native bfloat16, so we emulate the
 format's effect by rounding float32 values to the nearest representable
 bfloat16 (8-bit exponent, 7-bit mantissa) while keeping float32 storage.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +30,7 @@ class TransformerBlock(Module):
         super().__init__()
         # GPT-2 trick: scale residual-writing projections by 1/sqrt(2L) so
         # the residual stream variance stays bounded with depth.
-        out_std = config.init_std / np.sqrt(2.0 * config.n_layers)
+        out_std = config.init_std / math.sqrt(2.0 * config.n_layers)
         self.attn_norm = self.add_child(
             "attn_norm", RMSNorm(config.d_model, config.norm_eps)
         )

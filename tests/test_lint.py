@@ -206,6 +206,46 @@ VIOLATIONS = {
         """,
         SERVE_PATH,
     ),
+    "R8-attention-scale": (
+        "R8",
+        """
+        import numpy as np
+
+        class Attention:
+            def forward(self, q, k):
+                scale = 1.0 / np.sqrt(self.head_dim)
+                return (q @ k) * scale
+        """,
+        MODEL_PATH,
+    ),
+    "R8-init-std": (
+        "R8",
+        """
+        import numpy as np
+
+        def out_std(config):
+            return config.init_std / np.sqrt(2.0 * config.n_layers)
+        """,
+        MODEL_PATH,
+    ),
+    "R8-float64-literal": (
+        "R8",
+        """
+        def step(p, g):
+            p -= g / (abs(g) + np.float64(1e-8))
+        """,
+        "src/repro/train/snippet.py",
+    ),
+    "R8-aliased-numpy": (
+        "R8",
+        """
+        import numpy as xp
+
+        def loss_floor(x):
+            return x - xp.log(len(x))
+        """,
+        "src/repro/train/snippet.py",
+    ),
 }
 
 #: clean counterparts: the same constructs used the sanctioned way
@@ -324,6 +364,53 @@ CLEAN = {
             time.sleep(hint)
         """,
         SERVE_PATH,
+    ),
+    "R8-float32-constant": (
+        """
+        import numpy as np
+
+        class Attention:
+            def __init__(self, head_dim):
+                self.scale = np.float32(1.0 / np.sqrt(head_dim))
+        """,
+        MODEL_PATH,
+    ),
+    "R8-math-module": (
+        """
+        import math
+
+        def out_std(config):
+            return config.init_std / math.sqrt(2.0 * config.n_layers)
+        """,
+        MODEL_PATH,
+    ),
+    "R8-array-argument": (
+        """
+        import numpy as np
+
+        def silu(x, w):
+            return x / (1.0 + np.exp(-x)) + np.sqrt(w.T)
+        """,
+        MODEL_PATH,
+    ),
+    "R8-astype-and-float": (
+        """
+        import numpy as np
+
+        def init(rng, self):
+            a = (rng.normal(size=(4, 2)) / np.sqrt(self.d_in)).astype(np.float32)
+            return a, float(np.log(2.0))
+        """,
+        MODEL_PATH,
+    ),
+    "R8-outside-scope": (
+        """
+        import numpy as np
+
+        def z_score(self, x):
+            return x / np.sqrt(self.n)
+        """,
+        EVAL_PATH,
     ),
 }
 
@@ -548,5 +635,5 @@ class TestCleanRepo:
             text=True,
         )
         assert proc.returncode == 0
-        for code in ("R1", "R2", "R3", "R4", "R5", "R6", "R7"):
+        for code in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"):
             assert code in proc.stdout
