@@ -9,7 +9,7 @@ engine on the micro zoo scale:
   the full two-shot prompt, one question at a time;
 * **cached+batched** — the shared scaffold is prefilled once
   (:meth:`TransformerLM.prefill`) and question suffixes are scored in
-  padded batches (:meth:`TransformerLM.next_token_logits_many`).
+  packed batches (:meth:`TransformerLM.next_token_logits_many`).
 
 Acceptance target: >= 5x questions/sec, with bit-identical predictions.
 """

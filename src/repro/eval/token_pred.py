@@ -189,23 +189,22 @@ class TokenPredictionEvaluator:
 
         The shared two-shot scaffold is forwarded exactly once
         (:meth:`TransformerLM.prefill`) and the per-question suffixes are
-        scored in padded batches (:meth:`TransformerLM.next_token_logits_many`).
+        scored in batches (:meth:`TransformerLM.next_token_logits_many`).
         """
         if not questions:
             return []
         shared_ids, suffixes = self._split_prompts(questions)
         prefix = self._prefix_cache_for(shared_ids)
-        pad_id = getattr(getattr(self.tokenizer, "vocab", None), "pad_id", 0)
         letter_ids = self.answer_map.letter_ids()
-        # Batch similar lengths together (stable sort) so each padded
-        # forward wastes as little work as possible; per-row results are
+        # Batch similar lengths together (stable sort) so each batch's
+        # attention pads as little as possible; per-row results are
         # padding-independent, so this cannot change any prediction.
         order = sorted(range(len(suffixes)), key=lambda i: len(suffixes[i]))
         predictions: List[int] = [0] * len(suffixes)
         for i in range(0, len(order), self.batch_size):
             chunk = order[i : i + self.batch_size]
             logits = self.model.next_token_logits_many(
-                [suffixes[j] for j in chunk], prefix=prefix, pad_id=pad_id
+                [suffixes[j] for j in chunk], prefix=prefix
             )
             picks = np.argmax(logits[:, letter_ids], axis=-1)
             for j, pick in zip(chunk, picks):

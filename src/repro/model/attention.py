@@ -8,7 +8,7 @@ batch and heads (a view, never copied per example).
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,17 @@ class RotaryEmbedding:
         sin = self.sin[start_pos : start_pos + T]
         return x * cos + self._rotate_half(x) * sin
 
+    def apply_at(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Rotate ``x`` of shape (M, H, head_dim) whose row ``m`` sits at
+        absolute position ``positions[m]``."""
+        if positions.max(initial=0) >= self.max_seq_len:
+            raise ValueError(
+                f"position {positions.max()} exceeds max_seq_len={self.max_seq_len}"
+            )
+        cos = self.cos[positions][:, None, :]
+        sin = self.sin[positions][:, None, :]
+        return x * cos + self._rotate_half(x) * sin
+
     def apply_backward(self, dout: np.ndarray, start_pos: int = 0) -> np.ndarray:
         """Gradient of :meth:`apply` (the rotation is orthogonal: R^T = -R)."""
         T = dout.shape[-2]
@@ -74,13 +85,60 @@ def causal_mask(T: int) -> np.ndarray:
     return mask
 
 
+class PackedRows(NamedTuple):
+    """Where ragged rows' tokens sit when packed back to back.
+
+    Row ``b`` holds ``lengths[b]`` tokens at absolute positions ``start ..
+    start + lengths[b] - 1``.  Packed, the ``N`` real tokens form an
+    ``(N, d)`` stream with no padding; ``slots`` maps each one into the
+    right-padded ``(B * width)`` layout attention works in.
+    """
+
+    lengths: np.ndarray  # (B,)
+    start: int
+    width: int  # longest row
+    offsets: np.ndarray  # (N,) each token's position within its row
+    slots: np.ndarray  # (N,) b * width + offset
+    last: np.ndarray  # (B,) packed index of each row's last token
+
+    @classmethod
+    def of(cls, lengths: Sequence[int], start: int = 0) -> "PackedRows":
+        """Layout of rows of ``lengths`` (each >= 1) after ``start``."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        width = int(lengths.max())
+        ends = np.cumsum(lengths)
+        offsets = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+        rows = np.repeat(np.arange(lengths.size), lengths)
+        return cls(lengths, start, width, offsets, rows * width + offsets, ends - 1)
+
+    @property
+    def padded(self) -> bool:
+        return self.offsets.size < self.lengths.size * self.width
+
+    def pad(self, x: np.ndarray) -> np.ndarray:
+        """Packed ``(N, H, hd)`` -> head-major ``(B, H, width, hd)``, zeros
+        in the pad slots."""
+        B, T = self.lengths.size, self.width
+        if self.padded:
+            out = np.zeros((B * T,) + x.shape[1:], dtype=x.dtype)
+            out[self.slots] = x
+            x = out
+        return x.reshape((B, T) + x.shape[1:]).transpose(0, 2, 1, 3)
+
+    def unpad(self, x: np.ndarray) -> np.ndarray:
+        """Padded ``(B, width, d)`` -> packed ``(N, d)``."""
+        x = x.reshape(-1, x.shape[-1])
+        return x[self.slots] if self.padded else x
+
+
 class MultiHeadAttention(Module):
     """Causal multi-head self-attention (LLaMA layout: no biases).
 
     ``forward`` supports an optional KV cache for incremental decoding:
     pass ``cache`` (a dict that the layer owns/extends) and ``start_pos``.
     Backward is only supported for the full-sequence (no-cache) path, which
-    is the only path training uses.
+    is the only path training uses.  ``forward_rows`` is the inference path
+    over packed ragged rows (see :class:`PackedRows`).
     """
 
     def __init__(
@@ -123,12 +181,10 @@ class MultiHeadAttention(Module):
         x: np.ndarray,
         start_pos: int = 0,
         cache: Optional[Dict[str, np.ndarray]] = None,
-        extend_cache: bool = True,
     ) -> np.ndarray:
-        """``extend_cache=False`` treats ``cache`` as read-only context:
-        the new keys/values are attended against it but never folded back
-        in, so one prefix cache can score many batches without copies."""
-        B, T, _ = x.shape
+        """With ``cache``, attend against its keys/values too and rebind
+        ``cache["k"]``/``cache["v"]`` to the extended arrays (never
+        written in place)."""
         q = self._split_heads(self.wq.forward(x))  # (B,H,T,hd)
         k = self._split_heads(self.wk.forward(x))
         v = self._split_heads(self.wv.forward(x))
@@ -136,24 +192,14 @@ class MultiHeadAttention(Module):
         q = self.rope.apply(q, start_pos)
         k = self.rope.apply(k, start_pos)
 
-        kp = vp = None
         if cache is not None:
-            kp, vp = cache.get("k"), cache.get("v")
-            if extend_cache:
-                if kp is not None:
-                    k = np.concatenate([kp, k], axis=2)
-                    v = np.concatenate([vp, v], axis=2)
-                    kp = vp = None
-                cache["k"], cache["v"] = k, v
-        if kp is not None:
-            if B > 1 and kp.shape[0] == 1:
-                ctx = self._shared_prefix_attention(q, k, v, kp, vp, start_pos)
-                return self.wo.forward(self._merge_heads(ctx))
-            k = np.concatenate([kp, k], axis=2)
-            v = np.concatenate([vp, v], axis=2)
+            if "k" in cache:
+                k = np.concatenate([cache["k"], k], axis=2)
+                v = np.concatenate([cache["v"], v], axis=2)
+            cache["k"], cache["v"] = k, v
 
         scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B,H,T,Tk)
-        Tk = k.shape[2]
+        T, Tk = q.shape[2], k.shape[2]
         if T > 1:
             # Query i (absolute position start_pos+i) may attend to keys
             # 0..start_pos+i.
@@ -167,46 +213,82 @@ class MultiHeadAttention(Module):
             self._cache = (q, k, v, probs, start_pos)
         return out
 
+    def forward_rows(
+        self,
+        x: np.ndarray,
+        rows: PackedRows,
+        kp: Optional[np.ndarray],
+        vp: Optional[np.ndarray],
+        last_only: bool,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Attention over packed rows ``x`` of shape ``(N, d)``.
+
+        ``kp``/``vp`` are a read-only prefix of batch 1 that every row
+        continues.  Keys and values are computed for every real token;
+        with ``last_only`` the queries, the attention and ``wo`` run only
+        at each row's last token and the output is ``(B, d)``, else it is
+        ``(N, d)``.  Returns ``(out, k, v)`` with ``k``/``v`` the rows' own
+        ``(B, H, width, hd)`` keys/values (zeros in pad slots).
+        """
+        H, hd = self.n_heads, self.head_dim
+        pos = rows.start + rows.offsets
+        k = rows.pad(self.rope.apply_at(self.wk.forward(x).reshape(-1, H, hd), pos))
+        v = rows.pad(self.wv.forward(x).reshape(-1, H, hd))
+        if last_only:
+            q_t = rows.lengths - 1
+            q = self.wq.forward(x[rows.last]).reshape(-1, H, hd)
+            q = self.rope.apply_at(q, rows.start + q_t)[:, :, None, :]  # (B,H,1,hd)
+            ctx = self._shared_prefix_attention(q, k, v, kp, vp, q_t[:, None])
+            return self.wo.forward(ctx.reshape(-1, self.d_model)), k, v
+        q = rows.pad(self.rope.apply_at(self.wq.forward(x).reshape(-1, H, hd), pos))
+        ctx = self._shared_prefix_attention(
+            q, k, v, kp, vp, np.arange(rows.width)[None, :]
+        )
+        return self.wo.forward(rows.unpad(self._merge_heads(ctx))), k, v
+
     def _shared_prefix_attention(
         self,
         q: np.ndarray,
         k: np.ndarray,
         v: np.ndarray,
-        kp: np.ndarray,
-        vp: np.ndarray,
-        start_pos: int,
+        kp: Optional[np.ndarray],
+        vp: Optional[np.ndarray],
+        q_t: np.ndarray,
     ) -> np.ndarray:
-        """Two-block attention against a prefix shared by the whole batch.
+        """Two-block attention of padded rows against a shared prefix.
 
-        ``kp``/``vp`` have batch dim 1 (one prefix, ``B`` suffix rows).
-        Prefix scores run as ``H`` large head-major gemms instead of
+        ``q`` is ``(B, H, Tq, hd)``: each row's queries, at positions
+        ``q_t`` (``(B, Tq)`` or ``(1, Tq)``) within the row's own block
+        ``k``/``v`` of ``(B, H, T, hd)``.  A query sees its row's keys
+        ``0..q_t``, so keys in the pad slots after a row's last token are
+        always masked.  ``kp``/``vp`` (batch 1, or None) precede every
+        row: prefix scores run as ``H`` large head-major gemms instead of
         ``B*H`` tiny per-row ones, the softmax normalization is fused
         across the two key blocks (flash-attention style), and the
         concatenated ``(B, H, Tp+T, hd)`` key/value tensors are never
-        materialized.  Numerically this matches the naive path up to
-        float32 summation order.
+        materialized.  Numerically this matches one softmax over the
+        concatenated keys up to float32 summation order.
         """
-        B, H, T, hd = q.shape
-        qh = (q * self.scale).transpose(1, 0, 2, 3).reshape(H, B * T, hd)
-        sp = qh @ kp[0].transpose(0, 2, 1)  # (H, B*T, Tp)
-        sn = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B, H, T, T)
-        if T > 1:
-            # every prefix key precedes every query; only suffix-internal
-            # positions need the causal mask
-            pos = np.arange(T)
-            sn += np.where(pos[None, :] > pos[:, None], NEG_INF, np.float32(0.0))
+        B, H, Tq, hd = q.shape
+        sn = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B, H, Tq, T)
+        hidden = np.arange(k.shape[2]) > q_t[:, :, None]  # (B|1, Tq, T)
+        sn += np.where(hidden, NEG_INF, np.float32(0.0))[:, None]
+        if kp is None:
+            return softmax(sn, axis=-1) @ v
+        qh = (q * self.scale).transpose(1, 0, 2, 3).reshape(H, B * Tq, hd)
+        sp = qh @ kp[0].transpose(0, 2, 1)  # (H, B*Tq, Tp)
         m = np.maximum(
-            sp.max(axis=-1), sn.max(axis=-1).transpose(1, 0, 2).reshape(H, B * T)
-        )  # (H, B*T)
+            sp.max(axis=-1), sn.max(axis=-1).transpose(1, 0, 2).reshape(H, B * Tq)
+        )  # (H, B*Tq)
         np.exp(sp - m[:, :, None], out=sp)
-        np.exp(sn - m.reshape(H, B, T).transpose(1, 0, 2)[..., None], out=sn)
+        np.exp(sn - m.reshape(H, B, Tq).transpose(1, 0, 2)[..., None], out=sn)
         denom = sp.sum(axis=-1) + sn.sum(axis=-1).transpose(1, 0, 2).reshape(
-            H, B * T
+            H, B * Tq
         )
-        ctx = sp @ vp[0]  # (H, B*T, hd)
-        ctx += (sn @ v).transpose(1, 0, 2, 3).reshape(H, B * T, hd)
+        ctx = sp @ vp[0]  # (H, B*Tq, hd)
+        ctx += (sn @ v).transpose(1, 0, 2, 3).reshape(H, B * Tq, hd)
         ctx /= denom[:, :, None]
-        return ctx.reshape(H, B, T, hd).transpose(1, 0, 2, 3)
+        return ctx.reshape(H, B, Tq, hd).transpose(1, 0, 2, 3)
 
     # -- backward --------------------------------------------------------
     def backward(self, dout: np.ndarray) -> np.ndarray:

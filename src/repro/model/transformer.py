@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.model.attention import MultiHeadAttention, RotaryEmbedding
+from repro.model.attention import MultiHeadAttention, PackedRows, RotaryEmbedding
 from repro.model.config import ModelConfig
 from repro.model.kv_cache import KVCache, PrefixCache
 from repro.model.layers import (
@@ -64,13 +64,27 @@ class TransformerBlock(Module):
         x: np.ndarray,
         start_pos: int = 0,
         cache: Optional[Dict[str, np.ndarray]] = None,
-        extend_cache: bool = True,
     ) -> np.ndarray:
-        x = x + self.attn.forward(
-            self.attn_norm.forward(x), start_pos, cache, extend_cache
-        )
+        x = x + self.attn.forward(self.attn_norm.forward(x), start_pos, cache)
         x = x + self.mlp.forward(self.mlp_norm.forward(x))
         return x
+
+    def forward_rows(
+        self,
+        x: np.ndarray,
+        rows: PackedRows,
+        kp: Optional[np.ndarray],
+        vp: Optional[np.ndarray],
+        last_only: bool,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The block over packed rows (see
+        :meth:`MultiHeadAttention.forward_rows`); with ``last_only`` only
+        each row's last token leaves the block.  Returns ``(x, k, v)``."""
+        a, k, v = self.attn.forward_rows(
+            self.attn_norm.forward(x), rows, kp, vp, last_only
+        )
+        x = (x[rows.last] if last_only else x) + a
+        return x + self.mlp.forward(self.mlp_norm.forward(x)), k, v
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         d_mlp = self.mlp_norm.backward(self.mlp.backward(dout))
@@ -138,7 +152,10 @@ class TransformerLM(Module):
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
-        return self._project_logits(self._hidden_states(tokens, start_pos, cache))
+        x = self.embed.forward(tokens)
+        for i, block in enumerate(self.blocks):
+            x = block.forward(x, start_pos, cache[i] if cache is not None else None)
+        return self._project_logits(x)
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Backpropagate from logits gradient; accumulates parameter grads."""
@@ -222,24 +239,36 @@ class TransformerLM(Module):
         return logits[0, -1]
 
     # ------------------------------------------------------------------
-    # shared-prefix / batched evaluation path
+    # prefill and batched scoring: hidden states at each row's last token
     # ------------------------------------------------------------------
-    def _hidden_states(
+    def _last_hidden(
         self,
-        tokens: np.ndarray,
-        start_pos: int = 0,
+        rows: Sequence[Sequence[int]],
+        start: int = 0,
         cache: Optional[KVCache] = None,
-        extend_cache: bool = True,
+        extend: bool = False,
     ) -> np.ndarray:
-        """Pre-norm residual stream after all blocks, shape ``(B, T, d)``."""
-        x = self.embed.forward(tokens)
+        """Pre-norm residual stream at each row's last token, ``(B, d)``.
+
+        Every row (each non-empty) continues the same ``start`` tokens,
+        whose keys/values ``cache`` holds with batch 1.  The rows are
+        packed back to back, so every block before the last runs its
+        projections, norms and MLP on real tokens only; the last block
+        computes keys/values at every token but everything else only at
+        each row's last token.  With ``extend`` the rows are one prompt
+        (``B = 1``), ``cache`` is empty, and each layer's keys/values are
+        written into it; otherwise ``cache`` is only read.
+        """
+        layout = PackedRows.of([len(r) for r in rows], start)
+        x = self.embed.forward(np.asarray([t for r in rows for t in r], dtype=np.int64))
+        last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
-            x = block.forward(
-                x,
-                start_pos,
-                cache[i] if cache is not None else None,
-                extend_cache,
+            layer = cache[i] if cache is not None else {}
+            x, k, v = block.forward_rows(
+                x, layout, layer.get("k"), layer.get("v"), i == last
             )
+            if extend:
+                layer["k"], layer["v"] = k, v
         return x
 
     def _project_logits(self, h: np.ndarray) -> np.ndarray:
@@ -256,52 +285,50 @@ class TransformerLM(Module):
         The returned :class:`PrefixCache` carries the per-layer K/V
         tensors plus the next-token logits at the prefix boundary, and
         can be forked (and trimmed) for any continuation that shares the
-        prefix.  Only the final position is
-        projected to the vocabulary (the interior logits are never
-        needed), so prefilling is cheaper than :meth:`forward`.
+        prefix.  This is :meth:`next_token_logits_many`'s path with one
+        row: every layer caches K/V at every position, but the last block
+        runs its query, attention, output projection and MLP only at the
+        final token, and only that token is projected to the vocabulary,
+        so prefilling is cheaper than :meth:`forward`.
         """
         ids = tuple(int(t) for t in token_ids)
-        if not ids:
-            return PrefixCache((), self.new_cache(), None)
         cache = self.new_cache()
-        x = self._hidden_states(np.asarray([ids], dtype=np.int64), cache=cache)
-        logits = self._project_logits(x[:, -1])
-        return PrefixCache(ids, cache, logits[0])
+        if not ids:
+            return PrefixCache((), cache, None)
+        h = self._last_hidden([ids], 0, cache, extend=True)
+        return PrefixCache(ids, cache, self._project_logits(h)[0])
 
     def next_token_logits_many(
         self,
         suffixes: Sequence[Sequence[int]],
         prefix: Optional[PrefixCache] = None,
-        pad_id: int = 0,
     ) -> np.ndarray:
-        """Next-token logits for a whole batch of prompts in one forward.
+        """Next-token logits for a whole batch of prompts in one pass.
 
         Each row of the result is the logits following ``prefix.token_ids
-        + suffixes[i]``.  Suffixes are right-padded with ``pad_id`` (pads
-        sit *after* each row's last real token, so the causal mask keeps
-        them out of every real query's receptive field); each row's final
-        real hidden state is gathered *before* the vocab projection, so
-        only ``(B, vocab)`` logits are ever materialized.  The prefix
-        cache is used read-only (``extend_cache=False``), so no per-batch
-        key/value copies are made and the same :class:`PrefixCache` can
-        score any number of batches.  Returns ``(len(suffixes), vocab)``.
+        + suffixes[i]``.  The suffixes are packed without padding, so
+        every projection, norm and MLP runs on real tokens only; they are
+        laid out right-padded only inside attention, where a pad key sits
+        after every real query and the causal mask hides it.  The last
+        block runs its query, attention, output projection and MLP only
+        at each row's final token, so only ``(B, d)`` hidden states and
+        ``(B, vocab)`` logits are materialized there.  The prefix is read
+        through :meth:`PrefixCache.fork` views and never extended, so the
+        same :class:`PrefixCache` can score any number of batches.  An
+        empty suffix is not forwarded; its row is ``prefix.last_logits``.
+        Returns ``(len(suffixes), vocab)``.
         """
         if not suffixes:
             return np.zeros((0, self.config.vocab_size), dtype=np.float32)
-        lengths = np.asarray([len(s) for s in suffixes], dtype=np.int64)
-        if (lengths == 0).any():
-            if prefix is None or prefix.last_logits is None:
-                raise ValueError("empty suffix requires a prefix with logits")
-        B = len(suffixes)
-        T = int(lengths.max(initial=1))
         start = prefix.length if prefix is not None else 0
-        tokens = np.full((B, T), pad_id, dtype=np.int64)
-        for i, suffix in enumerate(suffixes):
-            tokens[i, : len(suffix)] = suffix
-        cache = prefix.cache if prefix is not None and start else None
-        x = self._hidden_states(tokens, start_pos=start, cache=cache, extend_cache=False)
-        last = x[np.arange(B), np.maximum(lengths - 1, 0)]
-        out = self._project_logits(last)
-        if (lengths == 0).any():
-            out[lengths == 0] = prefix.last_logits  # type: ignore[union-attr]
+        cache = prefix.fork() if prefix is not None else None
+        live = [i for i, s in enumerate(suffixes) if len(s)]
+        if len(live) == len(suffixes):
+            return self._project_logits(self._last_hidden(suffixes, start, cache))
+        if prefix is None or prefix.last_logits is None:
+            raise ValueError("empty suffix requires a prefix with logits")
+        out = np.repeat(prefix.last_logits[None], len(suffixes), axis=0)
+        if live:
+            rows = [suffixes[i] for i in live]
+            out[live] = self._project_logits(self._last_hidden(rows, start, cache))
         return out

@@ -424,7 +424,7 @@ class BoundaryMergingTokenizer:
 
     def __init__(self, base, pairs):
         self.base = base
-        self.vocab = base.vocab  # predict_many reads .vocab.pad_id
+        self.vocab = base.vocab
         self._pair_to_id = {}
         self._id_to_pair = {}
         next_id = len(base.vocab)

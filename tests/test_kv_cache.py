@@ -6,6 +6,7 @@ import pytest
 from repro.model import (
     GenerationConfig,
     ModelConfig,
+    MultiHeadAttention,
     PrefixCacheStore,
     TransformerLM,
     cache_length,
@@ -25,8 +26,49 @@ def small_model(seed=0, vocab=120, max_seq_len=96):
     )
 
 
+def position_sensitive_model(seed=0):
+    """Three blocks at init std 0.1 instead of 0.02.
+
+    At std 0.02 attention is near uniform, so a token attended at the
+    wrong RoPE position barely moves the logits.  Here a decode step one
+    position early moves them by more than 100x ``ATOL`` (see
+    ``test_position_sensitive_fixture_margin``), while the cached and
+    batched paths still agree with the full forward to well within it.
+    """
+    return TransformerLM(
+        ModelConfig(
+            vocab_size=120, d_model=32, n_layers=3, n_heads=4,
+            max_seq_len=96, init_std=0.1,
+        ),
+        seed=seed,
+    )
+
+
+ATOL = 1e-5
+MODELS = {"small": small_model, "sensitive": position_sensitive_model}
+
+
+@pytest.fixture(params=sorted(MODELS))
+def model(request):
+    return MODELS[request.param](seed=3)
+
+
 def random_ids(rng, n, vocab=120):
     return rng.integers(1, vocab, size=n).tolist()
+
+
+def test_position_sensitive_fixture_margin():
+    model = position_sensitive_model(seed=3)
+    rng = np.random.default_rng(0)
+    for n in (2, 10, 40, 90):
+        ids = random_ids(rng, n)
+        pc = model.prefill(ids[:-1])
+
+        def step(pos):
+            tok = np.asarray([[ids[-1]]])
+            return model.forward(tok, start_pos=pos, cache=pc.fork())[0, -1]
+
+        assert np.abs(step(n - 1) - step(n - 2)).max() > 100 * ATOL
 
 
 class TestHelpers:
@@ -100,30 +142,43 @@ class TestPrefillEquivalence:
         pc = model.prefill([])
         assert pc.length == 0 and pc.last_logits is None
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 60])
+    def test_prefill_logits_and_cache_match_full_forward(self, model, n):
+        """The pruned last block still caches every position's K/V: one
+        decode step on the cache matches the full forward."""
+        rng = np.random.default_rng(n)
+        ids = random_ids(rng, n)
+        pc = model.prefill(ids)
+        assert [layer["k"].shape[2] for layer in pc.cache] == [n] * len(pc.cache)
+        full = model.next_token_logits(np.asarray(ids))
+        np.testing.assert_allclose(pc.last_logits, full, atol=ATOL)
+        assert np.argmax(pc.last_logits) == np.argmax(full)
+        step = model.forward(np.asarray([[7]]), start_pos=n, cache=pc.fork())[0, -1]
+        full = model.next_token_logits(np.asarray(ids + [7]))
+        np.testing.assert_allclose(step, full, atol=ATOL)
+        assert np.argmax(step) == np.argmax(full)
+
 
 class TestBatchedNextTokenLogits:
-    def test_matches_sequential_with_ragged_suffixes(self):
-        model = small_model(seed=3)
-        rng = np.random.default_rng(4)
-        prefix_ids = random_ids(rng, 25)
-        pc = model.prefill(prefix_ids)
-        suffixes = [random_ids(rng, int(n)) for n in rng.integers(1, 12, size=9)]
-        suffixes.append([])  # whole prompt served by the cache
-        batched = model.next_token_logits_many(suffixes, prefix=pc, pad_id=0)
+    @pytest.mark.parametrize("with_prefix", [True, False], ids=["prefix", "no-prefix"])
+    @pytest.mark.parametrize(
+        "lengths",
+        [[5, 0, 1, 9, 3, 1, 12], [6, 6, 6, 6], [7]],
+        ids=["ragged", "equal", "single"],
+    )
+    def test_matches_next_token_logits(self, model, lengths, with_prefix):
+        """Ragged rows (with an empty and a length-1 suffix), rows of equal
+        length (no padding) and one row, with and without a prefix."""
+        rng = np.random.default_rng(len(lengths))
+        prefix_ids = random_ids(rng, 20) if with_prefix else []
+        pc = model.prefill(prefix_ids) if with_prefix else None
+        suffixes = [random_ids(rng, n) for n in lengths if n or with_prefix]
+        batched = model.next_token_logits_many(suffixes, prefix=pc)
         assert batched.shape == (len(suffixes), model.config.vocab_size)
         for row, suffix in zip(batched, suffixes):
-            seq = model.next_token_logits(np.asarray(prefix_ids + suffix))
-            np.testing.assert_allclose(row, seq, atol=1e-5)
-
-    def test_no_prefix_batch(self):
-        model = small_model(seed=3)
-        rng = np.random.default_rng(5)
-        prompts = [random_ids(rng, int(n)) for n in rng.integers(2, 10, size=5)]
-        batched = model.next_token_logits_many(prompts, pad_id=0)
-        for row, prompt in zip(batched, prompts):
-            np.testing.assert_allclose(
-                row, model.next_token_logits(np.asarray(prompt)), atol=1e-5
-            )
+            full = model.next_token_logits(np.asarray(prefix_ids + suffix))
+            np.testing.assert_allclose(row, full, atol=ATOL)
+            assert np.argmax(row) == np.argmax(full)
 
     def test_empty_suffix_without_prefix_raises(self):
         model = small_model()
@@ -222,6 +277,27 @@ class TestDebugCacheGuard:
         model.forward(np.asarray([[7, 8]]), start_pos=pc.length, cache=child)
         assert cache_length(child) == pc.length + 2
         assert cache_length(pc.cache) == pc.length
+
+    def test_scoring_kernel_gets_read_only_prefix(self, monkeypatch):
+        """Batched scoring reads the prefix through fork() views, so the
+        guard freezes the arrays the attention kernel receives."""
+        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
+        model = small_model(seed=3)
+        pc = model.prefill([1, 2, 3, 4, 5])
+        seen = []
+        kernel = MultiHeadAttention._shared_prefix_attention
+
+        def spy(self, q, k, v, kp, vp, *rest):
+            seen.extend((kp, vp))
+            return kernel(self, q, k, v, kp, vp, *rest)
+
+        monkeypatch.setattr(MultiHeadAttention, "_shared_prefix_attention", spy)
+        model.next_token_logits_many([[6, 7], [8]], prefix=pc)
+        assert len(seen) == 2 * model.config.n_layers
+        for arr in seen:
+            with pytest.raises(ValueError):
+                # lint: disable=R1 (intentional violation: proves the guard trips)
+                arr[..., 0] = 0.0
 
     def test_batched_scoring_unchanged_under_guard(self, monkeypatch):
         model = small_model(seed=3)
