@@ -18,7 +18,7 @@ token benchmark meaningful for micro models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -100,12 +100,3 @@ def build_general_corpus(
 
     shuffled = new_rng(config.seed, "doc-order").permutation(len(docs))
     return [docs[i] for i in shuffled]
-
-
-def base_model_astro_fact_ids(
-    astro: KnowledgeBase, config: GeneralCorpusConfig
-) -> List[int]:
-    """Which astro facts the base corpus exposes (for coverage accounting)."""
-    n_astro = int(round(len(astro) * min(config.astro_coverage, 1.0)))
-    order = new_rng(config.seed, "astro-subset").permutation(len(astro))
-    return sorted(astro.facts[i].fact_id for i in order[:n_astro])

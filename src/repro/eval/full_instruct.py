@@ -8,13 +8,11 @@ models, or the micro chat format for the micro zoo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol, Sequence
 
-import numpy as np
-
 from repro.eval.parsing import FallbackInterpreter, ParseOutcome, parse_model_answer
-from repro.eval.prompts import format_micro_chat_prompt, format_paper_full_instruct
+from repro.eval.prompts import format_micro_chat_prompt
 from repro.mcq.generation import MCQuestion
 from repro.model.kv_cache import PrefixCacheStore
 from repro.model.sampling import GenerationConfig, generate
@@ -84,18 +82,3 @@ class FullInstructEvaluator:
 
     def predict_many(self, questions: Sequence[MCQuestion]) -> List[Optional[int]]:
         return [self.predict(q) for q in questions]
-
-    @property
-    def parse_failure_rate(self) -> float:
-        if not self.records:
-            return 0.0
-        failed = sum(1 for r in self.records if not r.outcome.parsed)
-        return failed / len(self.records)
-
-    @property
-    def interpreter_usage_rate(self) -> float:
-        """How often the regex stage failed and the interpreter stepped in."""
-        if not self.records:
-            return 0.0
-        used = sum(1 for r in self.records if r.outcome.stage == "interpreter")
-        return used / len(self.records)

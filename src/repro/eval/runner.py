@@ -25,9 +25,6 @@ class EvaluationResult:
     def score_percent(self) -> float:
         return 100.0 * self.accuracy
 
-    def summary_row(self) -> str:
-        return f"{self.model_name:<36s} {self.method:<24s} {self.score_percent:5.1f}%"
-
 
 class BatchedEvaluationRunner:
     """Runs one evaluator over a benchmark's test split.

@@ -136,20 +136,6 @@ class FaultPlan:
             raise ValueError(f"unknown fault kind {kind!r}")
         return [e for e in self.events if e.kind == kind]
 
-    def events_at(self, step: int, kind: Optional[str] = None) -> List[FaultEvent]:
-        out = [e for e in self.events if e.step == step]
-        if kind is not None:
-            out = [e for e in out if e.kind == kind]
-        return out
-
-    def max_step(self) -> int:
-        """Last step any event touches (degradation windows included)."""
-        last = -1
-        for e in self.events:
-            end = e.step + (e.duration - 1 if e.kind == DEGRADED_LINK else 0)
-            last = max(last, end)
-        return last
-
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         return {"seed": self.seed, "events": [e.to_dict() for e in self.events]}

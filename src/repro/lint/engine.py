@@ -31,9 +31,6 @@ class LintResult:
             counts[f.rule] = counts.get(f.rule, 0) + 1
         return dict(sorted(counts.items()))
 
-    def max_severity(self) -> Optional[Severity]:
-        return max((f.severity for f in self.findings), default=None)
-
     def exit_code(self, fail_on: Severity) -> int:
         return int(any(f.severity >= fail_on for f in self.findings))
 

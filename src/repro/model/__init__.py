@@ -24,9 +24,7 @@ from repro.model.kv_cache import (
     KVCache,
     PrefixCache,
     PrefixCacheStore,
-    cache_length,
     common_prefix_len,
-    debug_cache_guard_enabled,
     fork_cache,
     shared_prefix,
 )
@@ -50,9 +48,7 @@ __all__ = [
     "KVCache",
     "PrefixCache",
     "PrefixCacheStore",
-    "cache_length",
     "common_prefix_len",
-    "debug_cache_guard_enabled",
     "fork_cache",
     "shared_prefix",
     "GenerationConfig",

@@ -183,8 +183,8 @@ class MultiHeadAttention(Module):
         cache: Optional[Dict[str, np.ndarray]] = None,
     ) -> np.ndarray:
         """With ``cache``, attend against its keys/values too and rebind
-        ``cache["k"]``/``cache["v"]`` to the extended arrays (never
-        written in place)."""
+        ``cache["k"]``/``cache["v"]`` to the extended arrays, which are
+        read-only: a cache is never written in place."""
         q = self._split_heads(self.wq.forward(x))  # (B,H,T,hd)
         k = self._split_heads(self.wk.forward(x))
         v = self._split_heads(self.wv.forward(x))
@@ -196,6 +196,7 @@ class MultiHeadAttention(Module):
             if "k" in cache:
                 k = np.concatenate([cache["k"], k], axis=2)
                 v = np.concatenate([cache["v"], v], axis=2)
+            k.flags.writeable = v.flags.writeable = False
             cache["k"], cache["v"] = k, v
 
         scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B,H,T,Tk)

@@ -16,13 +16,17 @@ Safety relies on one invariant of :class:`~repro.model.attention.
 MultiHeadAttention`: an incremental forward *rebinds* ``cache["k"]`` /
 ``cache["v"]`` to freshly concatenated arrays and never writes into the
 existing ones.  Forked caches may therefore share (trimmed) slice views
-of the parent's tensors.
+of the parent's tensors.  Lint rule R1 checks the invariant statically;
+at runtime every K/V array a cache stores, and a prefill's
+``last_logits``, is non-writeable from the moment it is stored.  Any view
+of them (a fork, a trim, the prefix a batched score reads) is read-only
+too, so an in-place write raises ``ValueError`` at the offending line
+instead of silently changing every reader of a shared prefix.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,43 +35,14 @@ import numpy as np
 KVCache = List[Dict[str, np.ndarray]]
 
 
-def debug_cache_guard_enabled() -> bool:
-    """Whether the ``REPRO_DEBUG_CACHE`` runtime guard is on.
-
-    When enabled, :func:`fork_cache` hands out *non-writeable* views, so
-    any code that violates the rebind-not-mutate contract (the invariant
-    ``repro.lint`` rule R1 checks statically) raises ``ValueError:
-    assignment destination is read-only`` at the offending write instead
-    of silently corrupting every fork sharing the storage.
-    """
-    return os.environ.get("REPRO_DEBUG_CACHE", "").lower() not in (
-        "",
-        "0",
-        "false",
-        "off",
-    )
-
-
-def cache_length(cache: KVCache) -> int:
-    """Number of cached key positions (0 for a fresh cache)."""
-    for layer in cache:
-        if "k" in layer:
-            return int(layer["k"].shape[2])
-    return 0
-
-
 def fork_cache(cache: KVCache, length: Optional[int] = None) -> KVCache:
     """A child cache sharing the parent's K/V storage.
 
     The child may be extended by further incremental forwards without
     touching the parent (attention rebinds, never mutates).  ``length``
-    trims the fork to the first ``length`` positions.
-
-    With ``REPRO_DEBUG_CACHE`` set (see :func:`debug_cache_guard_enabled`)
-    the returned views are marked non-writeable, turning contract
-    violations into immediate ``ValueError``\\ s.
+    trims the fork to the first ``length`` positions.  Every view is as
+    read-only as the parent's arrays.
     """
-    freeze = debug_cache_guard_enabled()
     forked: KVCache = []
     for layer in cache:
         if "k" not in layer:
@@ -77,11 +52,6 @@ def fork_cache(cache: KVCache, length: Optional[int] = None) -> KVCache:
         if length is not None:
             k = k[:, :, :length, :]
             v = v[:, :, :length, :]
-        if freeze:
-            # fresh views so the parent's own arrays keep their flags
-            k, v = k.view(), v.view()
-            k.flags.writeable = False
-            v.flags.writeable = False
         forked.append({"k": k, "v": v})
     return forked
 

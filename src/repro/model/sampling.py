@@ -194,6 +194,10 @@ def generate(
     prefill covers is reused, and a miss's prefill is kept, which turns a
     benchmark's shared chat scaffold into a one-time cost.
     ``logit_hook`` sees each step's logits before its token is picked.
+    It observes and must not write: the first step's logits can be a
+    stored prefix's ``last_logits``, which every later request for the
+    same prompt reads, so they are read-only and a write raises
+    ``ValueError``.
     """
     config = config or GenerationConfig()
     prompt, budget = clamp_prompt(

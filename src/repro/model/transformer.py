@@ -257,7 +257,7 @@ class TransformerLM(Module):
         computes keys/values at every token but everything else only at
         each row's last token.  With ``extend`` the rows are one prompt
         (``B = 1``), ``cache`` is empty, and each layer's keys/values are
-        written into it; otherwise ``cache`` is only read.
+        stored in it read-only; otherwise ``cache`` is only read.
         """
         layout = PackedRows.of([len(r) for r in rows], start)
         x = self.embed.forward(np.asarray([t for r in rows for t in r], dtype=np.int64))
@@ -268,6 +268,7 @@ class TransformerLM(Module):
                 x, layout, layer.get("k"), layer.get("v"), i == last
             )
             if extend:
+                k.flags.writeable = v.flags.writeable = False
                 layer["k"], layer["v"] = k, v
         return x
 
@@ -283,20 +284,22 @@ class TransformerLM(Module):
         """Forward a prompt prefix once; the result is reusable forever.
 
         The returned :class:`PrefixCache` carries the per-layer K/V
-        tensors plus the next-token logits at the prefix boundary, and
-        can be forked (and trimmed) for any continuation that shares the
-        prefix.  This is :meth:`next_token_logits_many`'s path with one
-        row: every layer caches K/V at every position, but the last block
-        runs its query, attention, output projection and MLP only at the
-        final token, and only that token is projected to the vocabulary,
-        so prefilling is cheaper than :meth:`forward`.
+        tensors plus the next-token logits at the prefix boundary, all
+        read-only, and can be forked (and trimmed) for any continuation
+        that shares the prefix.  This is :meth:`next_token_logits_many`'s
+        path with one row: every layer caches K/V at every position, but
+        the last block runs its query, attention, output projection and
+        MLP only at the final token, and only that token is projected to
+        the vocabulary, so prefilling is cheaper than :meth:`forward`.
         """
         ids = tuple(int(t) for t in token_ids)
         cache = self.new_cache()
         if not ids:
             return PrefixCache((), cache, None)
         h = self._last_hidden([ids], 0, cache, extend=True)
-        return PrefixCache(ids, cache, self._project_logits(h)[0])
+        logits = self._project_logits(h)[0]
+        logits.flags.writeable = False
+        return PrefixCache(ids, cache, logits)
 
     def next_token_logits_many(
         self,
@@ -312,16 +315,16 @@ class TransformerLM(Module):
         after every real query and the causal mask hides it.  The last
         block runs its query, attention, output projection and MLP only
         at each row's final token, so only ``(B, d)`` hidden states and
-        ``(B, vocab)`` logits are materialized there.  The prefix is read
-        through :meth:`PrefixCache.fork` views and never extended, so the
-        same :class:`PrefixCache` can score any number of batches.  An
-        empty suffix is not forwarded; its row is ``prefix.last_logits``.
+        ``(B, vocab)`` logits are materialized there.  The prefix's
+        read-only keys/values are never extended, so the same
+        :class:`PrefixCache` can score any number of batches.  An empty
+        suffix is not forwarded; its row is ``prefix.last_logits``.
         Returns ``(len(suffixes), vocab)``.
         """
         if not suffixes:
             return np.zeros((0, self.config.vocab_size), dtype=np.float32)
         start = prefix.length if prefix is not None else 0
-        cache = prefix.fork() if prefix is not None else None
+        cache = prefix.cache if prefix is not None else None
         live = [i for i, s in enumerate(suffixes) if len(s)]
         if len(live) == len(suffixes):
             return self._project_logits(self._last_hidden(suffixes, start, cache))

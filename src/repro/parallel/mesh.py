@@ -49,9 +49,6 @@ class DeviceMesh:
             raise IndexError(f"rank {rank} out of range 0..{self.world_size - 1}")
         return self.devices[rank]
 
-    def ranks_on_node(self, node: int) -> List[int]:
-        return [d.rank for d in self.devices if d.node == node]
-
     def dp_pp_groups(self, dp: int, pp: int) -> tuple:
         """Factor the mesh into data-parallel and pipeline-parallel groups.
 

@@ -103,7 +103,7 @@ class RequestState:
     first_token_at: Optional[float] = None
     finished_at: Optional[float] = None
     output_ids: List[int] = field(default_factory=list)
-    final_logits: Optional[np.ndarray] = None  # SCORE result
+    final_logits: Optional[np.ndarray] = None  # SCORE result; may be shared, read-only
     finish_reason: Optional[str] = None  # "stop" | "length" | "scored" | ...
     prefix_hit_tokens: int = 0  # prompt tokens served from the prefix cache
     preemptions: int = 0

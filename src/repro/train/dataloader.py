@@ -66,14 +66,6 @@ class PackedDataset:
     def __len__(self) -> int:
         return -(-self.windows.shape[0] // self.batch_size)
 
-    @property
-    def num_windows(self) -> int:
-        return int(self.windows.shape[0])
-
-    @property
-    def tokens_per_epoch(self) -> int:
-        return int(self.windows.shape[0] * (self.windows.shape[1] - 1))
-
     def batches(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield ``(inputs, targets)`` batches for one epoch, then bump epoch."""
         rng = new_rng(self.seed, "epoch", self.epoch)

@@ -59,12 +59,6 @@ class TrainingHistory:
     tokens_seen: int = 0
     steps: int = 0
 
-    @property
-    def final_loss(self) -> float:
-        if not self.losses:
-            raise ValueError("no steps recorded")
-        return self.losses[-1]
-
     def smoothed_final_loss(self, window: int = 10) -> float:
         if not self.losses:
             raise ValueError("no steps recorded")

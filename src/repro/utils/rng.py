@@ -78,9 +78,6 @@ class SeedSequenceRegistry:
         self._counts[key] = self._counts.get(key, 0) + 1
         return self._issued[key]
 
-    def rng_for(self, *names: Union[str, int]) -> np.random.Generator:
-        return np.random.default_rng(self.seed_for(*names))
-
     @property
     def issued_paths(self) -> List[str]:
         return sorted(self._issued)

@@ -9,11 +9,11 @@ from repro.model import (
     MultiHeadAttention,
     PrefixCacheStore,
     TransformerLM,
-    cache_length,
     common_prefix_len,
     generate,
     shared_prefix,
 )
+from repro.model.sampling import DecodeStream, open_prompt
 
 
 def small_model(seed=0, vocab=120, max_seq_len=96):
@@ -57,6 +57,16 @@ def random_ids(rng, n, vocab=120):
     return rng.integers(1, vocab, size=n).tolist()
 
 
+def cached_lengths(cache):
+    return [layer["k"].shape[2] for layer in cache]
+
+
+def assert_read_only(cache):
+    for layer in cache:
+        for key in ("k", "v"):
+            assert not layer[key].flags.writeable
+
+
 def test_position_sensitive_fixture_margin():
     model = position_sensitive_model(seed=3)
     rng = np.random.default_rng(0)
@@ -86,9 +96,9 @@ class TestHelpers:
 
     def test_cache_length(self):
         model = small_model()
-        assert cache_length(model.new_cache()) == 0
+        assert all(layer == {} for layer in model.new_cache())
         pc = model.prefill([1, 2, 3, 4, 5])
-        assert cache_length(pc.cache) == 5
+        assert cached_lengths(pc.cache) == [5] * model.config.n_layers
 
 
 class TestFork:
@@ -109,8 +119,8 @@ class TestFork:
         pc = model.prefill(ids)
         child = pc.fork()
         model.forward(np.asarray([[7, 8]]), start_pos=pc.length, cache=child)
-        assert cache_length(child) == pc.length + 2
-        assert cache_length(pc.cache) == pc.length
+        assert cached_lengths(child) == [pc.length + 2] * len(child)
+        assert cached_lengths(pc.cache) == [pc.length] * len(child)
 
 
 class TestPrefillEquivalence:
@@ -247,41 +257,84 @@ class TestGenerateWithPrefix:
         assert first == second and store.hits == 1
         assert all(np.array_equal(a, b) for a, b in zip(first_steps, second_steps))
 
+    def test_in_place_logit_hook_cannot_rewrite_a_stored_prefix(self):
+        """On an exact cover the first step's logits are the store
+        entry's own ``last_logits``: a hook that writes into them raises,
+        and the entry still decodes what cold generation does."""
+        model = small_model(seed=6)
+        prompt = [1, 2, 3, 4, 5]
+        config = GenerationConfig(max_new_tokens=3)
+        store = PrefixCacheStore()
+        entry = store.put(model.prefill(prompt))
+        saved = entry.last_logits.copy()
+
+        def boost_token_zero(logits):
+            logits[0] = 1e9
+
+        with pytest.raises(ValueError):
+            generate(model, prompt, config, boost_token_zero, store=store)
+        np.testing.assert_array_equal(entry.last_logits, saved)
+        cold = generate(model, prompt, config)
+        assert generate(model, prompt, config, store=store) == cold
+        assert cold[0] != 0
+
 
 class TestDebugCacheGuard:
-    """REPRO_DEBUG_CACHE: the runtime counterpart of lint rule R1."""
+    """Read-only cache arrays: the runtime counterpart of lint rule R1.
 
-    def test_forked_views_are_read_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
+    Every K/V array a cache stores, and a prefill's ``last_logits``, is
+    non-writeable from the start, so no reader needs a switch or a
+    ``fork()`` to be guarded.
+    """
+
+    def test_forked_views_are_read_only(self):
         model = small_model()
         pc = model.prefill([1, 2, 3, 4])
         forked = pc.fork(length=3)
         with pytest.raises(ValueError):
             # lint: disable=R1 (intentional violation: proves the guard trips)
             forked[0]["k"][..., 0] = 0.0
-        # the parent's own arrays keep their flags
-        assert pc.cache[0]["k"].flags.writeable
+        # the parent's own arrays are read-only too
+        assert_read_only(pc.cache)
+        assert not pc.last_logits.flags.writeable
 
-    def test_guard_is_opt_in(self, monkeypatch):
-        for off in ("0", "false", "off", ""):
-            monkeypatch.setenv("REPRO_DEBUG_CACHE", off)
-            model = small_model()
-            forked = model.prefill([1, 2]).fork()
-            assert forked[0]["k"].flags.writeable
+    def test_every_reachable_cache_is_read_only(self):
+        """prefill, a store entry, each open_prompt outcome (miss, exact
+        and partial cover) and a DecodeStream after advance()."""
+        model = small_model()
+        prompt = [1, 2, 3, 4, 5]
+        pc = model.prefill([9, 8, 7])
+        assert_read_only(pc.cache)
+        assert not pc.last_logits.flags.writeable
 
-    def test_extension_still_works_under_guard(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
+        store = PrefixCacheStore()
+        miss = open_prompt(model, prompt, store)
+        entry, _ = store.match(prompt)
+        exact = open_prompt(model, prompt, store)
+        partial = open_prompt(model, prompt + [6, 7], store)
+        assert (miss.hit, exact.forwarded, partial.forwarded) == (0, 0, 2)
+        for cache in (entry.cache, miss.cache, exact.cache, partial.cache):
+            assert_read_only(cache)
+        for logits in (entry.last_logits, miss.logits, exact.logits):
+            assert not logits.flags.writeable
+
+        config = GenerationConfig(max_new_tokens=4)
+        for opened, pos in ((exact, len(prompt)), (partial, len(prompt) + 2)):
+            stream = DecodeStream(model, opened, pos, config, 4)
+            stream.advance(int(np.argmax(stream.logits)))
+            assert_read_only(stream.cache)
+
+    def test_extension_still_works_under_guard(self):
         model = small_model()
         pc = model.prefill([1, 2, 3])
         child = pc.fork()
         model.forward(np.asarray([[7, 8]]), start_pos=pc.length, cache=child)
-        assert cache_length(child) == pc.length + 2
-        assert cache_length(pc.cache) == pc.length
+        assert cached_lengths(child) == [pc.length + 2] * len(child)
+        assert cached_lengths(pc.cache) == [pc.length] * len(child)
 
     def test_scoring_kernel_gets_read_only_prefix(self, monkeypatch):
-        """Batched scoring reads the prefix through fork() views, so the
-        guard freezes the arrays the attention kernel receives."""
-        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
+        """Batched scoring reads the stored prefix as it is, so the
+        attention kernel receives read-only arrays."""
         model = small_model(seed=3)
         pc = model.prefill([1, 2, 3, 4, 5])
         seen = []
@@ -298,17 +351,6 @@ class TestDebugCacheGuard:
             with pytest.raises(ValueError):
                 # lint: disable=R1 (intentional violation: proves the guard trips)
                 arr[..., 0] = 0.0
-
-    def test_batched_scoring_unchanged_under_guard(self, monkeypatch):
-        model = small_model(seed=3)
-        rng = np.random.default_rng(11)
-        prefix_ids = random_ids(rng, 12)
-        suffixes = [random_ids(rng, 4), random_ids(rng, 2)]
-        pc = model.prefill(prefix_ids)
-        plain = model.next_token_logits_many(suffixes, prefix=pc)
-        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
-        guarded = model.next_token_logits_many(suffixes, prefix=pc)
-        np.testing.assert_array_equal(plain, guarded)
 
 
 class TestPrefixCacheStore:

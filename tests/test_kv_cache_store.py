@@ -1,4 +1,4 @@
-"""PrefixCacheStore LRU semantics + the REPRO_DEBUG_CACHE mutator matrix.
+"""PrefixCacheStore LRU semantics + the read-only cache mutator matrix.
 
 Two suites ride on top of the basic store tests in ``test_kv_cache.py``:
 
@@ -6,24 +6,27 @@ Two suites ride on top of the basic store tests in ``test_kv_cache.py``:
   recency, so a hot scaffold survives evictions triggered by later
   ``put`` calls, and zero-copy forks taken at arbitrary trim lengths
   between store operations never perturb the cached parent arrays;
-* **debug-guard mutator matrix** — with ``REPRO_DEBUG_CACHE=1`` every
-  in-place write class that lint rule R1 recognizes statically
-  (subscript store through a k/v key, augmented assignment, ``.fill()``,
-  ``np.copyto``, ``out=``) raises at runtime on a forked cache, so the
-  env guard and the lint rule enforce the same attention contract.
+* **read-only mutator matrix** — every in-place write class that lint
+  rule R1 recognizes statically (subscript store through a k/v key,
+  augmented assignment, ``.fill()``, ``np.copyto``, ``out=``) raises at
+  runtime on a store entry's own cache, a trimmed fork, a decode
+  stream's cache after ``advance()`` and a prefill's ``last_logits``, so
+  the read-only flags and the lint rule enforce the same attention
+  contract.
 """
 
 import numpy as np
 import pytest
 
 from repro.model import (
+    GenerationConfig,
     ModelConfig,
     PrefixCache,
     PrefixCacheStore,
     TransformerLM,
-    cache_length,
     fork_cache,
 )
+from repro.model.sampling import DecodeStream, open_prompt
 
 
 def small_model(seed=0, vocab=64, max_seq_len=64):
@@ -162,7 +165,7 @@ class TestInterleavedForkTrim:
         store.put(model.prefill([30, 31]))  # triggers an eviction mid-sequence
 
         for length, fork in zip((2, 4, 6, 3), forks):
-            assert cache_length(fork) == length
+            assert fork[0]["k"].shape[2] == length
         assert_cache_equal(a.cache, saved_a)
         assert_cache_equal(b.cache, saved_b)
 
@@ -186,7 +189,7 @@ class TestInterleavedForkTrim:
         right = pc.fork(length=2)
         saved_right = snapshot(right)
         model.forward(np.asarray([[11, 12]]), start_pos=4, cache=left)
-        assert cache_length(left) == 6
+        assert left[0]["k"].shape[2] == 6
         assert_cache_equal(pc.cache, saved)
         assert_cache_equal(right, saved_right)
 
@@ -196,15 +199,14 @@ class TestInterleavedForkTrim:
         with pytest.raises(ValueError):
             pc.fork(length=4)
 
-    def test_store_entries_usable_after_guarded_forks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
+    def test_store_entries_usable_after_guarded_forks(self):
         model = small_model()
         store = PrefixCacheStore(max_entries=2)
         entry = store.put(model.prefill([1, 2, 3, 4]))
         fork = entry.fork(length=3)
         assert not fork[0]["k"].flags.writeable
-        # the stored parent stays writable and matchable
-        assert entry.cache[0]["k"].flags.writeable
+        # the stored parent is read-only too, and still matchable
+        assert not entry.cache[0]["k"].flags.writeable
         matched = store.match([1, 2, 3, 4, 5])
         assert matched is not None and matched[0] is entry
 
@@ -248,14 +250,24 @@ MUTATORS = [
 ]
 
 
+def decode_stream_cache(model, prompt):
+    """A decode stream's cache after one ``advance()`` past an exact
+    store hit."""
+    store = PrefixCacheStore()
+    store.put(model.prefill(prompt))
+    opened = open_prompt(model, prompt, store)
+    stream = DecodeStream(
+        model, opened, len(prompt), GenerationConfig(max_new_tokens=2), 2
+    )
+    stream.advance(5)
+    return stream.cache
+
+
 class TestDebugGuardMutatorMatrix:
-    """Every write class R1 flags statically also raises under the guard."""
+    """Every write class R1 flags statically also raises at runtime."""
 
     @pytest.mark.parametrize("mutate", MUTATORS)
-    def test_mutator_raises_on_forked_cache(self, monkeypatch, mutate):
-        # the fork is a plain slice view, writable without the guard,
-        # which isolates the guard as the thing that trips
-        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
+    def test_mutator_raises_on_forked_cache(self, mutate):
         model = small_model()
         pc = model.prefill([1, 2, 3, 4])
         forked = fork_cache(pc.cache, length=3)
@@ -266,24 +278,41 @@ class TestDebugGuardMutatorMatrix:
         assert_cache_equal(pc.cache, saved)
 
     @pytest.mark.parametrize("mutate", MUTATORS)
-    def test_mutator_succeeds_silently_without_guard(self, monkeypatch, mutate):
-        # control cell: the same writes go through (and corrupt shared
-        # state!) when the guard is off — which is exactly why R1 exists
-        monkeypatch.delenv("REPRO_DEBUG_CACHE", raising=False)
+    def test_mutator_raises_on_store_entry(self, mutate):
+        model = small_model()
+        store = PrefixCacheStore()
+        entry = store.put(model.prefill([1, 2, 3, 4]))
+        saved = snapshot(entry.cache)
+        with pytest.raises(ValueError):
+            mutate(_layer(entry.cache))
+        assert_cache_equal(entry.cache, saved)
+
+    @pytest.mark.parametrize("mutate", MUTATORS)
+    def test_mutator_raises_on_decode_stream_cache(self, mutate):
+        cache = decode_stream_cache(small_model(), [1, 2, 3, 4])
+        saved = snapshot(cache)
+        with pytest.raises(ValueError):
+            mutate(_layer(cache))
+        assert_cache_equal(cache, saved)
+
+    @pytest.mark.parametrize("mutate", MUTATORS)
+    def test_mutator_raises_on_last_logits(self, mutate):
+        pc = small_model().prefill([1, 2, 3, 4])
+        saved = pc.last_logits.copy()
+        with pytest.raises(ValueError):
+            mutate({"k": pc.last_logits, "v": pc.last_logits})
+        np.testing.assert_array_equal(pc.last_logits, saved)
+
+    @pytest.mark.parametrize("mutate", MUTATORS)
+    def test_mutator_succeeds_silently_without_guard(self, mutate):
+        # control cell: the same writes go through on a writable copy of
+        # the fork, so the read-only flag is what makes them raise
         model = small_model()
         pc = model.prefill([1, 2, 3, 4])
-        forked = fork_cache(pc.cache, length=3)
-        mutate(_layer(forked))  # no raise
+        forked = _layer(fork_cache(pc.cache, length=3))
+        mutate({key: np.array(forked[key]) for key in ("k", "v")})  # no raise
 
-    def test_guard_accepts_any_truthy_value(self, monkeypatch):
-        for on in ("1", "yes", "true", "on", "2"):
-            monkeypatch.setenv("REPRO_DEBUG_CACHE", on)
-            model = small_model()
-            forked = model.prefill([1, 2]).fork()
-            assert not forked[0]["k"].flags.writeable, f"value {on!r}"
-
-    def test_trimmed_guarded_fork_is_read_only_at_every_layer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG_CACHE", "1")
+    def test_trimmed_guarded_fork_is_read_only_at_every_layer(self):
         model = small_model()
         pc = model.prefill([5, 6, 7, 8])
         forked = fork_cache(pc.cache, length=2)
