@@ -16,11 +16,9 @@ discusses but could not afford to run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.zoo import ModelZooEntry, get_entry
+from repro.core.zoo import get_entry
 from repro.scale.surrogate import SurrogateModel
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.scorecards import METHODS, ScoreCard, TableOne
 from repro.core.zoo import zoo_entries

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.parallel.cluster import A100_40GB, ClusterModel, TrainingCostEstimate
+from repro.parallel.cluster import ClusterModel, TrainingCostEstimate
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,7 @@ instruct) plus every score, so Table I assembles directly from a list of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.core.pretrain import BasePretrainConfig, BasePretrainer, PretrainedBase
 from repro.core.scorecards import ScoreCard

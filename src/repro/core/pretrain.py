@@ -16,8 +16,8 @@ Per-epoch mixture:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set
 
 import numpy as np
 

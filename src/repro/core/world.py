@@ -13,10 +13,8 @@ Two presets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.corpus.arxiv import ArxivArchive
 from repro.corpus.general import render_mcq_exercise
@@ -26,7 +24,7 @@ from repro.corpus.knowledge import (
     make_general_knowledge,
 )
 from repro.mcq.dataset import MCQBenchmark, build_benchmark
-from repro.tokenizer import TextNormalizer, WordTokenizer
+from repro.tokenizer import WordTokenizer
 from repro.train.sft import ChatTemplate
 from repro.utils.rng import new_rng
 

@@ -16,7 +16,7 @@ so experiments can verify the density ordering
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from repro.corpus.arxiv import ArchiveCutoffs, ArxivArchive
 from repro.corpus.ocr import NougatOCR

@@ -25,7 +25,7 @@ paper's dataset-quality findings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 import numpy as np
 

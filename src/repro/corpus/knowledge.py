@@ -18,7 +18,7 @@ organized into the review-article topics of the ARAA benchmark) and a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 

@@ -22,8 +22,6 @@ import re
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.utils.rng import new_rng
 
 # plausible OCR confusions (symmetric-ish pairs)

@@ -18,8 +18,6 @@ import re
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.corpus.generator import SyntheticPaper, _FILLER_OPENERS, _BODY_NOISE
 from repro.utils.rng import new_rng
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.corpus.knowledge import ANSWER_LETTERS
 from repro.mcq.generation import MCQuestion
 from repro.train.sft import ChatTemplate
 

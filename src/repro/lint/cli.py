@@ -10,7 +10,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-import repro.lint.rules  # noqa: F401  (registers the built-in rules)
+import repro.lint.rules  # lint: disable=R9 (imported to register the built-in rules)
 from repro.lint.config import LintConfig
 from repro.lint.core import all_rules
 from repro.lint.engine import run_lint

@@ -8,6 +8,7 @@ from repro.lint.rules.export_drift import ExportDriftRule
 from repro.lint.rules.fault_registry import FaultRegistryRule
 from repro.lint.rules.wall_clock import WallClockRule
 from repro.lint.rules.scalar_promotion import ScalarPromotionRule
+from repro.lint.rules.unused_import import UnusedImportRule
 
 __all__ = [
     "CacheMutationRule",
@@ -18,4 +19,5 @@ __all__ = [
     "FaultRegistryRule",
     "WallClockRule",
     "ScalarPromotionRule",
+    "UnusedImportRule",
 ]

@@ -9,11 +9,9 @@ view of each topic ... from world leaders").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-import numpy as np
-
-from repro.corpus.knowledge import Fact, KnowledgeBase
+from repro.corpus.knowledge import KnowledgeBase
 from repro.utils.rng import new_rng
 
 _REVIEW_CONNECTIVES = (

@@ -5,9 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.corpus.knowledge import KnowledgeBase
 from repro.mcq.araa import generate_review_articles

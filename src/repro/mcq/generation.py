@@ -13,12 +13,10 @@ The extractor enforces the paper's design principles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from repro.corpus.knowledge import ANSWER_LETTERS, Fact, KnowledgeBase
+from repro.corpus.knowledge import ANSWER_LETTERS, KnowledgeBase
 from repro.mcq.araa import ReviewArticle
 from repro.utils.rng import new_rng
 

@@ -7,6 +7,7 @@ batch and heads (a view, never copied per example).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -23,7 +24,10 @@ class RotaryEmbedding:
     Uses the "two-halves" convention: for head dim ``d``, frequencies
     ``theta^{-2i/d}`` for ``i < d/2`` are applied to both halves, and the
     rotation is ``x*cos + rotate_half(x)*sin`` with
-    ``rotate_half(x) = [-x2, x1]``.
+    ``rotate_half(x) = [-x2, x1]``.  The sign of ``rotate_half`` is folded
+    into the table ``sin_signed = [-sin, sin]``, so a rotation is
+    ``x*cos + [x2, x1]*sin_signed``: one concatenate and no negation pass,
+    with the same bits, since IEEE products are sign-symmetric.
     """
 
     def __init__(self, head_dim: int, max_seq_len: int, theta: float = 10000.0):
@@ -38,12 +42,25 @@ class RotaryEmbedding:
         angles = np.outer(pos, inv_freq)  # (T, d/2)
         full = np.concatenate([angles, angles], axis=-1)  # (T, d)
         self.cos = np.cos(full).astype(np.float32)
-        self.sin = np.sin(full).astype(np.float32)
+        sin = np.sin(full).astype(np.float32)
+        half = head_dim // 2
+        self.sin_signed = np.concatenate([-sin[:, :half], sin[:, half:]], axis=-1)
 
     @staticmethod
-    def _rotate_half(x: np.ndarray) -> np.ndarray:
+    def _rotate(
+        x: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: bool = False
+    ) -> np.ndarray:
+        """``x*cos + rotate_half(x)*sin`` (``-`` if ``inverse``), ``sin``
+        signed."""
         half = x.shape[-1] // 2
-        return np.concatenate([-x[..., half:], x[..., :half]], axis=-1)
+        t = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
+        t *= sin
+        out = x * cos
+        if inverse:
+            out -= t
+        else:
+            out += t
+        return out
 
     def apply(self, x: np.ndarray, start_pos: int = 0) -> np.ndarray:
         """Rotate ``x`` of shape (..., T, head_dim) at absolute positions
@@ -55,8 +72,8 @@ class RotaryEmbedding:
                 f"{self.max_seq_len}"
             )
         cos = self.cos[start_pos : start_pos + T]
-        sin = self.sin[start_pos : start_pos + T]
-        return x * cos + self._rotate_half(x) * sin
+        sin = self.sin_signed[start_pos : start_pos + T]
+        return self._rotate(x, cos, sin)
 
     def apply_at(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Rotate ``x`` of shape (M, H, head_dim) whose row ``m`` sits at
@@ -66,22 +83,25 @@ class RotaryEmbedding:
                 f"position {positions.max()} exceeds max_seq_len={self.max_seq_len}"
             )
         cos = self.cos[positions][:, None, :]
-        sin = self.sin[positions][:, None, :]
-        return x * cos + self._rotate_half(x) * sin
+        sin = self.sin_signed[positions][:, None, :]
+        return self._rotate(x, cos, sin)
 
     def apply_backward(self, dout: np.ndarray, start_pos: int = 0) -> np.ndarray:
         """Gradient of :meth:`apply` (the rotation is orthogonal: R^T = -R)."""
         T = dout.shape[-2]
         cos = self.cos[start_pos : start_pos + T]
-        sin = self.sin[start_pos : start_pos + T]
-        return dout * cos - self._rotate_half(dout) * sin
+        sin = self.sin_signed[start_pos : start_pos + T]
+        return self._rotate(dout, cos, sin, inverse=True)
 
 
+@functools.lru_cache(maxsize=None)
 def causal_mask(T: int) -> np.ndarray:
-    """Additive mask: 0 on/below the diagonal, -inf above."""
+    """Additive mask: 0 on/below the diagonal, -inf above; memoized, so
+    read-only.  Its top-left ``(n, n)`` block is ``causal_mask(n)``."""
     mask = np.zeros((T, T), dtype=np.float32)
     iu = np.triu_indices(T, k=1)
     mask[iu] = NEG_INF
+    mask.flags.writeable = False
     return mask
 
 
@@ -184,7 +204,14 @@ class MultiHeadAttention(Module):
     ) -> np.ndarray:
         """With ``cache``, attend against its keys/values too and rebind
         ``cache["k"]``/``cache["v"]`` to the extended arrays, which are
-        read-only: a cache is never written in place."""
+        read-only: a cache is never written in place.  ``start_pos`` must
+        be the number of positions the cache holds (0 if it is empty)."""
+        if cache is not None:
+            held = cache["k"].shape[2] if "k" in cache else 0
+            if held != start_pos:
+                raise ValueError(
+                    f"start_pos={start_pos} but the cache holds {held} positions"
+                )
         q = self._split_heads(self.wq.forward(x))  # (B,H,T,hd)
         k = self._split_heads(self.wk.forward(x))
         v = self._split_heads(self.wv.forward(x))
@@ -199,15 +226,14 @@ class MultiHeadAttention(Module):
             k.flags.writeable = v.flags.writeable = False
             cache["k"], cache["v"] = k, v
 
-        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B,H,T,Tk)
+        scores = q @ k.transpose(0, 1, 3, 2)  # (B,H,T,Tk)
+        scores *= self.scale
         T, Tk = q.shape[2], k.shape[2]
         if T > 1:
-            # Query i (absolute position start_pos+i) may attend to keys
-            # 0..start_pos+i.
-            q_pos = start_pos + np.arange(T)[:, None]
-            k_pos = np.arange(Tk)[None, :]
-            scores = scores + np.where(k_pos > q_pos, NEG_INF, np.float32(0.0))
-        probs = softmax(scores, axis=-1)
+            # The T queries are the last T of the Tk keys: query i may
+            # attend to keys 0..Tk-T+i.
+            scores += causal_mask(self.rope.max_seq_len)[Tk - T : Tk, :Tk]
+        probs = softmax(scores, axis=-1, out=scores)
         ctx = probs @ v  # (B,H,T,hd)
         out = self.wo.forward(self._merge_heads(ctx))
         if cache is None:
@@ -307,16 +333,20 @@ class MultiHeadAttention(Module):
 
         # softmax backward: dS = P * (dP - sum(dP * P))
         inner = np.sum(d_probs * probs, axis=-1, keepdims=True)
-        d_scores = probs * (d_probs - inner)
+        d_scores = d_probs
+        d_scores -= inner
+        d_scores *= probs
 
-        d_q = (d_scores @ k) * self.scale
-        d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * self.scale
+        d_q = d_scores @ k
+        d_q *= self.scale
+        d_k = d_scores.transpose(0, 1, 3, 2) @ q
+        d_k *= self.scale
 
         d_q = self.rope.apply_backward(d_q, start_pos)
         d_k = self.rope.apply_backward(d_k, start_pos)
 
         dx = self.wq.backward(self._merge_heads(d_q))
-        dx = dx + self.wk.backward(self._merge_heads(d_k))
-        dx = dx + self.wv.backward(self._merge_heads(d_v))
+        dx += self.wk.backward(self._merge_heads(d_k))
+        dx += self.wv.backward(self._merge_heads(d_v))
         self._cache = None
         return dx

@@ -11,6 +11,13 @@ Every layer follows the same contract:
 
 Gradients accumulate across backward calls until :meth:`Module.zero_grad`;
 this is what makes gradient accumulation in the trainer trivial.
+
+The training step writes in place only into arrays it has just allocated
+itself (a GEMM result, a fresh difference), and each in-place rewrite runs
+the same float operations, element for element and in the same order, as
+the expression it replaces, so the results are bit-identical.  It never
+writes into an array a layer keeps in ``_cache`` for backward, an array a
+KV cache stores, or an argument it was passed.
 """
 
 from __future__ import annotations
@@ -115,14 +122,35 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = (x,)
-        return x @ self.params["weight"]
+        return _matmul_rows(x, self.params["weight"])
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         (x,) = self._cache
         x2 = x.reshape(-1, self.d_in)
         d2 = dout.reshape(-1, self.d_out)
         self.grads["weight"] += x2.T @ d2
-        return dout @ self.params["weight"].T
+        return _matmul_rows(dout, self.params["weight"].T)
+
+
+# OpenBLAS (0.3.31, AVX-512) multiplies a matrix product with
+# M * N * K <= 100**3 in a small-matrix kernel, whose bits differ from the
+# blocked kernel's
+_SMALL_GEMM = 100**3
+
+
+def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` as one GEMM over all rows of a contiguous ``x``.
+
+    NumPy runs a stacked ``@`` as one GEMM per leading index.  When every
+    one of those GEMMs is past BLAS's small-matrix kernel, one GEMM over
+    all rows gives each row the same bits, in one call.  Smaller stacks,
+    and one-row matrices (decode), keep their own calls.
+    """
+    if x.ndim > 2 and x.flags.c_contiguous:
+        rows, k = x.shape[-2:]
+        if rows > 1 and rows * k * w.shape[1] > _SMALL_GEMM:
+            return (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + w.shape[1:])
+    return x @ w
 
 
 class Embedding(Module):
@@ -166,29 +194,45 @@ class RMSNorm(Module):
         self.register("gain", np.ones(d_model, dtype=np.float32))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        inv_rms = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + self.eps)
+        # 1 / sqrt(mean(x^2) + eps) without np.mean's Python wrapper: the
+        # same sum, then a division by the row length.  np.mean divides in
+        # float64 and rounds to float32; one float32 division gives the same
+        # value, since float64 has more than 2 * 24 + 2 bits.
+        inv_rms = np.add.reduce(x * x, axis=-1, keepdims=True)
+        inv_rms /= x.shape[-1]
+        inv_rms += self.eps
+        np.sqrt(inv_rms, out=inv_rms)
+        np.divide(1.0, inv_rms, out=inv_rms)
         self._cache = (x, inv_rms)
-        return x * inv_rms * self.params["gain"]
+        y = x * inv_rms
+        y *= self.params["gain"]
+        return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x, inv_rms = self._cache
         g = self.params["gain"]
         d = x.shape[-1]
-        self.grads["gain"] += np.sum(dout * x * inv_rms, axis=tuple(range(x.ndim - 1)))
-        dg = dout * g
+        buf = dout * x
+        buf *= inv_rms
+        self.grads["gain"] += np.sum(buf, axis=tuple(range(x.ndim - 1)))
+        dg = np.multiply(dout, g, out=buf)
         # d/dx [x_i * r] with r = (mean(x^2)+eps)^(-1/2):
         #   dx = r * dg - x * r^3 / d * sum(dg * x)
-        inner = np.sum(dg * x, axis=-1, keepdims=True)
-        return inv_rms * dg - x * (inv_rms**3) * inner / d
+        t = dg * x
+        inner = np.sum(t, axis=-1, keepdims=True)
+        np.multiply(x, inv_rms**3, out=t)
+        t *= inner
+        t /= d
+        dg *= inv_rms
+        dg -= t
+        return dg
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def softmax(
+    x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Numerically stable softmax; ``out=x`` overwrites ``x`` with it."""
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e

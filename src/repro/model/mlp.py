@@ -41,7 +41,7 @@ class SwiGLU(Module):
         a = self.w1.forward(x)
         b = self.w3.forward(x)
         s = sigmoid(a)
-        silu_a = a * s
+        silu_a = np.multiply(a, s, out=a)
         self._cache = (b, s, silu_a)
         return self.w2.forward(silu_a * b)
 
@@ -49,8 +49,14 @@ class SwiGLU(Module):
         b, s, silu_a = self._cache
         d_gated = self.w2.backward(dout)
         # silu'(a) = s * (1 + a * (1 - s)) = s + silu(a) * (1 - s)
-        d_a = d_gated * b * (s + silu_a * (1.0 - s))
+        d_silu = 1.0 - s
+        d_silu *= silu_a
+        d_silu += s
         d_b = d_gated * silu_a
-        dx = self.w1.backward(d_a) + self.w3.backward(d_b)
+        d_a = d_gated
+        d_a *= b
+        d_a *= d_silu
+        dx = self.w1.backward(d_a)
+        dx += self.w3.backward(d_b)
         self._cache = None
         return dx

@@ -10,14 +10,7 @@ import numpy as np
 from repro.model.attention import MultiHeadAttention, PackedRows, RotaryEmbedding
 from repro.model.config import ModelConfig
 from repro.model.kv_cache import KVCache, PrefixCache
-from repro.model.layers import (
-    Embedding,
-    Linear,
-    Module,
-    RMSNorm,
-    log_softmax,
-    softmax,
-)
+from repro.model.layers import Embedding, Linear, Module, RMSNorm
 from repro.model.mlp import SwiGLU
 
 
@@ -65,9 +58,11 @@ class TransformerBlock(Module):
         start_pos: int = 0,
         cache: Optional[Dict[str, np.ndarray]] = None,
     ) -> np.ndarray:
-        x = x + self.attn.forward(self.attn_norm.forward(x), start_pos, cache)
-        x = x + self.mlp.forward(self.mlp_norm.forward(x))
-        return x
+        h = self.attn.forward(self.attn_norm.forward(x), start_pos, cache)
+        h += x
+        out = self.mlp.forward(self.mlp_norm.forward(h))
+        out += h
+        return out
 
     def forward_rows(
         self,
@@ -87,10 +82,11 @@ class TransformerBlock(Module):
         return x + self.mlp.forward(self.mlp_norm.forward(x)), k, v
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        d_mlp = self.mlp_norm.backward(self.mlp.backward(dout))
-        dout = dout + d_mlp
-        d_attn = self.attn_norm.backward(self.attn.backward(dout))
-        return dout + d_attn
+        d_mid = self.mlp_norm.backward(self.mlp.backward(dout))
+        d_mid += dout
+        d_in = self.attn_norm.backward(self.attn.backward(d_mid))
+        d_in += d_mid
+        return d_in
 
 
 class TransformerLM(Module):
@@ -191,11 +187,15 @@ class TransformerLM(Module):
         targets = np.asarray(targets)
         if targets.ndim == 1:
             targets = targets[None, :]
-        B, T, V = logits.shape
-        logp = log_softmax(logits, axis=-1)
-        flat_logp = logp.reshape(-1, V)
+        V = logits.shape[-1]
+        # one max/shift/exp/sum serves the loss and the gradient
+        e = logits - logits.max(axis=-1, keepdims=True)
         flat_t = targets.reshape(-1)
-        picked = flat_logp[np.arange(flat_t.size), flat_t]
+        rows = np.arange(flat_t.size)
+        picked = e.reshape(-1, V)[rows, flat_t]  # shifted target logits
+        np.exp(e, out=e)
+        total = e.sum(axis=-1, keepdims=True)
+        picked -= np.log(total).reshape(-1)  # log_softmax at the targets
         if mask is None:
             mask_flat = np.ones_like(flat_t, dtype=np.float32)
         else:
@@ -203,10 +203,11 @@ class TransformerLM(Module):
         denom = max(float(mask_flat.sum()), 1.0)
         loss = -float((picked * mask_flat).sum()) / denom
 
-        probs = softmax(logits, axis=-1).reshape(-1, V)
-        probs[np.arange(flat_t.size), flat_t] -= 1.0
+        e /= total  # softmax
+        probs = e.reshape(-1, V)
+        probs[rows, flat_t] -= 1.0
         probs *= (mask_flat / denom)[:, None]
-        return loss, probs.reshape(B, T, V)
+        return loss, e
 
     def loss_and_backward(
         self,

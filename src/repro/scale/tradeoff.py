@@ -9,8 +9,8 @@ models like Claude-Haiku to Claude-Sonnet or GPT-4o-mini to GPT-4o".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 # Flagship full-instruct scores quoted in Section VI of the paper.
 FLAGSHIP_SCORES: Dict[str, float] = {

@@ -38,11 +38,7 @@ from repro.serve.request import (
     RequestState,
     RequestStatus,
 )
-from repro.serve.scheduler import (
-    ContinuousBatchingScheduler,
-    SchedulerConfig,
-    StepDirectives,
-)
+from repro.serve.scheduler import ContinuousBatchingScheduler, SchedulerConfig
 
 __all__ = ["StepCostModel", "ServeConfig", "ServeEngine"]
 

@@ -36,7 +36,7 @@ restarted, so a faulted run still produces identical final outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.model.kv_cache import PrefixCacheStore
 from repro.model.sampling import DecodeStream, open_prompt

@@ -10,8 +10,8 @@ sit far from the converged regime of a real 70B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.model.transformer import TransformerLM
 from repro.train.dataloader import PackedDataset, pack_documents

@@ -66,12 +66,21 @@ class AdamW:
         for key, p in self.params.items():
             g = self.grads[key]
             m, v = self.m[key], self.v[key]
+            # two temporaries, each reused for every term that fits it
+            a = g * (1 - self.beta1)
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1 - self.beta2
             v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
+            v += a
+            np.divide(v, bc2, out=a)  # v_hat
+            np.sqrt(a, out=a)
+            a += self.eps
+            update = m / bc1  # m_hat
+            update *= lr
+            update /= a  # lr * m_hat / (sqrt(v_hat) + eps)
             if self.weight_decay > 0 and p.ndim > 1:
-                p -= lr * self.weight_decay * p
-            p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                np.multiply(p, lr * self.weight_decay, out=a)
+                p -= a
+            p -= update

@@ -8,10 +8,8 @@ batch 48, max token length 2048, warmup 0.03, cosine decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence, Tuple
-
-import numpy as np
 
 from repro.model.transformer import TransformerLM
 from repro.train.dataloader import PaddedBatch, pad_examples

@@ -107,9 +107,13 @@ class Trainer:
             config.warmup_ratio,
             config.min_lr,
         )
+        # the model's parameter set is fixed, so its name -> array dicts
+        # are built once, not walked out of the module tree every step
+        self._params = model.named_parameters()
+        self._grads = model.named_gradients()
         self.optimizer = AdamW(
-            model.named_parameters(),
-            model.named_gradients(),
+            self._params,
+            self._grads,
             betas=config.betas,
             weight_decay=config.weight_decay,
         )
@@ -130,7 +134,8 @@ class Trainer:
         for step in range(cfg.total_steps):
             if self.hooks is not None:
                 self.hooks.on_step_start(step)
-            self.model.zero_grad()
+            for g in self._grads.values():
+                g.fill(0.0)
             accum_loss = 0.0
             tokens = 0
             for _ in range(cfg.grad_accum):
@@ -142,20 +147,21 @@ class Trainer:
                 logits = self.model.forward(inputs)
                 loss, dlogits = self.model.cross_entropy(logits, targets, mask)
                 # mean over microbatches: scale each contribution
-                self.model.backward(dlogits / cfg.grad_accum)
+                if cfg.grad_accum > 1:
+                    dlogits /= cfg.grad_accum
+                self.model.backward(dlogits)
                 accum_loss += loss / cfg.grad_accum
                 if mask is None:
                     tokens += int(np.asarray(targets).size)
                 else:
                     tokens += int(np.asarray(mask).sum())
-            grads = self.model.named_gradients()
             if self.hooks is not None:
-                self.hooks.on_gradients(step, grads)
-            norm = clip_grad_norm(grads, cfg.clip_norm)
+                self.hooks.on_gradients(step, self._grads)
+            norm = clip_grad_norm(self._grads, cfg.clip_norm)
             lr = self.schedule.lr(step)
             self.optimizer.step(lr)
             if cfg.bf16:
-                for p in self.model.named_parameters().values():
+                for p in self._params.values():
                     bf16_round_(p)
             history.losses.append(accum_loss)
             history.lrs.append(lr)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model import ModelConfig, TransformerLM
-from repro.train import AdamW, Trainer, TrainingConfig
+from repro.train import AdamW
 from repro.train.checkpointing import (
     CheckpointIntegrityError,
     checkpoint_dir_for_step,

@@ -4,8 +4,6 @@ import pytest
 
 from repro.core import (
     Arrow,
-    CostReport,
-    MICRO_ZOO,
     ScoreCard,
     TableOne,
     arrow_for,
@@ -14,7 +12,7 @@ from repro.core import (
     zoo_entries,
 )
 from repro.core.scorecards import METHODS
-from repro.core.world import MicroWorld, WorldConfig
+from repro.core.world import MicroWorld
 
 
 class TestZoo:

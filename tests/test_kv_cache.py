@@ -67,18 +67,25 @@ def assert_read_only(cache):
             assert not layer[key].flags.writeable
 
 
-def test_position_sensitive_fixture_margin():
+def test_position_sensitive_fixture_margin(monkeypatch):
+    """A decode step whose new token is rotated one position early moves
+    the logits by more than 100x ``ATOL``.  The forward refuses a
+    ``start_pos`` that is not the cache's length, so the early position is
+    put into the RoPE call itself."""
     model = position_sensitive_model(seed=3)
     rng = np.random.default_rng(0)
+    apply = model.rope.apply
     for n in (2, 10, 40, 90):
         ids = random_ids(rng, n)
         pc = model.prefill(ids[:-1])
 
-        def step(pos):
+        def step(shift):
             tok = np.asarray([[ids[-1]]])
-            return model.forward(tok, start_pos=pos, cache=pc.fork())[0, -1]
+            with monkeypatch.context() as m:
+                m.setattr(model.rope, "apply", lambda x, pos=0: apply(x, pos + shift))
+                return model.forward(tok, start_pos=n - 1, cache=pc.fork())[0, -1]
 
-        assert np.abs(step(n - 1) - step(n - 2)).max() > 100 * ATOL
+        assert np.abs(step(0) - step(-1)).max() > 100 * ATOL
 
 
 class TestHelpers:

@@ -21,7 +21,6 @@ import pytest
 from repro.model import (
     GenerationConfig,
     ModelConfig,
-    PrefixCache,
     PrefixCacheStore,
     TransformerLM,
     fork_cache,

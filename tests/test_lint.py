@@ -193,6 +193,9 @@ VIOLATIONS = {
         "R7",
         """
         from time import perf_counter
+
+        def stamp(event):
+            return (perf_counter(), event)
         """,
         SERVE_PATH,
     ),
@@ -245,6 +248,16 @@ VIOLATIONS = {
             return x - xp.log(len(x))
         """,
         "src/repro/train/snippet.py",
+    ),
+    "R9-unused-import": (
+        "R9",
+        """
+        import numpy as np
+
+        def total(xs):
+            return sum(xs)
+        """,
+        MODEL_PATH,
     ),
 }
 
@@ -411,6 +424,32 @@ CLEAN = {
             return x / np.sqrt(self.n)
         """,
         EVAL_PATH,
+    ),
+    "R9-used-forms": (
+        """
+        from __future__ import annotations
+
+        import os.path
+        from typing import TYPE_CHECKING
+
+        from repro.model.config import ModelConfig
+
+        __all__ = ["ModelConfig", "size"]
+
+        if TYPE_CHECKING:
+            from repro.model.transformer import TransformerLM
+
+        def size(model: "TransformerLM") -> int:
+            import json
+            return os.path.getsize(model.path)
+        """,
+        MODEL_PATH,
+    ),
+    "R9-package-init-exempt": (
+        """
+        from repro.model.config import ModelConfig
+        """,
+        "src/repro/model/__init__.py",
     ),
 }
 

@@ -1,6 +1,5 @@
 """MCQ bench tests: review articles, extraction, quality rules, container."""
 
-import numpy as np
 import pytest
 
 from repro.corpus import make_astro_knowledge

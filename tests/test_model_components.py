@@ -68,6 +68,44 @@ class TestConfig:
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+class TestCausalMask:
+    """A query sees the keys up to its own position and no further,
+    whatever ``start_pos`` the tokens are rotated at."""
+
+    def _model(self):
+        return TransformerLM(scaled_config(40, "tiny"), seed=1)
+
+    def test_no_cache_forward_at_offset_is_causal(self):
+        model = self._model()
+        tokens = np.asarray([[3, 9, 4, 17, 2, 30]])
+        future = tokens.copy()
+        future[0, 4] = 11
+        for start_pos in (0, 3):
+            a = model.forward(tokens, start_pos=start_pos)
+            b = model.forward(future, start_pos=start_pos)
+            np.testing.assert_array_equal(a[0, :4], b[0, :4])
+
+    def test_no_cache_forward_is_shift_invariant(self):
+        """RoPE encodes relative positions: shifting every token by the
+        same offset leaves the logits unchanged up to float rounding."""
+        model = self._model()
+        tokens = np.asarray([[3, 9, 4, 17, 2, 30]])
+        np.testing.assert_allclose(
+            model.forward(tokens, start_pos=3), model.forward(tokens), atol=1e-4
+        )
+
+    def test_cache_length_must_equal_start_pos(self):
+        model = self._model()
+        pc = model.prefill([3, 9, 4, 17])
+        step = np.asarray([[2]])
+        model.forward(step, start_pos=4, cache=pc.fork())
+        for wrong in (3, 5):
+            with pytest.raises(ValueError, match="cache holds 4"):
+                model.forward(step, start_pos=wrong, cache=pc.fork())
+        with pytest.raises(ValueError, match="cache holds 0"):
+            model.forward(step, start_pos=2, cache=model.new_cache())
+
+
 class TestGeneration:
     def test_kv_cache_matches_full_forward(self):
         """Cached decoding agrees with the no-cache full forward, a

@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.model import ModelConfig, TransformerLM
 from repro.parallel import (
-    A100_40GB,
     ClusterModel,
     Communicator,
     DataParallelTrainer,

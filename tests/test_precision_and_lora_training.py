@@ -6,7 +6,6 @@ AstroLLaMA-2-7B-Abstract recipe: adapters learn, base stays frozen).
 """
 
 import numpy as np
-import pytest
 
 from repro.model import LoRAConfig, ModelConfig, TransformerLM, apply_lora
 from repro.train import Trainer, TrainingConfig

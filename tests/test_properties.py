@@ -1,13 +1,13 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.model.attention import RotaryEmbedding, causal_mask
-from repro.model.layers import log_softmax, softmax
+from repro.model.layers import softmax
+from repro.model.transformer import TransformerLM
 from repro.parallel import Communicator, DeviceMesh
 from repro.parallel.pipeline_parallel import gpipe_schedule, one_f_one_b_schedule
 from repro.tokenizer import Vocabulary, WordTokenizer
@@ -38,9 +38,21 @@ class TestSoftmaxProperties:
     @given(finite_floats)
     @settings(max_examples=100, deadline=None)
     def test_log_softmax_consistent(self, x):
-        np.testing.assert_allclose(
-            np.exp(log_softmax(x)), softmax(x), atol=1e-5
-        )
+        """The cross-entropy's log-softmax, read one (position, target) at
+        a time through the mask, exponentiates to the softmax, and its
+        gradient is the softmax minus the one-hot targets."""
+        R, V = x.shape
+        p = softmax(x)
+        for r in range(R):
+            mask = np.zeros((1, R), dtype=np.float32)
+            mask[0, r] = 1.0
+            for j in range(V):
+                loss, _ = TransformerLM.cross_entropy(x[None], np.full((1, R), j), mask)
+                np.testing.assert_allclose(np.exp(-loss), p[r, j], atol=1e-5)
+        targets = np.arange(R) % V
+        _, grad = TransformerLM.cross_entropy(x[None], targets[None])
+        onehot = np.eye(V, dtype=np.float32)[targets]
+        np.testing.assert_allclose(grad[0] * R + onehot, p, atol=1e-5)
 
 
 class TestRoPEProperties:

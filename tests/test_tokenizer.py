@@ -1,6 +1,5 @@
 """Tokenizer tests: BPE training/round-trips, word tokenizer conventions."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

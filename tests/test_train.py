@@ -233,6 +233,49 @@ class TestTrainer:
         assert hist.losses[-1] < hist.losses[0] * 0.5
 
 
+    def test_span_contract(self, monkeypatch):
+        """The benchmark's traced run times the step by the functions it
+        calls: ``train_fwd_ms``/``train_bwd_ms`` are ``TransformerLM.forward``/
+        ``backward`` spans under ``Trainer.train``, ``step_ms`` and
+        ``clip_ms`` are ``AdamW.step`` and the ``clip_grad_norm`` bound in
+        ``repro.train.trainer``.  A fused step that skipped one of these
+        would read 0 there, so each is called the expected number of times."""
+        import repro.train.trainer as trainer_mod
+
+        calls = {}
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in [
+            (TransformerLM, "forward"),
+            (TransformerLM, "backward"),
+            (AdamW, "step"),
+            (trainer_mod, "clip_grad_norm"),
+        ]:
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name), name))
+        monkeypatch.setattr(
+            TransformerLM,
+            "cross_entropy",
+            staticmethod(counted(TransformerLM.cross_entropy, "cross_entropy")),
+        )
+        trainer = Trainer(
+            tiny_model(), TrainingConfig(learning_rate=1e-3, total_steps=3, grad_accum=2)
+        )
+        trainer.train(self._stream())
+        assert calls == {
+            "forward": 6,
+            "cross_entropy": 6,
+            "backward": 6,
+            "step": 3,
+            "clip_grad_norm": 3,
+        }
+
+
 class TestCPT:
     def test_runs_one_epoch(self):
         texts = ["the star is bright and hot"] * 30
