@@ -154,11 +154,11 @@ class PackedRows(NamedTuple):
 class MultiHeadAttention(Module):
     """Causal multi-head self-attention (LLaMA layout: no biases).
 
-    ``forward`` supports an optional KV cache for incremental decoding:
-    pass ``cache`` (a dict that the layer owns/extends) and ``start_pos``.
-    Backward is only supported for the full-sequence (no-cache) path, which
-    is the only path training uses.  ``forward_rows`` is the inference path
-    over packed ragged rows (see :class:`PackedRows`).
+    ``forward(x)`` is the training call over full sequences; it stashes
+    what :meth:`backward` reads.  The inference calls stash nothing: the
+    pure call ``attn(x, start_pos, cache)`` for incremental decoding
+    extends ``cache`` (a dict that the layer owns), and ``forward_rows``
+    runs packed ragged rows (see :class:`PackedRows`).
     """
 
     def __init__(
@@ -202,43 +202,50 @@ class MultiHeadAttention(Module):
         start_pos: int = 0,
         cache: Optional[Dict[str, np.ndarray]] = None,
     ) -> np.ndarray:
-        """With ``cache``, attend against its keys/values too and rebind
-        ``cache["k"]``/``cache["v"]`` to the extended arrays, which are
-        read-only: a cache is never written in place.  ``start_pos`` must
-        be the number of positions the cache holds (0 if it is empty)."""
+        """The training call over full sequences: stashes what
+        :meth:`backward` reads.  With ``cache`` it is the pure call."""
         if cache is not None:
-            held = cache["k"].shape[2] if "k" in cache else 0
-            if held != start_pos:
-                raise ValueError(
-                    f"start_pos={start_pos} but the cache holds {held} positions"
-                )
-        q = self._split_heads(self.wq.forward(x))  # (B,H,T,hd)
-        k = self._split_heads(self.wk.forward(x))
+            return self(x, start_pos, cache)
+        q = self.rope.apply(self._split_heads(self.wq.forward(x)), start_pos)
+        k = self.rope.apply(self._split_heads(self.wk.forward(x)), start_pos)
         v = self._split_heads(self.wv.forward(x))
+        probs = self._probs(q, k)
+        self._cache = (q, k, v, probs, start_pos)
+        return self.wo.forward(self._merge_heads(probs @ v))
 
-        q = self.rope.apply(q, start_pos)
-        k = self.rope.apply(k, start_pos)
+    def __call__(
+        self, x: np.ndarray, start_pos: int, cache: Dict[str, np.ndarray]
+    ) -> np.ndarray:
+        """The pure call: attend against ``cache``'s keys/values too and
+        rebind ``cache["k"]``/``cache["v"]`` to the extended arrays, which
+        are read-only: a cache is never written in place.  ``start_pos``
+        must be the number of positions the cache holds (0 if it is
+        empty)."""
+        held = cache["k"].shape[2] if "k" in cache else 0
+        if held != start_pos:
+            raise ValueError(
+                f"start_pos={start_pos} but the cache holds {held} positions"
+            )
+        q = self.rope.apply(self._split_heads(self.wq(x)), start_pos)
+        k = self.rope.apply(self._split_heads(self.wk(x)), start_pos)
+        v = self._split_heads(self.wv(x))
+        if held:
+            k = np.concatenate([cache["k"], k], axis=2)
+            v = np.concatenate([cache["v"], v], axis=2)
+        k.flags.writeable = v.flags.writeable = False
+        cache["k"], cache["v"] = k, v
+        return self.wo(self._merge_heads(self._probs(q, k) @ v))
 
-        if cache is not None:
-            if "k" in cache:
-                k = np.concatenate([cache["k"], k], axis=2)
-                v = np.concatenate([cache["v"], v], axis=2)
-            k.flags.writeable = v.flags.writeable = False
-            cache["k"], cache["v"] = k, v
-
-        scores = q @ k.transpose(0, 1, 3, 2)  # (B,H,T,Tk)
+    def _probs(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Causal attention weights ``(B, H, T, Tk)`` of the ``T`` queries,
+        which are the last ``T`` of the ``Tk`` keys."""
+        scores = q @ k.transpose(0, 1, 3, 2)
         scores *= self.scale
         T, Tk = q.shape[2], k.shape[2]
         if T > 1:
-            # The T queries are the last T of the Tk keys: query i may
-            # attend to keys 0..Tk-T+i.
+            # query i may attend to keys 0..Tk-T+i
             scores += causal_mask(self.rope.max_seq_len)[Tk - T : Tk, :Tk]
-        probs = softmax(scores, axis=-1, out=scores)
-        ctx = probs @ v  # (B,H,T,hd)
-        out = self.wo.forward(self._merge_heads(ctx))
-        if cache is None:
-            self._cache = (q, k, v, probs, start_pos)
-        return out
+        return softmax(scores, axis=-1, out=scores)
 
     def forward_rows(
         self,
@@ -259,19 +266,19 @@ class MultiHeadAttention(Module):
         """
         H, hd = self.n_heads, self.head_dim
         pos = rows.start + rows.offsets
-        k = rows.pad(self.rope.apply_at(self.wk.forward(x).reshape(-1, H, hd), pos))
-        v = rows.pad(self.wv.forward(x).reshape(-1, H, hd))
+        k = rows.pad(self.rope.apply_at(self.wk(x).reshape(-1, H, hd), pos))
+        v = rows.pad(self.wv(x).reshape(-1, H, hd))
         if last_only:
             q_t = rows.lengths - 1
-            q = self.wq.forward(x[rows.last]).reshape(-1, H, hd)
+            q = self.wq(x[rows.last]).reshape(-1, H, hd)
             q = self.rope.apply_at(q, rows.start + q_t)[:, :, None, :]  # (B,H,1,hd)
             ctx = self._shared_prefix_attention(q, k, v, kp, vp, q_t[:, None])
-            return self.wo.forward(ctx.reshape(-1, self.d_model)), k, v
-        q = rows.pad(self.rope.apply_at(self.wq.forward(x).reshape(-1, H, hd), pos))
+            return self.wo(ctx.reshape(-1, self.d_model)), k, v
+        q = rows.pad(self.rope.apply_at(self.wq(x).reshape(-1, H, hd), pos))
         ctx = self._shared_prefix_attention(
             q, k, v, kp, vp, np.arange(rows.width)[None, :]
         )
-        return self.wo.forward(rows.unpad(self._merge_heads(ctx))), k, v
+        return self.wo(rows.unpad(self._merge_heads(ctx))), k, v
 
     def _shared_prefix_attention(
         self,

@@ -1,16 +1,25 @@
 """Differentiable primitive layers (manual forward/backward).
 
-Every layer follows the same contract:
+Every layer has two ways to run:
 
-* ``forward(x)`` returns the output and stashes whatever the backward pass
-  needs on ``self._cache``;
-* ``backward(dout)`` consumes the cache, **accumulates** parameter gradients
-  into ``self.grads`` and returns the gradient w.r.t. the input;
+* ``layer(x)``, the pure call, returns the output and writes nothing on
+  the layer: inference (prefill, batched scoring, decode) runs only pure
+  calls, so it leaves no activations behind and cannot disturb a training
+  step in flight;
+* ``forward(x)``, the training call, stashes whatever the backward pass
+  needs on ``self._cache`` and runs the same float operations as the pure
+  call, so both give the same bits;
+* ``backward(dout)`` consumes the stash, **accumulates** parameter
+  gradients into ``self.grads`` and returns the gradient w.r.t. the input;
 * ``named_parameters()`` / ``named_gradients()`` expose flat name->array
   dicts (arrays are referenced, not copied, so optimizers update in place).
 
-Gradients accumulate across backward calls until :meth:`Module.zero_grad`;
-this is what makes gradient accumulation in the trainer trivial.
+Gradient buffers materialize, as zeros, on first access to ``grads``: the
+first ``backward``, ``named_gradients()``, ``zero_grad()`` or an optimizer
+bound to them.  A model that only ever runs inference never allocates
+them.  Gradients accumulate across backward calls until
+:meth:`Module.zero_grad`; this is what makes gradient accumulation in the
+trainer trivial.
 
 The training step writes in place only into arrays it has just allocated
 itself (a GEMM result, a fresh difference), and each in-place rewrite runs
@@ -32,15 +41,23 @@ class Module:
 
     def __init__(self) -> None:
         self.params: Dict[str, np.ndarray] = {}
-        self.grads: Dict[str, np.ndarray] = {}
+        self._grads: Dict[str, np.ndarray] = {}
         self._children: List[Tuple[str, "Module"]] = []
         self._cache: Optional[tuple] = None
 
     # -- registry ----------------------------------------------------------
     def register(self, name: str, value: np.ndarray) -> np.ndarray:
         self.params[name] = value
-        self.grads[name] = np.zeros_like(value)
         return value
+
+    @property
+    def grads(self) -> Dict[str, np.ndarray]:
+        """Gradient buffers by parameter name, zeros until a backward
+        accumulates into them; made on first access, then kept."""
+        for name, value in self.params.items():
+            if name not in self._grads:
+                self._grads[name] = np.zeros_like(value)
+        return self._grads
 
     def add_child(self, name: str, child: "Module") -> "Module":
         self._children.append((name, child))
@@ -120,9 +137,12 @@ class Linear(Module):
             "weight", rng.normal(0.0, init_std, size=(d_in, d_out)).astype(np.float32)
         )
 
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return _matmul_rows(x, self.params["weight"])
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = (x,)
-        return _matmul_rows(x, self.params["weight"])
+        return self(x)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         (x,) = self._cache
@@ -170,12 +190,17 @@ class Embedding(Module):
             rng.normal(0.0, init_std, size=(vocab_size, d_model)).astype(np.float32),
         )
 
-    def forward(self, ids: np.ndarray) -> np.ndarray:
+    def __call__(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
         if ids.max(initial=0) >= self.vocab_size or ids.min(initial=0) < 0:
             raise IndexError("token id out of range")
-        self._cache = (ids,)
         return self.params["weight"][ids]
+
+    def forward(self, ids: np.ndarray) -> np.ndarray:
+        ids = np.asarray(ids)
+        out = self(ids)
+        self._cache = (ids,)
+        return out
 
     def backward(self, dout: np.ndarray) -> None:
         (ids,) = self._cache
@@ -193,7 +218,16 @@ class RMSNorm(Module):
         self.eps = eps
         self.register("gain", np.ones(d_model, dtype=np.float32))
 
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._normalize(x)[0]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
+        y, inv_rms = self._normalize(x)
+        self._cache = (x, inv_rms)
+        return y
+
+    def _normalize(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(y, 1 / rms(x))``."""
         # 1 / sqrt(mean(x^2) + eps) without np.mean's Python wrapper: the
         # same sum, then a division by the row length.  np.mean divides in
         # float64 and rounds to float32; one float32 division gives the same
@@ -203,10 +237,9 @@ class RMSNorm(Module):
         inv_rms += self.eps
         np.sqrt(inv_rms, out=inv_rms)
         np.divide(1.0, inv_rms, out=inv_rms)
-        self._cache = (x, inv_rms)
         y = x * inv_rms
         y *= self.params["gain"]
-        return y
+        return y, inv_rms
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x, inv_rms = self._cache

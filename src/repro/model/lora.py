@@ -64,9 +64,15 @@ class LoRALinear(Module):
         # adapted model only ever see A and B).
         self.frozen_weight = base.params["weight"]
 
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._project(x, x @ self.params["lora_A"])
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         xa = x @ self.params["lora_A"]
         self._cache = (x, xa)
+        return self._project(x, xa)
+
+    def _project(self, x: np.ndarray, xa: np.ndarray) -> np.ndarray:
         return x @ self.frozen_weight + xa @ self.params["lora_B"] * self.config.scaling
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

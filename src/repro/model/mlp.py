@@ -37,6 +37,12 @@ class SwiGLU(Module):
             "w2", Linear(d_ff, d_model, rng, init_std=out_init_std or init_std)
         )
 
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        a = self.w1(x)
+        a *= sigmoid(a)  # silu(a)
+        a *= self.w3(x)
+        return self.w2(a)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         a = self.w1.forward(x)
         b = self.w3.forward(x)

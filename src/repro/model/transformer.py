@@ -52,15 +52,21 @@ class TransformerBlock(Module):
             ),
         )
 
-    def forward(
-        self,
-        x: np.ndarray,
-        start_pos: int = 0,
-        cache: Optional[Dict[str, np.ndarray]] = None,
-    ) -> np.ndarray:
-        h = self.attn.forward(self.attn_norm.forward(x), start_pos, cache)
+    def forward(self, x: np.ndarray, start_pos: int = 0) -> np.ndarray:
+        """The training call: every layer stashes for :meth:`backward`."""
+        h = self.attn.forward(self.attn_norm.forward(x), start_pos)
         h += x
         out = self.mlp.forward(self.mlp_norm.forward(h))
+        out += h
+        return out
+
+    def __call__(
+        self, x: np.ndarray, start_pos: int, cache: Dict[str, np.ndarray]
+    ) -> np.ndarray:
+        """The pure call: incremental, extending this layer's ``cache``."""
+        h = self.attn(self.attn_norm(x), start_pos, cache)
+        h += x
+        out = self.mlp(self.mlp_norm(h))
         out += h
         return out
 
@@ -75,11 +81,9 @@ class TransformerBlock(Module):
         """The block over packed rows (see
         :meth:`MultiHeadAttention.forward_rows`); with ``last_only`` only
         each row's last token leaves the block.  Returns ``(x, k, v)``."""
-        a, k, v = self.attn.forward_rows(
-            self.attn_norm.forward(x), rows, kp, vp, last_only
-        )
+        a, k, v = self.attn.forward_rows(self.attn_norm(x), rows, kp, vp, last_only)
         x = (x[rows.last] if last_only else x) + a
-        return x + self.mlp.forward(self.mlp_norm.forward(x)), k, v
+        return x + self.mlp(self.mlp_norm(x)), k, v
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         d_mid = self.mlp_norm.backward(self.mlp.backward(dout))
@@ -103,6 +107,12 @@ class TransformerLM(Module):
         cache = model.new_cache()
         logits = model.forward(prompt, cache=cache)          # prefill
         logits = model.forward(next_tok, start_pos=t, cache=cache)  # step
+
+    A forward with a cache, :meth:`prefill`, the batched scoring of
+    :meth:`next_token_logits_many`, :meth:`next_token_logits` and
+    :meth:`perplexity` run only the layers' pure calls: inference stashes
+    no activations and allocates no gradient buffers, so it may run
+    between a training forward and its :meth:`backward`.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0) -> None:
@@ -124,6 +134,7 @@ class TransformerLM(Module):
             "final_norm", RMSNorm(config.d_model, config.norm_eps)
         )
         self.lm_head: Optional[Linear] = None
+        self._tied_cache: Optional[np.ndarray] = None  # tied projection input
         if not config.tie_embeddings:
             self.lm_head = self.add_child(
                 "lm_head",
@@ -142,16 +153,27 @@ class TransformerLM(Module):
     ) -> np.ndarray:
         """Compute logits of shape ``(B, T, vocab)``.
 
-        ``tokens`` is ``(B, T)`` int array.  When ``cache`` is given the
-        forward is incremental (no training cache is kept).
+        ``tokens`` is ``(B, T)`` int array.  Without ``cache`` this is the
+        training forward, which stashes what :meth:`backward` reads.  With
+        ``cache`` the forward is incremental and pure: it extends the
+        cache and stashes nothing.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
+        if cache is not None:
+            x = self.embed(tokens)
+            for i, block in enumerate(self.blocks):
+                x = block(x, start_pos, cache[i])
+            return self._project_logits(x)
         x = self.embed.forward(tokens)
-        for i, block in enumerate(self.blocks):
-            x = block.forward(x, start_pos, cache[i] if cache is not None else None)
-        return self._project_logits(x)
+        for block in self.blocks:
+            x = block.forward(x, start_pos)
+        h = self.final_norm.forward(x)
+        if self.lm_head is not None:
+            return self.lm_head.forward(h)
+        self._tied_cache = h
+        return h @ self.embed.params["weight"].T
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Backpropagate from logits gradient; accumulates parameter grads."""
@@ -227,17 +249,17 @@ class TransformerLM(Module):
         targets: np.ndarray,
         mask: Optional[np.ndarray] = None,
     ) -> float:
-        logits = self.forward(tokens)
+        logits = self.forward(tokens, cache=self.new_cache())
         loss, _ = self.cross_entropy(logits, targets, mask)
         return float(np.exp(min(loss, 30.0)))
 
     def next_token_logits(self, tokens: np.ndarray) -> np.ndarray:
-        """Logits for the token following a single prompt (shape ``(vocab,)``)."""
-        tokens = np.asarray(tokens)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
-        logits = self.forward(tokens)
-        return logits[0, -1]
+        """Logits for the token following a single prompt (shape ``(vocab,)``).
+
+        A forward over an empty throwaway cache: the same bits as the
+        training forward (nothing to concatenate, mask offset 0), with
+        nothing stashed."""
+        return self.forward(tokens, cache=self.new_cache())[0, -1]
 
     # ------------------------------------------------------------------
     # prefill and batched scoring: hidden states at each row's last token
@@ -261,7 +283,7 @@ class TransformerLM(Module):
         stored in it read-only; otherwise ``cache`` is only read.
         """
         layout = PackedRows.of([len(r) for r in rows], start)
-        x = self.embed.forward(np.asarray([t for r in rows for t in r], dtype=np.int64))
+        x = self.embed(np.asarray([t for r in rows for t in r], dtype=np.int64))
         last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
             layer = cache[i] if cache is not None else {}
@@ -274,11 +296,11 @@ class TransformerLM(Module):
         return x
 
     def _project_logits(self, h: np.ndarray) -> np.ndarray:
-        """Final norm + vocab projection for already-gathered positions."""
-        h = self.final_norm.forward(h)
+        """Final norm + vocab projection for already-gathered positions;
+        pure, for inference."""
+        h = self.final_norm(h)
         if self.lm_head is not None:
-            return self.lm_head.forward(h)
-        self._tied_cache = h  # the tied projection's input, for backward
+            return self.lm_head(h)
         return h @ self.embed.params["weight"].T
 
     def prefill(self, token_ids: Sequence[int]) -> PrefixCache:

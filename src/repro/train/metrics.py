@@ -46,7 +46,8 @@ def corpus_perplexity(
     for start in range(0, windows.shape[0], batch_size):
         batch = windows[start : start + batch_size]
         inputs, targets = batch[:, :-1], batch[:, 1:]
-        logits = model.forward(inputs)
+        # a throwaway cache makes this the pure (inference) forward
+        logits = model.forward(inputs, cache=model.new_cache())
         loss, _ = model.cross_entropy(logits, targets)
         n = targets.size
         total_nll += loss * n

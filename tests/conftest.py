@@ -11,9 +11,35 @@ Every test belongs to exactly one tier (see ``docs/testing.md``):
 
 ``--strict-markers`` (set in ``pyproject.toml``) turns marker typos into
 collection errors instead of silently-unselected tests.
+
+It also holds the model the cache and decode-parity suites share.
 """
 
 import pytest
+
+from repro.model import ModelConfig, TransformerLM
+
+# how far a cached or batched path's logits may be from the full forward's
+ATOL = 1e-5
+
+
+def position_sensitive_model(seed=0):
+    """Three blocks at init std 0.1 instead of 0.02.
+
+    At std 0.02 attention is near uniform, so a token attended at the
+    wrong RoPE position barely moves the logits.  Here a decode step one
+    position early moves them by more than 100x ``ATOL`` (see
+    ``test_position_sensitive_fixture_margin`` in ``test_kv_cache.py``),
+    while the cached and batched paths still agree with the full forward
+    to well within it.
+    """
+    return TransformerLM(
+        ModelConfig(
+            vocab_size=120, d_model=32, n_layers=3, n_heads=4,
+            max_seq_len=96, init_std=0.1,
+        ),
+        seed=seed,
+    )
 
 _EXPLICIT_TIERS = ("slow", "faults")
 

@@ -1,0 +1,185 @@
+"""Inference carries no training state.
+
+Every inference entry point runs only the layers' pure calls: it stashes
+no activations for a backward, never sets the tied projection's input,
+and allocates no gradient buffer (those materialize on first access).
+So an inference call may run between a training forward and its
+backward without changing a single gradient bit.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.model import GenerationConfig, PrefixCacheStore, TransformerLM, generate
+from repro.model.config import scaled_config
+from repro.model.lora import LoRAConfig, apply_lora
+from repro.serve import InferenceRequest, RequestKind, ServeEngine
+from repro.train import corpus_perplexity
+
+VOCAB = 64
+ROW = np.array([[5, 17, 3, 42, 8, 29, 11, 60]])
+TARGETS = np.array([[17, 3, 42, 8, 29, 11, 60, 2]])
+OTHER = [9, 33, 21, 4, 50, 7, 13, 26]  # a different 8-token prompt
+KINDS = ["untied", "tied", "lora"]
+
+
+def make_model(kind):
+    model = TransformerLM(
+        scaled_config(VOCAB, "tiny", max_seq_len=64, tie_embeddings=kind == "tied"),
+        seed=7,
+    )
+    if kind == "lora":
+        apply_lora(model, LoRAConfig(rank=4), seed=1)
+    return model
+
+
+def generate_after(cover):
+    """``generate()`` whose store holds a prefill of ``OTHER[:cover]``
+    (``0``: an empty store, so the prompt misses)."""
+
+    def run(model):
+        store = PrefixCacheStore()
+        if cover:
+            store.put(model.prefill(OTHER[:cover]))
+        generate(model, OTHER, GenerationConfig(max_new_tokens=4), store=store)
+
+    return run
+
+
+def decode_step(model):
+    prefix = model.prefill(OTHER)
+    model.forward(np.array([[1]]), start_pos=len(OTHER), cache=prefix.fork())
+
+
+def engine_drain(model):
+    engine = ServeEngine(model)
+    engine.submit(
+        InferenceRequest(
+            request_id="g", prompt_ids=tuple(OTHER),
+            generation=GenerationConfig(max_new_tokens=4, temperature=0.8, seed=3),
+        )
+    )
+    engine.submit(
+        InferenceRequest(
+            request_id="s", prompt_ids=tuple(OTHER[:5]), kind=RequestKind.SCORE
+        )
+    )
+    engine.submit(
+        InferenceRequest(
+            request_id="h", prompt_ids=tuple(OTHER[:6]) + (2,),
+            generation=GenerationConfig(max_new_tokens=3),
+        )
+    )
+    assert len(engine.drain()) == 3
+
+
+ENTRY_POINTS = {
+    "cached_forward": lambda m: m.forward(np.array([OTHER]), cache=m.new_cache()),
+    "decode_step": decode_step,
+    "prefill": lambda m: m.prefill(OTHER),
+    "score_many": lambda m: m.next_token_logits_many([OTHER, OTHER[:3], [2]]),
+    "score_many_prefix": lambda m: m.next_token_logits_many(
+        [OTHER[4:], [], [2, 3]], m.prefill(OTHER[:4])
+    ),
+    "next_token_logits": lambda m: m.next_token_logits(np.array(OTHER)),
+    "perplexity": lambda m: m.perplexity(np.array([OTHER[:-1]]), np.array([OTHER[1:]])),
+    "corpus_perplexity": lambda m: corpus_perplexity(m, [OTHER, OTHER[:5]], 0, seq_len=6),
+    "generate_miss": generate_after(0),
+    "generate_partial_cover": generate_after(5),
+    "generate_exact_cover": generate_after(len(OTHER)),
+    "engine_drain": engine_drain,
+}
+
+
+def training_state(model):
+    """Names of modules holding a backward stash or gradient buffers."""
+    held = [f"{name or 'model'}._cache" for name, m in model.modules() if m._cache is not None]
+    held += [f"{name or 'model'}.grads" for name, m in model.modules() if m._grads]
+    if model._tied_cache is not None:
+        held.append("model._tied_cache")
+    return held
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_inference_leaves_no_training_state(kind, entry):
+    model = make_model(kind)
+    assert training_state(model) == []
+    ENTRY_POINTS[entry](model)
+    assert training_state(model) == []
+
+
+def step_gradients(model, interrupt=None):
+    """One training step's gradients, with ``interrupt(model)`` run
+    between the forward and the backward."""
+    loss, dlogits = model.cross_entropy(model.forward(ROW), TARGETS)
+    if interrupt is not None:
+        interrupt(model)
+    model.backward(dlogits)
+    return loss, model.named_gradients()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_inference_between_forward_and_backward_keeps_gradients(kind, entry):
+    want_loss, want = step_gradients(make_model(kind))
+    loss, got = step_gradients(make_model(kind), ENTRY_POINTS[entry])
+    np.testing.assert_array_equal(loss, want_loss)
+    assert got.keys() == want.keys()
+    changed = [name for name in want if not np.array_equal(got[name], want[name])]
+    assert changed == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pure_forward_matches_training_forward_bit_for_bit(kind):
+    """An empty cache has nothing to concatenate and a mask offset of 0,
+    so the pure forward gives the training forward's bits."""
+    model = make_model(kind)
+    tokens = np.random.default_rng(0).integers(1, VOCAB, size=(3, 20))
+    logits = model.forward(tokens)
+    assert np.array_equal(model.forward(tokens, cache=model.new_cache()), logits)
+    assert np.array_equal(model.next_token_logits(tokens[0]), logits[0, -1])
+    loss, _ = model.cross_entropy(logits, tokens)
+    np.testing.assert_array_equal(
+        model.perplexity(tokens, tokens), np.exp(min(loss, 30.0))
+    )
+
+
+def test_gradient_buffers_materialize_on_first_access():
+    model = make_model("untied")
+    assert not any(m._grads for _, m in model.modules())
+    grads = model.named_gradients()
+    params = model.named_parameters()
+    assert grads.keys() == params.keys()
+    for name, g in grads.items():
+        assert g.shape == params[name].shape and g.dtype == params[name].dtype
+        assert not g.any()
+    # made once: later accesses and backward reuse the same arrays
+    again = model.named_gradients()
+    assert all(again[name] is g for name, g in grads.items())
+    model.backward(model.cross_entropy(model.forward(ROW), TARGETS)[1])
+    assert all(model.named_gradients()[name] is g for name, g in grads.items())
+    assert grads["embed.weight"].any()
+
+
+def test_batched_scoring_keeps_no_activations():
+    """A multi-row ``next_token_logits_many`` keeps nothing once its
+    result is dropped.  Stashing every layer's activations kept 1.55 MB
+    here; the bound is 64 KB."""
+    model = TransformerLM(scaled_config(120, "tiny", max_seq_len=96), seed=0)
+    rng = np.random.default_rng(0)
+    prefix = model.prefill(rng.integers(1, 120, size=24).tolist())
+    rows = [rng.integers(1, 120, size=int(n)).tolist() for n in rng.integers(4, 20, size=16)]
+    model.next_token_logits_many(rows, prefix)  # one-time allocations
+    for p in (prefix, None):
+        tracemalloc.start()
+        try:
+            out = model.next_token_logits_many(rows, p)
+            assert out.shape == (16, 120)
+            del out
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024

@@ -14,6 +14,7 @@ from repro.model import (
     shared_prefix,
 )
 from repro.model.sampling import DecodeStream, open_prompt
+from tests.conftest import ATOL, position_sensitive_model
 
 
 def small_model(seed=0, vocab=120, max_seq_len=96):
@@ -26,25 +27,6 @@ def small_model(seed=0, vocab=120, max_seq_len=96):
     )
 
 
-def position_sensitive_model(seed=0):
-    """Three blocks at init std 0.1 instead of 0.02.
-
-    At std 0.02 attention is near uniform, so a token attended at the
-    wrong RoPE position barely moves the logits.  Here a decode step one
-    position early moves them by more than 100x ``ATOL`` (see
-    ``test_position_sensitive_fixture_margin``), while the cached and
-    batched paths still agree with the full forward to well within it.
-    """
-    return TransformerLM(
-        ModelConfig(
-            vocab_size=120, d_model=32, n_layers=3, n_heads=4,
-            max_seq_len=96, init_std=0.1,
-        ),
-        seed=seed,
-    )
-
-
-ATOL = 1e-5
 MODELS = {"small": small_model, "sensitive": position_sensitive_model}
 
 

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.model import ModelConfig, PrefixCacheStore, TransformerLM
-from repro.model.sampling import DecodeStream, GenerationConfig, generate
+from repro.model.sampling import (
+    DecodeStream,
+    GenerationConfig,
+    clamp_prompt,
+    generate,
+)
 from repro.serve import (
     AdmissionQueue,
     InferenceRequest,
@@ -31,6 +36,7 @@ from repro.serve import (
     WallClock,
 )
 from repro.serve.metrics import Counter, Histogram, ServeMetrics
+from tests.conftest import ATOL, position_sensitive_model
 
 
 def small_model(seed=0, vocab=64, max_seq_len=96):
@@ -63,6 +69,26 @@ def reference(model, prompt, config, store=None):
 def assert_bit_equal(steps, reference_steps):
     assert len(steps) == len(reference_steps)
     assert all(np.array_equal(a, b) for a, b in zip(steps, reference_steps))
+
+
+def assert_matches_full_forward(model, prompt, config, tokens, steps):
+    """Hold a decode to a reference that shares no code with it.
+
+    Each step's logits are recomputed by the no-cache full forward of the
+    (left-truncated) prompt plus the tokens emitted before it: no
+    ``open_prompt``, ``DecodeStream``, prefill or KV cache.  They must
+    agree within ``ATOL``, and a greedy decode must pick the full
+    forward's argmax at every step, so its tokens are the full-forward
+    greedy decode's.
+    """
+    seq = list(clamp_prompt(prompt, config.max_new_tokens, model.config.max_seq_len)[0])
+    assert len(steps) == len(tokens)
+    for tok, step in zip(tokens, steps):
+        full = model.forward(np.asarray([seq], dtype=np.int64))[0, -1]
+        np.testing.assert_allclose(step, full, rtol=0, atol=ATOL)
+        if config.temperature == 0.0:
+            assert tok == int(np.argmax(full))
+        seq.append(tok)
 
 
 @contextlib.contextmanager
@@ -296,9 +322,18 @@ class TestEngineLifecycle:
 
 
 class TestEngineGenerateParity:
-    """Engine decode is bit-equal to generate(): tokens and step logits."""
+    """Engine decode is bit-equal to generate(): tokens and step logits.
+
+    Both share the decode path, so each request is also held to the
+    no-cache full forward (:func:`assert_matches_full_forward`), on a model
+    where a position bug moves the logits far past ``ATOL``.
+    """
 
     PROMPT = (3, 5, 7, 9, 11, 13)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return position_sensitive_model(seed=3)
 
     SAMPLERS = [
         GenerationConfig(max_new_tokens=8, temperature=0.0),
@@ -335,6 +370,7 @@ class TestEngineGenerateParity:
             state = engine.drain()[0]
         assert list(state.output_ids) == tokens
         assert_bit_equal(recorded["r"], steps)
+        assert_matches_full_forward(model, self.PROMPT, config, tokens, steps)
         assert state.prefix_hit_tokens == covered
         # no prompt token is forwarded twice
         assert engine.metrics_snapshot()["prefill_tokens"] == len(self.PROMPT) - covered
@@ -360,6 +396,7 @@ class TestEngineGenerateParity:
             tokens, steps = reference(model, prompts[rid], config)
             assert list(engine.state_of(rid).output_ids) == tokens
             assert_bit_equal(recorded[rid], steps)
+            assert_matches_full_forward(model, prompts[rid], config, tokens, steps)
 
     def test_overlong_prompt_left_truncates_like_generate(self, model):
         config = GenerationConfig(max_new_tokens=6, temperature=0.0)
@@ -374,6 +411,7 @@ class TestEngineGenerateParity:
             state = engine.drain()[0]
         assert list(state.output_ids) == tokens
         assert_bit_equal(recorded["long"], steps)
+        assert_matches_full_forward(model, long_prompt, config, tokens, steps)
         assert state.finish_reason in ("length", "context")
 
     def test_score_matches_prefill_boundary_logits(self, model):

@@ -13,7 +13,9 @@ clock.  The properties, over *every* schedule hypothesis can dream up:
   bit-identical event log, metrics snapshot, and per-request outputs.
 
 The model is deliberately tiny and module-scoped: the properties are
-about the scheduler, not the transformer.
+about the scheduler, not the transformer.  The sampler-parity property
+is the exception: it decodes on the position-sensitive model, so its
+no-cache full-forward reference can see a cache or position bug.
 """
 
 import pytest
@@ -33,7 +35,13 @@ from repro.serve import (
     simulate,
 )
 from repro.model.sampling import GenerationConfig
-from tests.test_serve import assert_bit_equal, recording_step_logits, reference
+from tests.conftest import position_sensitive_model
+from tests.test_serve import (
+    assert_bit_equal,
+    assert_matches_full_forward,
+    recording_step_logits,
+    reference,
+)
 
 VOCAB = 48
 MAX_SEQ = 64
@@ -158,20 +166,27 @@ class TestSchedulerProperties:
 
 
 class TestSamplingProperties:
+    @pytest.fixture(scope="class")
+    def sensitive_model(self):
+        return position_sensitive_model(seed=3)
+
     @given(
+        temperature=st.sampled_from([0.0, 0.8]),
         top_p=st.floats(0.05, 1.0, allow_nan=False),
         top_k=st.integers(0, 12),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=25, deadline=None)
     def test_engine_matches_generate_under_any_sampler(
-        self, model, top_p, top_k, seed
+        self, sensitive_model, temperature, top_p, top_k, seed
     ):
         """Decode parity (tokens and step logits) is sampler-independent
-        (greedy, top-k, top-p)."""
+        (greedy, top-k, top-p), and every decode matches the no-cache full
+        forward."""
+        model = sensitive_model
         config = GenerationConfig(
-            max_new_tokens=5, temperature=0.8, top_k=top_k, top_p=top_p,
-            seed=seed,
+            max_new_tokens=5, temperature=temperature, top_k=top_k,
+            top_p=top_p, seed=seed,
         )
         prompt = [3, 5, 7, 9]
         tokens, steps = reference(model, prompt, config)
@@ -184,3 +199,4 @@ class TestSamplingProperties:
         with recording_step_logits(engine) as recorded:
             assert list(engine.drain()[0].output_ids) == tokens
         assert_bit_equal(recorded["r"], steps)
+        assert_matches_full_forward(model, prompt, config, tokens, steps)
