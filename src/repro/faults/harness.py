@@ -3,9 +3,10 @@
 Each adapter wraps one of the simulated distributed training paths behind
 the :class:`~repro.faults.recovery.FaultableLoop` protocol so a single
 :class:`~repro.faults.recovery.RecoveryManager` can drive any of them
-through a fault plan.  The adapters deliberately keep happy-path code in
-:mod:`repro.parallel` untouched — they only sequence existing phases
-(compute / norm / apply / save / load) and feed the injector's hooks.
+through a fault plan.  The adapters hold no training arithmetic of their
+own: they call the trainers' phases in :mod:`repro.parallel` (compute /
+norm / apply) and the checkpoint functions (save / load), and hand the
+trainers' communicators and gradients to the injector's hooks.
 
 Shared contract (what makes faulted runs bit-identically recoverable):
 
@@ -20,6 +21,7 @@ Shared contract (what makes faulted runs bit-identically recoverable):
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +40,7 @@ from repro.train.checkpointing import (
     save_state_arrays,
     save_training_state,
 )
-from repro.train.optimizer import AdamW, clip_grad_norm
+from repro.train.optimizer import AdamW, clip_grad_norm, grad_sq_sum
 from repro.utils.rng import new_rng
 
 
@@ -51,6 +53,18 @@ def _tiny_model_config(vocab_size: int = 64) -> ModelConfig:
         n_heads=2,
         max_seq_len=32,
     )
+
+
+def _state_views(model: TransformerLM, optimizer: AdamW) -> Dict[str, np.ndarray]:
+    """Parameters and AdamW moments by name, as the live arrays."""
+    return {**model.named_parameters(), **optimizer.moments()}
+
+
+def _fingerprint(model: TransformerLM, optimizer: AdamW) -> Dict[str, np.ndarray]:
+    """A copy of a model-plus-AdamW training state, for bit comparisons."""
+    out = {k: v.copy() for k, v in _state_views(model, optimizer).items()}
+    out["step_count"] = np.array([optimizer.step_count])
+    return out
 
 
 def _token_batch(
@@ -118,24 +132,16 @@ class DataParallelFaultLoop:
         meta = load_training_state(path, self.ddp.model, self.ddp.optimizers[0])
         # Mirror the restored rank-0 state onto every other replica, exactly
         # as real DDP re-broadcasts after restore.
-        state = self.ddp.model.state_copy()
         lead = self.ddp.optimizers[0]
+        lead_state = _state_views(self.ddp.model, lead)
         for replica, opt in zip(self.ddp.replicas[1:], self.ddp.optimizers[1:]):
-            replica.load_state(state)
-            for key in opt.m:
-                opt.m[key][...] = lead.m[key]
-                opt.v[key][...] = lead.v[key]
+            for key, arr in _state_views(replica, opt).items():
+                arr[...] = lead_state[key]
             opt.step_count = lead.step_count
         return int(meta["step"])
 
     def fingerprint(self) -> Dict[str, np.ndarray]:
-        out = {k: v.copy() for k, v in self.ddp.model.named_parameters().items()}
-        lead = self.ddp.optimizers[0]
-        for key in lead.m:
-            out[f"m::{key}"] = lead.m[key].copy()
-            out[f"v::{key}"] = lead.v[key].copy()
-        out["step_count"] = np.array([lead.step_count])
-        return out
+        return _fingerprint(self.ddp.model, self.ddp.optimizers[0])
 
 
 class TensorParallelFaultLoop:
@@ -211,14 +217,12 @@ class TensorParallelFaultLoop:
 
 
 class PipelineFaultLoop:
-    """Two-stage (or deeper) pipeline executor behind the protocol.
+    """Two-stage (or deeper) :class:`PipelinedModel` behind the protocol.
 
-    Unlike :meth:`PipelinedModel.train_step`, stage-boundary activations
-    and gradients move through :meth:`Communicator.point_to_point`, which
-    is where the injector's transient/degraded-link faults live for the
-    pipeline mesh.  The arithmetic is unchanged — ``point_to_point``
-    returns a bit-exact copy — so the clean run still matches monolithic
-    training.
+    ``compute_step`` is :meth:`PipelinedModel.train_step` from zeroed
+    gradients.  Its stage-boundary activations and gradients move through
+    the pipeline's own communicator, which is where the injector's
+    transient/degraded-link faults live for the pipeline mesh.
     """
 
     name = "pp"
@@ -245,7 +249,6 @@ class PipelineFaultLoop:
         self.model: Optional[TransformerLM] = None
         self.pipe: Optional[PipelinedModel] = None
         self.optimizer: Optional[AdamW] = None
-        self.comm: Optional[Communicator] = None
 
     def build(self) -> None:
         self.model = TransformerLM(self.model_config, seed=self.seed)
@@ -253,11 +256,9 @@ class PipelineFaultLoop:
         self.optimizer = AdamW(
             self.model.named_parameters(), self.model.named_gradients()
         )
-        mesh = DeviceMesh(1, self.n_stages)
-        self.comm = Communicator(mesh)
 
     def communicators(self) -> Sequence[Communicator]:
-        return [self.comm]
+        return [self.pipe.comm]
 
     def gradient_shards(self) -> Sequence[dict]:
         return [self.model.named_gradients()]
@@ -268,29 +269,10 @@ class PipelineFaultLoop:
             self.model_config.vocab_size,
         )
         self.model.zero_grad()
-        micro_in = np.split(x, self.n_microbatches)
-        micro_t = np.split(t, self.n_microbatches)
-        total_loss = 0.0
-        for mx, mt in zip(micro_in, micro_t):
-            act = mx
-            for s in range(self.n_stages):
-                if s > 0:
-                    act = self.comm.point_to_point(act, s - 1, s)
-                act = self.pipe._forward_stage(s, act)
-            loss, dlogits = self.model.cross_entropy(act, mt)
-            total_loss += loss / self.n_microbatches
-            grad = dlogits / self.n_microbatches
-            for s in reversed(range(self.n_stages)):
-                grad = self.pipe._backward_stage(s, grad)
-                if s > 0:
-                    grad = self.comm.point_to_point(grad, s, s - 1)
-        return float(total_loss)
+        return float(self.pipe.train_step(x, t, self.n_microbatches))
 
     def grad_norm(self) -> float:
-        total = 0.0
-        for g in self.model.named_gradients().values():
-            total += float(np.sum(g.astype(np.float64) ** 2))
-        return float(np.sqrt(total))
+        return math.sqrt(grad_sq_sum(self.model.named_gradients()))
 
     def apply_step(self, step: int) -> None:
         clip_grad_norm(self.model.named_gradients(), self.clip_norm)
@@ -304,12 +286,7 @@ class PipelineFaultLoop:
         return int(meta["step"])
 
     def fingerprint(self) -> Dict[str, np.ndarray]:
-        out = {k: v.copy() for k, v in self.model.named_parameters().items()}
-        for key in self.optimizer.m:
-            out[f"m::{key}"] = self.optimizer.m[key].copy()
-            out[f"v::{key}"] = self.optimizer.v[key].copy()
-        out["step_count"] = np.array([self.optimizer.step_count])
-        return out
+        return _fingerprint(self.model, self.optimizer)
 
 
 def run_clean(loop, total_steps: int) -> Tuple[List[float], Dict[str, np.ndarray]]:

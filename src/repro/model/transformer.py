@@ -169,14 +169,29 @@ class TransformerLM(Module):
         x = self.embed.forward(tokens)
         for block in self.blocks:
             x = block.forward(x, start_pos)
+        return self.head_forward(x)
+
+    def backward(self, dlogits: np.ndarray) -> None:
+        """Backpropagate from logits gradient; accumulates parameter grads."""
+        dx = self.head_backward(dlogits)
+        for block in reversed(self.blocks):
+            dx = block.backward(dx)
+        self.embed.backward(dx)
+
+    def head_forward(self, x: np.ndarray) -> np.ndarray:
+        """Training forward of the head: final norm, then the LM head or
+        the tied embedding projection.  Stashes what :meth:`head_backward`
+        reads; the pipeline's last stage calls it too."""
         h = self.final_norm.forward(x)
         if self.lm_head is not None:
             return self.lm_head.forward(h)
         self._tied_cache = h
         return h @ self.embed.params["weight"].T
 
-    def backward(self, dlogits: np.ndarray) -> None:
-        """Backpropagate from logits gradient; accumulates parameter grads."""
+    def head_backward(self, dlogits: np.ndarray) -> np.ndarray:
+        """Backward of :meth:`head_forward`: accumulates the head's (or the
+        tied embedding's) gradient and returns the gradient at the final
+        norm's input."""
         if self.lm_head is not None:
             dx = self.lm_head.backward(dlogits)
         else:
@@ -187,10 +202,7 @@ class TransformerLM(Module):
                 @ x.reshape(-1, x.shape[-1])
             )
             dx = dlogits @ W
-        dx = self.final_norm.backward(dx)
-        for block in reversed(self.blocks):
-            dx = block.backward(dx)
-        self.embed.backward(dx)
+        return self.final_norm.backward(dx)
 
     # ------------------------------------------------------------------
     @staticmethod

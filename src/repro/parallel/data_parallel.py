@@ -13,6 +13,7 @@ from which the scaling benchmarks compute parallel efficiency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
@@ -22,7 +23,8 @@ from repro.model.config import ModelConfig
 from repro.model.transformer import TransformerLM
 from repro.parallel.collectives import Communicator, RingCostModel
 from repro.parallel.mesh import DeviceMesh
-from repro.train.optimizer import AdamW, clip_grad_norm
+from repro.parallel.zero_optimizer import flatten_params, unflatten_into
+from repro.train.optimizer import AdamW, clip_grad_norm, grad_sq_sum
 from repro.train.schedule import CosineSchedule
 
 
@@ -105,12 +107,7 @@ class DataParallelTrainer:
             raise ValueError(
                 f"global batch {inputs.shape[0]} not divisible by world size {world}"
             )
-        return [
-            (shard_in, shard_t)
-            for shard_in, shard_t in zip(
-                np.split(inputs, world), np.split(targets, world)
-            )
-        ]
+        return list(zip(np.split(inputs, world), np.split(targets, world)))
 
     def compute_gradients(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """Forward/backward on every shard + gradient all-reduce.
@@ -127,25 +124,16 @@ class DataParallelTrainer:
         for replica, (x, t) in zip(self.replicas, shards):
             replica.zero_grad()
             losses.append(replica.loss_and_backward(x, t))
-            grads = replica.named_gradients()
-            flat_grads.append(
-                np.concatenate([g.reshape(-1) for g in grads.values()])
-            )
+            flat, layout = flatten_params(replica.named_gradients())
+            flat_grads.append(flat)
         reduced = self.comm.all_reduce(flat_grads, op="mean")
         for replica, flat in zip(self.replicas, reduced):
-            grads = replica.named_gradients()
-            offset = 0
-            for g in grads.values():
-                g[...] = flat[offset : offset + g.size].reshape(g.shape)
-                offset += g.size
+            unflatten_into(flat, layout, replica.named_gradients())
         return float(np.mean(losses))
 
     def grad_norm(self) -> float:
         """Global L2 norm of the (reduced, identical) rank-0 gradients."""
-        total = 0.0
-        for g in self.replicas[0].named_gradients().values():
-            total += float(np.sum(g.astype(np.float64) ** 2))
-        return float(np.sqrt(total))
+        return math.sqrt(grad_sq_sum(self.replicas[0].named_gradients()))
 
     def apply_gradients(self) -> float:
         """Clip and apply the identical optimizer step on every replica;

@@ -13,8 +13,9 @@ Two layers:
 
 2. **Exact executor** — :class:`PipelinedModel` partitions a trained
    :class:`~repro.model.transformer.TransformerLM` into stage submodules and
-   runs microbatched forward/backward whose accumulated gradients are
-   numerically identical to monolithic training (asserted by tests).
+   runs microbatched forward/backward, moving every stage boundary through
+   its communicator, whose accumulated gradients are bit-identical to
+   monolithic training (asserted by tests).
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.model.transformer import TransformerLM
+from repro.parallel.collectives import Communicator
+from repro.parallel.mesh import DeviceMesh
 
 
 @dataclass(frozen=True)
@@ -169,11 +172,14 @@ class PipelinedModel:
     """Partition a ``TransformerLM`` into stages and train microbatched.
 
     Stage 0 owns the embedding plus its block span; the last stage owns the
-    final norm and LM head.  ``train_step`` accumulates gradients across
-    microbatches exactly as the monolithic model would (each microbatch's
-    forward is immediately followed by its backward so single-slot layer
-    caches remain valid; the *schedule* objects above model the concurrent
-    timeline a real pipeline would achieve).
+    model's training head (final norm and LM head).  ``train_step``
+    accumulates gradients across microbatches exactly as the monolithic
+    model would (each microbatch's forward is immediately followed by its
+    backward so single-slot layer caches remain valid; the *schedule*
+    objects above model the concurrent timeline a real pipeline would
+    achieve).  Stage boundaries cross ``self.comm`` (one rank per stage) by
+    ``point_to_point``, which returns a bit-exact copy: its ledger counts
+    the traffic, and it is where link faults are injected.
     """
 
     def __init__(self, model: TransformerLM, n_stages: int) -> None:
@@ -183,6 +189,7 @@ class PipelinedModel:
             )
         self.model = model
         self.n_stages = n_stages
+        self.comm = Communicator(DeviceMesh(1, n_stages))
         n_blocks = len(model.blocks)
         base, extra = divmod(n_blocks, n_stages)
         self.stage_spans: List[Tuple[int, int]] = []
@@ -213,28 +220,14 @@ class PipelinedModel:
         for b in range(lo, hi):
             x = self.model.blocks[b].forward(x)
         if s == self.n_stages - 1:
-            x = self.model.final_norm.forward(x)
-            if self.model.lm_head is not None:
-                x = self.model.lm_head.forward(x)
-            else:
-                self.model._tied_cache = x
-                x = x @ self.model.embed.params["weight"].T
+            x = self.model.head_forward(x)
         return x
 
     def _backward_stage(self, s: int, dout: np.ndarray) -> Optional[np.ndarray]:
         lo, hi = self.stage_spans[s]
         dx = dout
         if s == self.n_stages - 1:
-            if self.model.lm_head is not None:
-                dx = self.model.lm_head.backward(dx)
-            else:
-                W = self.model.embed.params["weight"]
-                cached = self.model._tied_cache
-                self.model.embed.grads["weight"] += (
-                    dx.reshape(-1, dx.shape[-1]).T @ cached.reshape(-1, cached.shape[-1])
-                )
-                dx = dx @ W
-            dx = self.model.final_norm.backward(dx)
+            dx = self.model.head_backward(dx)
         for b in reversed(range(lo, hi)):
             dx = self.model.blocks[b].backward(dx)
         if s == 0:
@@ -262,10 +255,14 @@ class PipelinedModel:
         for x, t in zip(micro_in, micro_t):
             act = x
             for s in range(self.n_stages):
+                if s > 0:
+                    act = self.comm.point_to_point(act, s - 1, s)
                 act = self._forward_stage(s, act)
             loss, dlogits = self.model.cross_entropy(act, t)
             total_loss += loss / n_microbatches
             grad = dlogits / n_microbatches
             for s in reversed(range(self.n_stages)):
                 grad = self._backward_stage(s, grad)
+                if s > 0:
+                    grad = self.comm.point_to_point(grad, s, s - 1)
         return total_loss

@@ -23,13 +23,14 @@ simulated via the communicator's cost model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.parallel.collectives import Communicator
-from repro.train.optimizer import AdamW
+from repro.train.optimizer import AdamW, clip_to_norm, grad_sq_sum
 from repro.utils.rng import new_rng
 
 
@@ -209,24 +210,15 @@ class TensorParallelMLPTrainer:
 
     def grad_norm(self) -> float:
         """Global L2 norm over every shard (one scalar all-reduce)."""
-        sq_sums = [
-            np.array(
-                [sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values())]
-            )
-            for grads in self.shard_grads
-        ]
+        sq_sums = [np.array([grad_sq_sum(grads)]) for grads in self.shard_grads]
         total = self.comm.all_reduce(sq_sums, "sum")[0]
-        return float(np.sqrt(total[0]))
+        return math.sqrt(total[0])
 
     def apply_gradients(self, lr: float) -> float:
         """Global-norm clip then the per-shard AdamW step; returns the norm."""
         norm = self.grad_norm()
-        if self.clip_norm > 0 and norm > self.clip_norm:
-            scale = self.clip_norm / (norm + 1e-12)
-            for grads in self.shard_grads:
-                for g in grads.values():
-                    g *= scale
-        for optimizer in self.optimizers:
+        for grads, optimizer in zip(self.shard_grads, self.optimizers):
+            clip_to_norm(grads, norm, self.clip_norm)
             optimizer.step(lr)
         return norm
 
@@ -235,21 +227,16 @@ class TensorParallelMLPTrainer:
         """Flat named-array snapshot: shard params + AdamW moments."""
         out: Dict[str, np.ndarray] = {}
         for r, (params, opt) in enumerate(zip(self.shard_params, self.optimizers)):
-            for key, arr in params.items():
-                out[f"rank{r}::param::{key}"] = arr
-            for key, arr in opt.m.items():
-                out[f"rank{r}::m::{key}"] = arr
-            for key, arr in opt.v.items():
-                out[f"rank{r}::v::{key}"] = arr
+            state = {f"param::{k}": a for k, a in params.items()}
+            state.update(opt.moments())
+            out.update((f"rank{r}::{k}", a) for k, a in state.items())
         return out
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray], step_count: int) -> None:
         """Restore a :meth:`state_arrays` snapshot bit-exactly."""
-        for r, (params, opt) in enumerate(zip(self.shard_params, self.optimizers)):
-            for key in params:
-                params[key][...] = arrays[f"rank{r}::param::{key}"]
-                opt.m[key][...] = arrays[f"rank{r}::m::{key}"]
-                opt.v[key][...] = arrays[f"rank{r}::v::{key}"]
+        for key, arr in self.state_arrays().items():
+            arr[...] = arrays[key]
+        for opt in self.optimizers:
             opt.step_count = int(step_count)
 
 

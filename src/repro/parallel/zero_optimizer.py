@@ -11,8 +11,11 @@ paper's LMFlow delegate to ZeRO.  Stage 1 shards the *optimizer state*
 3. each rank applies AdamW to its shard (1/R of the moment memory);
 4. updated shards are **all-gathered** back into full parameters.
 
-The result is numerically identical to plain data-parallel AdamW (the
-tests assert bit-level agreement up to float summation order) with the
+Step 3 is the dense optimizer's own :func:`~repro.train.optimizer.adamw_update`
+applied to each parameter's slice of the shard, with the same
+:func:`~repro.train.optimizer.decays` rule judged on the parameter's
+unflattened shape, so the result is bit-identical to plain data-parallel
+AdamW on the mean gradients (the tests assert ``array_equal``) with the
 optimizer memory divided by the rank count — which
 :func:`zero1_memory_per_rank` quantifies against the cluster model's
 node-memory threshold.
@@ -26,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.parallel.collectives import Communicator
+from repro.train.optimizer import adamw_update, decays
 
 ParamDict = Dict[str, np.ndarray]
 
@@ -114,27 +118,21 @@ class Zero1AdamW:
         grad_shards = self.comm.reduce_scatter(padded_grads, op="mean")
 
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.betas[0] ** t
-        bc2 = 1.0 - self.betas[1] ** t
-        world = self.comm.size
-        shard_size = self._padded // world
-        param_padded = self._pad(flat_param)
-        updated_shards: List[np.ndarray] = []
-        for r in range(world):
-            lo = r * shard_size
-            p = param_padded[lo : lo + shard_size].copy()
-            g = grad_shards[r]
+        # flat_param is a fresh copy, so each rank updates its shard in place
+        param_shards = np.split(self._pad(flat_param), self.comm.size)
+        for r, (p, g) in enumerate(zip(param_shards, grad_shards)):
             m, v = self._m_shards[r], self._v_shards[r]
-            m *= self.betas[0]
-            m += (1 - self.betas[0]) * g
-            v *= self.betas[1]
-            v += (1 - self.betas[1]) * (g * g)
-            if self.weight_decay > 0:
-                p -= lr * self.weight_decay * p
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            updated_shards.append(p)
-        gathered = self.comm.all_gather(updated_shards)[0]
+            # each parameter's part of this shard; padding is never updated
+            for _, offset, shape in layout:
+                a = max(offset - r * p.size, 0)
+                b = min(offset + int(np.prod(shape)) - r * p.size, p.size)
+                if a < b:
+                    adamw_update(
+                        p[a:b], g[a:b], m[a:b], v[a:b], lr, self.step_count,
+                        self.betas, self.eps,
+                        self.weight_decay if decays(shape) else 0.0,
+                    )
+        gathered = self.comm.all_gather(param_shards)[0]
         unflatten_into(gathered[: flat_param.size], layout, params)
 
     # ------------------------------------------------------------------

@@ -121,12 +121,7 @@ def save_training_state(
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(path / "model.npz", **model.named_parameters())
-    moments = {}
-    for key, arr in optimizer.m.items():
-        moments[f"m::{key}"] = arr
-    for key, arr in optimizer.v.items():
-        moments[f"v::{key}"] = arr
-    np.savez_compressed(path / "optimizer.npz", **moments)
+    np.savez_compressed(path / "optimizer.npz", **optimizer.moments())
     meta = {
         "format_version": _FORMAT_VERSION,
         "step": int(step),
@@ -168,17 +163,15 @@ def load_training_state(
         )
     with np.load(path / "model.npz") as data:
         model.load_state({k: data[k] for k in data.files})
+    moments = optimizer.moments()
     with np.load(path / "optimizer.npz") as data:
-        m_keys = {k[3:] for k in data.files if k.startswith("m::")}
-        if m_keys != set(optimizer.m):
+        if set(data.files) != set(moments):
             raise KeyError("optimizer state keys do not match checkpoint")
-        for key in optimizer.m:
-            src_m = data[f"m::{key}"]
-            src_v = data[f"v::{key}"]
-            if src_m.shape != optimizer.m[key].shape:
+        for key, arr in moments.items():
+            src = data[key]
+            if src.shape != arr.shape:
                 raise ValueError(f"moment shape mismatch for {key}")
-            optimizer.m[key][...] = src_m
-            optimizer.v[key][...] = src_v
+            arr[...] = src
     optimizer.step_count = int(meta["optimizer_step_count"])
     return meta
 

@@ -232,11 +232,20 @@ class TestPipelineSchedules:
 
 
 class TestPipelinedModel:
-    def test_matches_monolithic_gradients(self):
-        cfg = ModelConfig(vocab_size=32, d_model=16, n_layers=4, n_heads=2, max_seq_len=16)
+    @pytest.mark.parametrize("tie", [True, False])
+    @pytest.mark.parametrize("n_stages", [2, 4])
+    def test_matches_monolithic_gradients(self, n_stages, tie):
+        """Loss and every gradient bit-identical to the monolithic model,
+        with each stage boundary crossing the communicator once per
+        microbatch in each direction."""
+        cfg = ModelConfig(
+            vocab_size=32, d_model=16, n_layers=4, n_heads=2, max_seq_len=16,
+            tie_embeddings=tie,
+        )
         mono = TransformerLM(cfg, seed=5)
         piped = TransformerLM(cfg, seed=5)
-        pipe = PipelinedModel(piped, n_stages=2)
+        pipe = PipelinedModel(piped, n_stages=n_stages)
+        n_micro = 4
 
         rng = np.random.default_rng(0)
         x = rng.integers(1, 32, size=(4, 8))
@@ -244,19 +253,22 @@ class TestPipelinedModel:
 
         mono.zero_grad()
         loss_mono = 0.0
-        for xm, tm in zip(np.split(x, 4), np.split(t, 4)):
+        for xm, tm in zip(np.split(x, n_micro), np.split(t, n_micro)):
             logits = mono.forward(xm)
             loss, dl = mono.cross_entropy(logits, tm)
-            mono.backward(dl / 4)
-            loss_mono += loss / 4
+            mono.backward(dl / n_micro)
+            loss_mono += loss / n_micro
 
         piped.zero_grad()
-        loss_pipe = pipe.train_step(x, t, n_microbatches=4)
-        assert loss_pipe == pytest.approx(loss_mono, rel=1e-5)
+        loss_pipe = pipe.train_step(x, t, n_microbatches=n_micro)
+        assert loss_pipe == loss_mono
 
         g1, g2 = mono.named_gradients(), piped.named_gradients()
+        assert list(g1) == list(g2)
         for k in g1:
-            np.testing.assert_allclose(g1[k], g2[k], rtol=1e-4, atol=1e-6)
+            np.testing.assert_array_equal(g1[k], g2[k], err_msg=k)
+        p2p = pipe.comm.stats.per_op_calls["point_to_point"]
+        assert p2p == 2 * (n_stages - 1) * n_micro
 
     def test_stage_parameter_counts_sum(self):
         cfg = ModelConfig(vocab_size=32, d_model=16, n_layers=4, n_heads=2, max_seq_len=16)
