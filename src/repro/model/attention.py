@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.model.layers import Linear, Module, softmax
+from repro.model.workspace import Workspace, workspace
 
 NEG_INF = np.float32(-1e9)
 
@@ -48,14 +49,20 @@ class RotaryEmbedding:
 
     @staticmethod
     def _rotate(
-        x: np.ndarray, cos: np.ndarray, sin: np.ndarray, inverse: bool = False
+        x: np.ndarray,
+        cos: np.ndarray,
+        sin: np.ndarray,
+        inverse: bool = False,
+        out: Optional[np.ndarray] = None,
+        swapped: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """``x*cos + rotate_half(x)*sin`` (``-`` if ``inverse``), ``sin``
-        signed."""
+        signed; the result and the half-swapped copy of ``x`` are written
+        into ``out`` and ``swapped`` when given."""
         half = x.shape[-1] // 2
-        t = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
+        t = np.concatenate([x[..., half:], x[..., :half]], axis=-1, out=swapped)
         t *= sin
-        out = x * cos
+        out = np.multiply(x, cos, out=out)
         if inverse:
             out -= t
         else:
@@ -75,16 +82,26 @@ class RotaryEmbedding:
         sin = self.sin_signed[start_pos : start_pos + T]
         return self._rotate(x, cos, sin)
 
-    def apply_at(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    def apply_at(
+        self,
+        x: np.ndarray,
+        positions: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Rotate ``x`` of shape (M, H, head_dim) whose row ``m`` sits at
-        absolute position ``positions[m]``."""
+        absolute position ``positions[m]``; written into ``out`` when
+        given, with the temporary in the thread's workspace."""
         if positions.max(initial=0) >= self.max_seq_len:
             raise ValueError(
                 f"position {positions.max()} exceeds max_seq_len={self.max_seq_len}"
             )
         cos = self.cos[positions][:, None, :]
         sin = self.sin_signed[positions][:, None, :]
-        return self._rotate(x, cos, sin)
+        if out is None:
+            return self._rotate(x, cos, sin)
+        with workspace().scope() as ws:
+            swapped = ws.take(x.shape, x.dtype)
+            return self._rotate(x, cos, sin, out=out, swapped=swapped)
 
     def apply_backward(self, dout: np.ndarray, start_pos: int = 0) -> np.ndarray:
         """Gradient of :meth:`apply` (the rotation is orthogonal: R^T = -R)."""
@@ -92,6 +109,13 @@ class RotaryEmbedding:
         cos = self.cos[start_pos : start_pos + T]
         sin = self.sin_signed[start_pos : start_pos + T]
         return self._rotate(dout, cos, sin, inverse=True)
+
+
+def _frozen_copy(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a`` with ``a``'s memory layout."""
+    a = a.copy(order="K")
+    a.flags.writeable = False
+    return a
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,20 +159,22 @@ class PackedRows(NamedTuple):
     def padded(self) -> bool:
         return self.offsets.size < self.lengths.size * self.width
 
-    def pad(self, x: np.ndarray) -> np.ndarray:
+    def pad(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Packed ``(N, H, hd)`` -> head-major ``(B, H, width, hd)``, zeros
-        in the pad slots."""
-        B, T = self.lengths.size, self.width
+        in the pad slots: a view of ``out`` (``(B * width, H, hd)``)."""
         if self.padded:
-            out = np.zeros((B * T,) + x.shape[1:], dtype=x.dtype)
+            out.fill(0)
             out[self.slots] = x
-            x = out
-        return x.reshape((B, T) + x.shape[1:]).transpose(0, 2, 1, 3)
+        else:
+            out[...] = x
+        B, T = self.lengths.size, self.width
+        return out.reshape((B, T) + out.shape[1:]).transpose(0, 2, 1, 3)
 
-    def unpad(self, x: np.ndarray) -> np.ndarray:
-        """Padded ``(B, width, d)`` -> packed ``(N, d)``."""
+    def unpad(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Padded ``(B, width, d)`` -> packed ``(N, d)``, gathered into
+        ``out``."""
         x = x.reshape(-1, x.shape[-1])
-        return x[self.slots] if self.padded else x
+        return np.take(x, self.slots, axis=0, out=out, mode="clip")
 
 
 class MultiHeadAttention(Module):
@@ -254,31 +280,60 @@ class MultiHeadAttention(Module):
         kp: Optional[np.ndarray],
         vp: Optional[np.ndarray],
         last_only: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Attention over packed rows ``x`` of shape ``(N, d)``.
+        out: np.ndarray,
+        store: Optional[Dict[str, np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Attention over packed rows ``x`` of shape ``(N, d)``, written
+        into ``out``.
 
         ``kp``/``vp`` are a read-only prefix of batch 1 that every row
         continues.  Keys and values are computed for every real token;
         with ``last_only`` the queries, the attention and ``wo`` run only
-        at each row's last token and the output is ``(B, d)``, else it is
-        ``(N, d)``.  Returns ``(out, k, v)`` with ``k``/``v`` the rows' own
-        ``(B, H, width, hd)`` keys/values (zeros in pad slots).
+        at each row's last token and ``out`` is ``(B, d)``, else it is
+        ``(N, d)``.  Every temporary lives in the thread's workspace.
+        With ``store``, the rows' own ``(B, H, width, hd)`` keys/values
+        (zeros in pad slots) are stored in it as ``"k"``/``"v"``: fresh
+        copies, read-only.
         """
-        H, hd = self.n_heads, self.head_dim
+        H, hd, D = self.n_heads, self.head_dim, self.d_model
+        B, T = rows.lengths.size, rows.width
         pos = rows.start + rows.offsets
-        k = rows.pad(self.rope.apply_at(self.wk(x).reshape(-1, H, hd), pos))
-        v = rows.pad(self.wv(x).reshape(-1, H, hd))
-        if last_only:
-            q_t = rows.lengths - 1
-            q = self.wq(x[rows.last]).reshape(-1, H, hd)
-            q = self.rope.apply_at(q, rows.start + q_t)[:, :, None, :]  # (B,H,1,hd)
-            ctx = self._shared_prefix_attention(q, k, v, kp, vp, q_t[:, None])
-            return self.wo(ctx.reshape(-1, self.d_model)), k, v
-        q = rows.pad(self.rope.apply_at(self.wq(x).reshape(-1, H, hd), pos))
-        ctx = self._shared_prefix_attention(
-            q, k, v, kp, vp, np.arange(rows.width)[None, :]
-        )
-        return self.wo(rows.unpad(self._merge_heads(ctx))), k, v
+        with workspace().scope() as ws:
+            k = ws.take((B * T, H, hd), x.dtype)
+            v = ws.take((B * T, H, hd), x.dtype)
+            with ws.scope():
+                k = rows.pad(self._rotated(self.wk, x, pos, ws), k)
+                proj = self.wv(x, out=ws.take(x.shape, x.dtype))
+                v = rows.pad(proj.reshape(-1, H, hd), v)
+            if store is not None:
+                store["k"], store["v"] = _frozen_copy(k), _frozen_copy(v)
+            if last_only:
+                q_t = rows.lengths - 1
+                q = self.wq(x[rows.last]).reshape(-1, H, hd)
+                q = self.rope.apply_at(q, rows.start + q_t)[:, :, None, :]  # (B,H,1,hd)
+                hidden = np.arange(T) > q_t[:, None, None, None]
+                mask = np.where(hidden, NEG_INF, np.float32(0.0))  # (B,1,1,T)
+                ctx = self._shared_prefix_attention(q, k, v, kp, vp, mask, ws)
+                return self.wo(ctx.reshape(-1, D), out=out)
+            q = ws.take((B * T, H, hd), x.dtype)
+            with ws.scope():
+                q = rows.pad(self._rotated(self.wq, x, pos, ws), q)
+            # full rows: query t sits at position t of its row
+            mask = causal_mask(self.rope.max_seq_len)[:T, :T]
+            ctx = self._shared_prefix_attention(q, k, v, kp, vp, mask, ws)
+            merged = ws.take((B, T, H, hd), x.dtype)
+            np.copyto(merged, ctx.transpose(0, 2, 1, 3))
+            flat = rows.unpad(merged.reshape(B, T, D), ws.take(x.shape, x.dtype))
+            return self.wo(flat, out=out)
+
+    def _rotated(
+        self, proj: Linear, x: np.ndarray, pos: np.ndarray, ws: Workspace
+    ) -> np.ndarray:
+        """``proj(x)`` split into heads and rotated to ``pos``: ``(N, H,
+        hd)``, in ``ws``."""
+        h = proj(x, out=ws.take(x.shape, x.dtype))
+        h = h.reshape(-1, self.n_heads, self.head_dim)
+        return self.rope.apply_at(h, pos, out=ws.take(h.shape, h.dtype))
 
     def _shared_prefix_attention(
         self,
@@ -287,42 +342,55 @@ class MultiHeadAttention(Module):
         v: np.ndarray,
         kp: Optional[np.ndarray],
         vp: Optional[np.ndarray],
-        q_t: np.ndarray,
+        mask: np.ndarray,
+        ws: Workspace,
     ) -> np.ndarray:
         """Two-block attention of padded rows against a shared prefix.
 
-        ``q`` is ``(B, H, Tq, hd)``: each row's queries, at positions
-        ``q_t`` (``(B, Tq)`` or ``(1, Tq)``) within the row's own block
-        ``k``/``v`` of ``(B, H, T, hd)``.  A query sees its row's keys
-        ``0..q_t``, so keys in the pad slots after a row's last token are
-        always masked.  ``kp``/``vp`` (batch 1, or None) precede every
-        row: prefix scores run as ``H`` large head-major gemms instead of
-        ``B*H`` tiny per-row ones, the softmax normalization is fused
-        across the two key blocks (flash-attention style), and the
-        concatenated ``(B, H, Tp+T, hd)`` key/value tensors are never
-        materialized.  Numerically this matches one softmax over the
-        concatenated keys up to float32 summation order.
+        ``q`` is ``(B, H, Tq, hd)``: each row's queries against the row's
+        own block ``k``/``v`` of ``(B, H, T, hd)``, under the additive
+        ``mask`` (broadcast to ``(B, H, Tq, T)``), which hides the keys
+        after each query, pad slots included.  ``kp``/``vp`` (batch 1,
+        or None) precede every row: prefix scores run as ``H`` large
+        head-major gemms instead of ``B*H`` tiny per-row ones, the
+        softmax normalization is fused across the two key blocks
+        (flash-attention style), and the concatenated ``(B, H, Tp+T,
+        hd)`` key/value tensors are never materialized.  Numerically this
+        matches one softmax over the concatenated keys up to float32
+        summation order.  Every temporary lives in ``ws``, and so does
+        the returned ``(B, H, Tq, hd)`` context.
         """
         B, H, Tq, hd = q.shape
-        sn = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B, H, Tq, T)
-        hidden = np.arange(k.shape[2]) > q_t[:, :, None]  # (B|1, Tq, T)
-        sn += np.where(hidden, NEG_INF, np.float32(0.0))[:, None]
+        sn = ws.take((B, H, Tq, k.shape[2]), q.dtype)
+        np.matmul(q, k.transpose(0, 1, 3, 2), out=sn)
+        sn *= self.scale
+        sn += mask
         if kp is None:
-            return softmax(sn, axis=-1) @ v
-        qh = (q * self.scale).transpose(1, 0, 2, 3).reshape(H, B * Tq, hd)
-        sp = qh @ kp[0].transpose(0, 2, 1)  # (H, B*Tq, Tp)
-        m = np.maximum(
-            sp.max(axis=-1), sn.max(axis=-1).transpose(1, 0, 2).reshape(H, B * Tq)
-        )  # (H, B*Tq)
-        np.exp(sp - m[:, :, None], out=sp)
-        np.exp(sn - m.reshape(H, B, Tq).transpose(1, 0, 2)[..., None], out=sn)
-        denom = sp.sum(axis=-1) + sn.sum(axis=-1).transpose(1, 0, 2).reshape(
-            H, B * Tq
-        )
-        ctx = sp @ vp[0]  # (H, B*Tq, hd)
-        ctx += (sn @ v).transpose(1, 0, 2, 3).reshape(H, B * Tq, hd)
+            softmax(sn, axis=-1, out=sn)
+            return np.matmul(sn, v, out=ws.take((B, H, Tq, hd), q.dtype))
+        ctx = ws.take((H, B * Tq, hd), q.dtype)
+        with ws.scope():
+            qh = ws.take((H, B, Tq, hd), q.dtype)
+            np.multiply(q.transpose(1, 0, 2, 3), self.scale, out=qh)
+            qh = qh.reshape(H, B * Tq, hd)
+            sp = ws.take((H, B * Tq, kp.shape[2]), q.dtype)
+            np.matmul(qh, kp[0].transpose(0, 2, 1), out=sp)
+            m = np.maximum(
+                sp.max(axis=-1), sn.max(axis=-1).transpose(1, 0, 2).reshape(H, B * Tq)
+            )  # (H, B*Tq)
+            sp -= m[:, :, None]
+            np.exp(sp, out=sp)
+            sn -= m.reshape(H, B, Tq).transpose(1, 0, 2)[..., None]
+            np.exp(sn, out=sn)
+            denom = sp.sum(axis=-1) + sn.sum(axis=-1).transpose(1, 0, 2).reshape(
+                H, B * Tq
+            )
+            np.matmul(sp, vp[0], out=ctx)  # (H, B*Tq, hd)
+        ctx4 = ctx.reshape(H, B, Tq, hd)
+        sv = np.matmul(sn, v, out=ws.take((B, H, Tq, hd), q.dtype))
+        ctx4 += sv.transpose(1, 0, 2, 3)
         ctx /= denom[:, :, None]
-        return ctx.reshape(H, B, Tq, hd).transpose(1, 0, 2, 3)
+        return ctx4.transpose(1, 0, 2, 3)
 
     # -- backward --------------------------------------------------------
     def backward(self, dout: np.ndarray) -> np.ndarray:

@@ -27,6 +27,14 @@ the same float operations, element for element and in the same order, as
 the expression it replaces, so the results are bit-identical.  It never
 writes into an array a layer keeps in ``_cache`` for backward, an array a
 KV cache stores, or an argument it was passed.
+
+Inference writes in place too, under the same rule, and also into
+workspace buffers it took itself (:mod:`repro.model.workspace`): the pure
+calls of ``Linear``, ``Embedding``, ``RMSNorm`` and ``SwiGLU`` accept
+``out=``, and prefill and batched scoring run every temporary, and the
+packed residual stream, in views of the thread's workspace, so a warm
+call faults no page in.  Whatever an entry point returns, stores in a
+cache or hands a caller is a fresh array.
 """
 
 from __future__ import annotations
@@ -137,8 +145,9 @@ class Linear(Module):
             "weight", rng.normal(0.0, init_std, size=(d_in, d_out)).astype(np.float32)
         )
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _matmul_rows(x, self.params["weight"])
+    def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``x @ W``, written into ``out`` when given."""
+        return _matmul_rows(x, self.params["weight"], out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = (x,)
@@ -158,8 +167,11 @@ class Linear(Module):
 _SMALL_GEMM = 100**3
 
 
-def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` as one GEMM over all rows of a contiguous ``x``.
+def _matmul_rows(
+    x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``x @ w`` as one GEMM over all rows of a contiguous ``x``, written
+    into ``out`` (C-contiguous) when given.
 
     NumPy runs a stacked ``@`` as one GEMM per leading index.  When every
     one of those GEMMs is past BLAS's small-matrix kernel, one GEMM over
@@ -169,8 +181,10 @@ def _matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if x.ndim > 2 and x.flags.c_contiguous:
         rows, k = x.shape[-2:]
         if rows > 1 and rows * k * w.shape[1] > _SMALL_GEMM:
-            return (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + w.shape[1:])
-    return x @ w
+            flat = None if out is None else out.reshape(-1, w.shape[1])
+            y = np.matmul(x.reshape(-1, k), w, out=flat)
+            return y.reshape(x.shape[:-1] + w.shape[1:])
+    return x @ w if out is None else np.matmul(x, w, out=out)
 
 
 class Embedding(Module):
@@ -190,11 +204,13 @@ class Embedding(Module):
             rng.normal(0.0, init_std, size=(vocab_size, d_model)).astype(np.float32),
         )
 
-    def __call__(self, ids: np.ndarray) -> np.ndarray:
+    def __call__(self, ids: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The rows of ``W`` at ``ids``, written into ``out`` when given."""
         ids = np.asarray(ids)
         if ids.max(initial=0) >= self.vocab_size or ids.min(initial=0) < 0:
             raise IndexError("token id out of range")
-        return self.params["weight"][ids]
+        # in range, checked above; "clip" spares the copy "raise" makes
+        return np.take(self.params["weight"], ids, axis=0, out=out, mode="clip")
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
@@ -218,26 +234,30 @@ class RMSNorm(Module):
         self.eps = eps
         self.register("gain", np.ones(d_model, dtype=np.float32))
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._normalize(x)[0]
+    def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``g * x / rms(x)``, written into ``out`` when given."""
+        return self._normalize(x, out)[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, inv_rms = self._normalize(x)
         self._cache = (x, inv_rms)
         return y
 
-    def _normalize(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(y, 1 / rms(x))``."""
+    def _normalize(
+        self, x: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(y, 1 / rms(x))``, ``y`` written into ``out`` when given (which
+        holds ``x * x`` first)."""
         # 1 / sqrt(mean(x^2) + eps) without np.mean's Python wrapper: the
         # same sum, then a division by the row length.  np.mean divides in
         # float64 and rounds to float32; one float32 division gives the same
         # value, since float64 has more than 2 * 24 + 2 bits.
-        inv_rms = np.add.reduce(x * x, axis=-1, keepdims=True)
+        inv_rms = np.add.reduce(np.multiply(x, x, out=out), axis=-1, keepdims=True)
         inv_rms /= x.shape[-1]
         inv_rms += self.eps
         np.sqrt(inv_rms, out=inv_rms)
         np.divide(1.0, inv_rms, out=inv_rms)
-        y = x * inv_rms
+        y = np.multiply(x, inv_rms, out=out)
         y *= self.params["gain"]
         return y, inv_rms
 

@@ -13,7 +13,7 @@ trains adapters over a frozen base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -64,16 +64,21 @@ class LoRALinear(Module):
         # adapted model only ever see A and B).
         self.frozen_weight = base.params["weight"]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._project(x, x @ self.params["lora_A"])
+    def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The pure call, written into ``out`` when given."""
+        return self._project(x, x @ self.params["lora_A"], out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         xa = x @ self.params["lora_A"]
         self._cache = (x, xa)
         return self._project(x, xa)
 
-    def _project(self, x: np.ndarray, xa: np.ndarray) -> np.ndarray:
-        return x @ self.frozen_weight + xa @ self.params["lora_B"] * self.config.scaling
+    def _project(
+        self, x: np.ndarray, xa: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        y = np.matmul(x, self.frozen_weight, out=out)
+        y += xa @ self.params["lora_B"] * self.config.scaling
+        return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x, xa = self._cache

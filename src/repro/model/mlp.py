@@ -7,12 +7,14 @@ from typing import Optional
 import numpy as np
 
 from repro.model.layers import Linear, Module
+from repro.model.workspace import workspace
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``1 / (1 + exp(-x))`` as ``(1 + tanh(x / 2)) / 2``: tanh saturates
-    where ``exp(-x)`` overflows (x < -88 in float32), in ``x``'s dtype."""
-    s = x * 0.5
+    where ``exp(-x)`` overflows (x < -88 in float32), in ``x``'s dtype;
+    written into ``out`` when given."""
+    s = np.multiply(x, 0.5, out=out)
     np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
@@ -37,11 +39,28 @@ class SwiGLU(Module):
             "w2", Linear(d_ff, d_model, rng, init_std=out_init_std or init_std)
         )
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        a = self.w1(x)
-        a *= sigmoid(a)  # silu(a)
-        a *= self.w3(x)
-        return self.w2(a)
+    def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The pure call.  With ``out`` (prefill and batched scoring) the
+        result is written there and the hidden state lives in the
+        thread's workspace; without it (decode, whose hidden state is a
+        few KB) the hidden state is fresh."""
+        if out is None:
+            return self.w2(self._gated(x, None, None))
+        with workspace().scope() as ws:
+            hidden = x.shape[:-1] + (self.w1.d_out,)
+            gated = self._gated(x, ws.take(hidden, x.dtype), ws.take(hidden, x.dtype))
+            return self.w2(gated, out=out)
+
+    def _gated(
+        self, x: np.ndarray, a: Optional[np.ndarray], s: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """``silu(w1 x) * w3 x``, in ``a``, with ``s`` as scratch (fresh
+        arrays where None)."""
+        a = self.w1(x, out=a)
+        s = sigmoid(a, out=s)
+        a *= s  # silu(a)
+        a *= self.w3(x, out=s)
+        return a
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         a = self.w1.forward(x)

@@ -12,6 +12,7 @@ from repro.model.config import ModelConfig
 from repro.model.kv_cache import KVCache, PrefixCache
 from repro.model.layers import Embedding, Linear, Module, RMSNorm
 from repro.model.mlp import SwiGLU
+from repro.model.workspace import workspace
 
 
 class TransformerBlock(Module):
@@ -77,13 +78,26 @@ class TransformerBlock(Module):
         kp: Optional[np.ndarray],
         vp: Optional[np.ndarray],
         last_only: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        store: Optional[Dict[str, np.ndarray]] = None,
+    ) -> np.ndarray:
         """The block over packed rows (see
-        :meth:`MultiHeadAttention.forward_rows`); with ``last_only`` only
-        each row's last token leaves the block.  Returns ``(x, k, v)``."""
-        a, k, v = self.attn.forward_rows(self.attn_norm(x), rows, kp, vp, last_only)
-        x = (x[rows.last] if last_only else x) + a
-        return x + self.mlp(self.mlp_norm(x)), k, v
+        :meth:`MultiHeadAttention.forward_rows`).  ``x`` is the packed
+        ``(N, d)`` residual stream, which the block updates in place and
+        returns; with ``last_only`` only each row's last token leaves the
+        block, as a fresh ``(B, d)`` array.  The attention and then the
+        MLP each run in one workspace scope, so they reuse the same
+        bytes."""
+        ws = workspace()
+        with ws.scope():
+            h = self.attn_norm(x, out=ws.take(x.shape, x.dtype))
+            if last_only:
+                x = x[rows.last]
+            a = ws.take(x.shape, x.dtype)
+            x += self.attn.forward_rows(h, rows, kp, vp, last_only, a, store)
+        with ws.scope():
+            h = self.mlp_norm(x, out=ws.take(x.shape, x.dtype))
+            x += self.mlp(h, out=ws.take(x.shape, x.dtype))
+        return x
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         d_mid = self.mlp_norm.backward(self.mlp.backward(dout))
@@ -292,20 +306,23 @@ class TransformerLM(Module):
         computes keys/values at every token but everything else only at
         each row's last token.  With ``extend`` the rows are one prompt
         (``B = 1``), ``cache`` is empty, and each layer's keys/values are
-        stored in it read-only; otherwise ``cache`` is only read.
+        stored in it read-only; otherwise ``cache`` is only read.  The
+        stream lives in the thread's workspace and each block updates it
+        in place; the returned ``(B, d)`` is fresh.
         """
         layout = PackedRows.of([len(r) for r in rows], start)
-        x = self.embed(np.asarray([t for r in rows for t in r], dtype=np.int64))
+        ids = np.asarray([t for r in rows for t in r], dtype=np.int64)
         last = len(self.blocks) - 1
-        for i, block in enumerate(self.blocks):
-            layer = cache[i] if cache is not None else {}
-            x, k, v = block.forward_rows(
-                x, layout, layer.get("k"), layer.get("v"), i == last
-            )
-            if extend:
-                k.flags.writeable = v.flags.writeable = False
-                layer["k"], layer["v"] = k, v
-        return x
+        W = self.embed.params["weight"]
+        with workspace().scope() as ws:
+            x = self.embed(ids, out=ws.take((ids.size, W.shape[1]), W.dtype))
+            for i, block in enumerate(self.blocks):
+                layer = cache[i] if cache is not None else {}
+                x = block.forward_rows(
+                    x, layout, layer.get("k"), layer.get("v"), i == last,
+                    layer if extend else None,
+                )
+        return x  # the last block's fresh (B, d)
 
     def _project_logits(self, h: np.ndarray) -> np.ndarray:
         """Final norm + vocab projection for already-gathered positions;
@@ -326,6 +343,8 @@ class TransformerLM(Module):
         the last block runs its query, attention, output projection and
         MLP only at the final token, and only that token is projected to
         the vocabulary, so prefilling is cheaper than :meth:`forward`.
+        Its temporaries live in the thread's workspace; the stored K/V
+        are fresh copies.
         """
         ids = tuple(int(t) for t in token_ids)
         cache = self.new_cache()
@@ -353,7 +372,10 @@ class TransformerLM(Module):
         ``(B, vocab)`` logits are materialized there.  The prefix's
         read-only keys/values are never extended, so the same
         :class:`PrefixCache` can score any number of batches.  An empty
-        suffix is not forwarded; its row is ``prefix.last_logits``.
+        suffix is not forwarded; its row is ``prefix.last_logits``.  Every
+        temporary, the packed residual stream included, lives in the
+        thread's workspace (:mod:`repro.model.workspace`), so a warm call
+        allocates little beyond its result, which is a fresh array.
         Returns ``(len(suffixes), vocab)``.
         """
         if not suffixes:

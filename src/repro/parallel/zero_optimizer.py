@@ -35,7 +35,8 @@ ParamDict = Dict[str, np.ndarray]
 
 
 def flatten_params(params: ParamDict) -> Tuple[np.ndarray, List[Tuple[str, int, tuple]]]:
-    """Concatenate parameters into one vector + a layout for unflattening."""
+    """Concatenate parameters into one vector, in their dtype, + a layout
+    for unflattening."""
     layout: List[Tuple[str, int, tuple]] = []
     chunks: List[np.ndarray] = []
     offset = 0
@@ -45,7 +46,7 @@ def flatten_params(params: ParamDict) -> Tuple[np.ndarray, List[Tuple[str, int, 
         chunks.append(arr.reshape(-1))
         offset += arr.size
     flat = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.float32)
-    return flat.astype(np.float32), layout
+    return flat, layout
 
 
 def unflatten_into(flat: np.ndarray, layout: Sequence[Tuple[str, int, tuple]], params: ParamDict) -> None:
@@ -76,18 +77,19 @@ class Zero1AdamW:
         self._padded = 0
 
     # ------------------------------------------------------------------
-    def _ensure_state(self, n: int) -> None:
+    def _ensure_state(self, flat: np.ndarray) -> None:
+        """Moment shards for ``flat``'s size, in its dtype."""
         world = self.comm.size
-        self._padded = ((n + world - 1) // world) * world
+        self._padded = ((flat.size + world - 1) // world) * world
         shard = self._padded // world
         if self._m_shards is None:
-            self._m_shards = [np.zeros(shard, dtype=np.float32) for _ in range(world)]
-            self._v_shards = [np.zeros(shard, dtype=np.float32) for _ in range(world)]
+            self._m_shards = [np.zeros(shard, dtype=flat.dtype) for _ in range(world)]
+            self._v_shards = [np.zeros(shard, dtype=flat.dtype) for _ in range(world)]
 
     def _pad(self, flat: np.ndarray) -> np.ndarray:
         if flat.size == self._padded:
             return flat
-        out = np.zeros(self._padded, dtype=np.float32)
+        out = np.zeros(self._padded, dtype=flat.dtype)
         out[: flat.size] = flat
         return out
 
@@ -108,7 +110,7 @@ class Zero1AdamW:
         if len(per_rank_grads) != self.comm.size:
             raise ValueError("need one gradient dict per rank")
         flat_param, layout = flatten_params(params)
-        self._ensure_state(flat_param.size)
+        self._ensure_state(flat_param)
         padded_grads = []
         for grads in per_rank_grads:
             flat_grad, grad_layout = flatten_params(grads)

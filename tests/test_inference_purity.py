@@ -7,14 +7,24 @@ So an inference call may run between a training forward and its
 backward without changing a single gradient bit.
 """
 
+import resource
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.model import GenerationConfig, PrefixCacheStore, TransformerLM, generate
+from repro.model import (
+    GenerationConfig,
+    PrefixCache,
+    PrefixCacheStore,
+    TransformerLM,
+    generate,
+)
 from repro.model.config import scaled_config
 from repro.model.lora import LoRAConfig, apply_lora
+from repro.model.workspace import workspace
 from repro.serve import InferenceRequest, RequestKind, ServeEngine
 from repro.train import corpus_perplexity
 
@@ -35,22 +45,39 @@ def make_model(kind):
     return model
 
 
+def cached_forward(model):
+    cache = model.new_cache()
+    return model.forward(np.array([OTHER]), cache=cache), cache
+
+
 def generate_after(cover):
     """``generate()`` whose store holds a prefill of ``OTHER[:cover]``
-    (``0``: an empty store, so the prompt misses)."""
+    (``0``: an empty store, so the prompt misses); returns every step's
+    logits and the store's entries."""
 
     def run(model):
         store = PrefixCacheStore()
         if cover:
             store.put(model.prefill(OTHER[:cover]))
-        generate(model, OTHER, GenerationConfig(max_new_tokens=4), store=store)
+        steps = []
+        generate(
+            model, OTHER, GenerationConfig(max_new_tokens=4), store=store,
+            logit_hook=steps.append,
+        )
+        return steps, store._entries
 
     return run
 
 
 def decode_step(model):
     prefix = model.prefill(OTHER)
-    model.forward(np.array([[1]]), start_pos=len(OTHER), cache=prefix.fork())
+    cache = prefix.fork()
+    return model.forward(np.array([[1]]), start_pos=len(OTHER), cache=cache), cache
+
+
+def score_many_prefix(model):
+    prefix = model.prefill(OTHER[:4])
+    return model.next_token_logits_many([OTHER[4:], [], [2, 3]], prefix), prefix
 
 
 def engine_drain(model):
@@ -72,17 +99,18 @@ def engine_drain(model):
             generation=GenerationConfig(max_new_tokens=3),
         )
     )
-    assert len(engine.drain()) == 3
+    states = engine.drain()
+    assert len(states) == 3
+    return [s.final_logits for s in states], engine.scheduler.prefix_store._entries
 
 
+#: each entry point returns the arrays it hands out or stores, if any
 ENTRY_POINTS = {
-    "cached_forward": lambda m: m.forward(np.array([OTHER]), cache=m.new_cache()),
+    "cached_forward": cached_forward,
     "decode_step": decode_step,
     "prefill": lambda m: m.prefill(OTHER),
     "score_many": lambda m: m.next_token_logits_many([OTHER, OTHER[:3], [2]]),
-    "score_many_prefix": lambda m: m.next_token_logits_many(
-        [OTHER[4:], [], [2, 3]], m.prefill(OTHER[:4])
-    ),
+    "score_many_prefix": score_many_prefix,
     "next_token_logits": lambda m: m.next_token_logits(np.array(OTHER)),
     "perplexity": lambda m: m.perplexity(np.array([OTHER[:-1]]), np.array([OTHER[1:]])),
     "corpus_perplexity": lambda m: corpus_perplexity(m, [OTHER, OTHER[:5]], 0, seq_len=6),
@@ -91,6 +119,20 @@ ENTRY_POINTS = {
     "generate_exact_cover": generate_after(len(OTHER)),
     "engine_drain": engine_drain,
 }
+
+
+def arrays_in(result):
+    """Every array in an entry point's result: logits, and the K/V and
+    ``last_logits`` of caches and prefix caches."""
+    if isinstance(result, np.ndarray):
+        yield result
+    elif isinstance(result, PrefixCache):
+        yield from arrays_in((result.cache, result.last_logits))
+    elif isinstance(result, dict):
+        yield from arrays_in(list(result.values()))
+    elif isinstance(result, (list, tuple)):
+        for item in result:
+            yield from arrays_in(item)
 
 
 def training_state(model):
@@ -183,3 +225,75 @@ def test_batched_scoring_keeps_no_activations():
         finally:
             tracemalloc.stop()
         assert kept < 64 * 1024
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_results_do_not_share_the_workspace(kind, entry):
+    """What an entry point returns or stores is fresh memory, never a
+    view of the thread's workspace, whose bytes the next call reuses."""
+    model = make_model(kind)
+    ENTRY_POINTS[entry](model)  # sizes the workspace
+    result = ENTRY_POINTS[entry](model)
+    buffer = workspace().buffer
+    shared = [a.shape for a in arrays_in(result) if np.shares_memory(a, buffer)]
+    assert shared == []
+
+
+def test_scoring_results_survive_the_next_call():
+    model = make_model("untied")
+    prefix = model.prefill(OTHER[:4])
+    first = model.next_token_logits_many([OTHER[4:], [2, 3]], prefix)
+    kept = first.copy()
+    model.next_token_logits_many([[7, 8, 9, 10, 11], OTHER, [1]], prefix)
+    model.next_token_logits_many([OTHER[::-1]])
+    assert np.array_equal(first, kept)
+
+
+def test_threads_score_in_their_own_workspaces():
+    """Each thread takes from its own workspace: threads scoring at once,
+    switching often, get the bits a lone caller gets."""
+    model = make_model("untied")
+    prefix = model.prefill(OTHER[:4])
+    rng = np.random.default_rng(1)
+    batches = [
+        [rng.integers(1, VOCAB, size=int(n)).tolist() for n in rng.integers(1, 12, size=6)]
+        for _ in range(6)
+    ]
+    want = [model.next_token_logits_many(rows, prefix) for rows in batches]
+    got = {}
+
+    def score(i):
+        for _ in range(5):
+            got[i] = model.next_token_logits_many(batches[i], prefix)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=score, args=(i,)) for i in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, logits in enumerate(want):
+        np.testing.assert_array_equal(got[i], logits)
+
+
+def test_warm_batched_scoring_takes_no_page_faults():
+    """Bench shape (large tier, vocab 803, a 76-token prefix, 32 rows of
+    20-40 tokens): once the workspace is warm, a scoring call allocates
+    nothing that the C allocator must fault back in.  Freeing every
+    temporary per block (no workspace) took about 6,000 minor faults per
+    call here."""
+    model = TransformerLM(scaled_config(803, "large", max_seq_len=256), seed=1)
+    rng = np.random.default_rng(0)
+    prefix = model.prefill(rng.integers(1, 803, size=76).tolist())
+    rows = [rng.integers(1, 803, size=int(n)).tolist() for n in rng.integers(20, 41, size=32)]
+    model.next_token_logits_many(rows, prefix)  # warm
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.next_token_logits_many(rows, prefix)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 64

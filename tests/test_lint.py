@@ -259,6 +259,60 @@ VIOLATIONS = {
         """,
         MODEL_PATH,
     ),
+    "R11-returned-view": (
+        "R11",
+        """
+        from repro.model.workspace import workspace
+
+        def next_token_logits_many(self, rows):
+            logits = self._project_logits(self._last_hidden(rows))
+            out = workspace().take(logits.shape, logits.dtype)
+            out[...] = logits
+            return out
+        """,
+        MODEL_PATH,
+    ),
+    "R11-reshaped-view-returned-via-out": (
+        "R11",
+        """
+        import numpy as np
+
+        def scores(q, k, ws):
+            s = np.matmul(q, k, out=ws.take((4, 4), q.dtype))
+            return s.reshape(-1)
+        """,
+        MODEL_PATH,
+    ),
+    "R11-attribute": (
+        "R11",
+        """
+        def hidden(self, x, ws):
+            h = ws.take(x.shape, x.dtype).T
+            self.last_hidden = h
+        """,
+        MODEL_PATH,
+    ),
+    "R11-kv-store": (
+        "R11",
+        """
+        def attend(self, x, layer):
+            with workspace().scope() as ws:
+                k = self._keys(x, ws)
+                layer["k"] = k[:, :4]
+        """,
+        MODEL_PATH,
+    ),
+    "R11-list-append": (
+        "R11",
+        """
+        def rows(x, ws):
+            kept = []
+            for row in ws.take(x.shape, x.dtype):
+                kept.append(row)
+            return len(kept)
+        """,
+        MODEL_PATH,
+    ),
 }
 
 #: clean counterparts: the same constructs used the sanctioned way
@@ -450,6 +504,34 @@ CLEAN = {
         from repro.model.config import ModelConfig
         """,
         "src/repro/model/__init__.py",
+    ),
+    "R11-fresh-results": (
+        """
+        import numpy as np
+
+        from repro.model.workspace import workspace
+
+        def attend(self, q, k, layer, out):
+            with workspace().scope() as ws:
+                s = np.matmul(q, k, out=ws.take((4, 4), q.dtype))
+                s *= self.scale
+                s[..., 0] = 0.0
+                np.copyto(out, s)
+                layer["k"] = s.copy()
+                self.total = float(s.sum())
+                return self.wo(s, out=out), s + 1.0
+        """,
+        MODEL_PATH,
+    ),
+    "R11-private-helper": (
+        """
+        def _scores(q, ws):
+            return ws.take(q.shape, q.dtype).reshape(-1)
+
+        def scores(q, ws):
+            return _scores(q, ws).sum()
+        """,
+        MODEL_PATH,
     ),
 }
 

@@ -38,6 +38,22 @@ class TestFlatten:
         for k in params:
             np.testing.assert_array_equal(params[k], backup[k])
 
+    def test_float64_roundtrip_keeps_bits(self):
+        """The flat vector keeps the parameters' dtype: a float64 third is
+        not rounded to float32 on its way through."""
+        params = {
+            "w": np.array([[1 / 3, 2 / 3]]),
+            "g": np.array([np.pi, np.e, 1e-300]),
+        }
+        backup = {k: v.copy() for k, v in params.items()}
+        flat, layout = flatten_params(params)
+        assert flat.dtype == np.float64
+        for v in params.values():
+            v.fill(0.0)
+        unflatten_into(flat, layout, params)
+        for k in params:
+            np.testing.assert_array_equal(params[k], backup[k])
+
     def test_layout_sorted_and_complete(self):
         model = make_model()
         _, layout = flatten_params(model.named_parameters())
