@@ -6,7 +6,9 @@ incremental forwards **rebind** ``cache["k"]`` / ``cache["v"]`` to fresh
 arrays and never write into the existing ones.  A single in-place write
 into a cached tensor silently corrupts every fork sharing its storage.
 
-This rule performs a per-scope taint walk:
+This rule performs a per-scope taint walk.  Each statement's own
+expressions are checked once, with the taint that statement sees; the
+bodies of a compound statement are walked as statements of their own.
 
 * **container** taint — values that hold cache storage: parameters
   annotated ``KVCache``, results of ``fork_cache(...)`` / ``.fork(...)`` /
@@ -312,38 +314,70 @@ class CacheMutationRule(Rule):
         self, stmt: ast.stmt, taint: Dict[str, str], findings: List[Finding]
     ) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = dict(taint)
-            self._seed_params(stmt, inner)
-            self._scope(stmt.body, inner, findings)
+            self._function(stmt, taint, findings)
             return
         if isinstance(stmt, ast.ClassDef):
             self._scope(stmt.body, dict(taint), findings)
             return
-        # calls can violate anywhere inside the statement's expressions
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                why = self._call_violation(node, taint)
-                if why:
-                    findings.append(self.finding(self._module, node, why))
+        for node in _own_nodes(stmt):
+            why = self._node_violation(node, taint)
+            if why:
+                findings.append(self.finding(self._module, node, why))
+        for why in self._store_violations(stmt, taint):
+            findings.append(self.finding(self._module, stmt, why))
+        self._bind(stmt, taint)
+        for body in _bodies(stmt):
+            self._scope(body, taint, findings)
+
+    def _function(
+        self, fn: ast.stmt, taint: Dict[str, str], findings: List[Finding]
+    ) -> None:
+        inner = dict(taint)
+        self._seed_params(fn, inner)
+        self._scope(fn.body, inner, findings)  # type: ignore[attr-defined]
+
+    def _node_violation(
+        self, node: ast.AST, taint: Dict[str, str]
+    ) -> Optional[str]:
+        """Why evaluating ``node``, one node of a statement, breaks the
+        contract (None if it doesn't)."""
+        if isinstance(node, ast.Call):
+            return self._call_violation(node, taint)
+        return None
+
+    def _store_violations(
+        self, stmt: ast.stmt, taint: Dict[str, str]
+    ) -> Iterator[str]:
+        """Why the stores ``stmt`` makes break the contract, one reason each."""
+        augmented = isinstance(stmt, ast.AugAssign)
         if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                why = self._store_violation(target, taint, augmented=False)
-                if why:
-                    findings.append(self.finding(self._module, stmt, why))
+            targets = stmt.targets
+        elif augmented or (
+            isinstance(stmt, ast.AnnAssign)
+            and stmt.value is not None
+            and not (
+                isinstance(stmt.target, ast.Name)
+                and self._annotation_taint(stmt.annotation)
+            )
+        ):
+            targets = [stmt.target]  # type: ignore[attr-defined]
+        else:
+            return
+        for target in targets:
+            why = self._store_violation(target, taint, augmented)
+            if why:
+                yield why
+
+    def _bind(self, stmt: ast.stmt, taint: Dict[str, str]) -> None:
+        """Update ``taint`` for the names ``stmt`` binds."""
+        if isinstance(stmt, ast.Assign):
             self._assign_taint(stmt.targets, stmt.value, taint)
         elif isinstance(stmt, ast.AnnAssign):
             kind = self._annotation_taint(stmt.annotation)
             if isinstance(stmt.target, ast.Name) and kind is not None:
                 taint[stmt.target.id] = kind
             elif stmt.value is not None:
-                why = self._store_violation(stmt.target, taint, augmented=False)
-                if why:
-                    findings.append(self.finding(self._module, stmt, why))
                 self._assign_taint([stmt.target], stmt.value, taint)
-        elif isinstance(stmt, ast.AugAssign):
-            why = self._store_violation(stmt.target, taint, augmented=True)
-            if why:
-                findings.append(self.finding(self._module, stmt, why))
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             iter_kind = self._taint_of_expr(stmt.iter, taint)
             if iter_kind in (CONTAINER, PREFIX) or (
@@ -354,16 +388,34 @@ class CacheMutationRule(Rule):
                 # still hold the shared tensors
                 if isinstance(stmt.target, ast.Name):
                     taint[stmt.target.id] = CONTAINER
-            self._scope(stmt.body, taint, findings)
-            self._scope(stmt.orelse, taint, findings)
-        elif isinstance(stmt, (ast.If, ast.While)):
-            self._scope(stmt.body, taint, findings)
-            self._scope(stmt.orelse, taint, findings)
-        elif isinstance(stmt, ast.With) or isinstance(stmt, ast.AsyncWith):
-            self._scope(stmt.body, taint, findings)
-        elif isinstance(stmt, ast.Try):
-            self._scope(stmt.body, taint, findings)
-            for handler in stmt.handlers:
-                self._scope(handler.body, taint, findings)
-            self._scope(stmt.orelse, taint, findings)
-            self._scope(stmt.finalbody, taint, findings)
+
+
+def _own_nodes(stmt: ast.stmt) -> Iterator[ast.AST]:
+    """The nodes ``stmt`` evaluates itself: all of a simple statement,
+    only the header of a compound one, whose bodies the walk visits as
+    statements of their own, with the taint they see."""
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        exprs: List[Optional[ast.AST]] = [stmt.target, stmt.iter]
+    elif isinstance(stmt, (ast.While, ast.If)):
+        exprs = [stmt.test]
+    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+        exprs = [e for item in stmt.items for e in (item.context_expr, item.optional_vars)]
+    elif isinstance(stmt, ast.Try):
+        exprs = [handler.type for handler in stmt.handlers]
+    else:
+        exprs = [stmt]
+    for expr in exprs:
+        if expr is not None:
+            yield from ast.walk(expr)
+
+
+def _bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
+    """The statement lists nested in a compound ``stmt``, in order."""
+    if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While, ast.If)):
+        return [stmt.body, stmt.orelse]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [stmt.body]
+    if isinstance(stmt, ast.Try):
+        handlers = [handler.body for handler in stmt.handlers]
+        return [stmt.body, *handlers, stmt.orelse, stmt.finalbody]
+    return []

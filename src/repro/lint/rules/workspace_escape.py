@@ -10,15 +10,17 @@ its holder without any write to it.
 
 The rule reuses R1's per-scope taint walk with two kinds of taint:
 
-* **workspace** — a name matching ``workspace_name_pattern`` (``ws``,
-  ``workspace``), a ``workspace()``/``Workspace()`` call, a ``.scope()`` of
+* **workspace** — a name ``ws`` or ``workspace``, a parameter annotated
+  ``Workspace``, a ``workspace()``/``Workspace()`` call, a ``.scope()`` of
   one (and its ``with ... as`` target);
 * **view** — a ``.take(...)`` of a workspace; a reshape, transpose,
   ``.T``, slice or other view (R1's view functions, plus ``ravel``,
   ``ascontiguousarray``, ``moveaxis``) of a view; the result of a call
   whose ``out=`` is a view; the result of a call handed a workspace (the
   callee may return one of its views); a tuple, list or dict display
-  holding a view.
+  holding a view.  A helper that writes into a buffer it is handed and
+  returns it (``rows.pad(x, out=k)``) must take that buffer as ``out=``:
+  the rule does not follow a view passed positionally.
 
 Arithmetic, ``.copy()`` and every other call produce fresh arrays, which
 clear the taint.  Flagged, for a view:
@@ -42,7 +44,6 @@ or ``last_logits`` shares memory with the thread's workspace buffer.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.core import Finding, ParsedModule, register
@@ -64,25 +65,12 @@ _VIEWS = _VIEW_FUNCS | {"ravel", "ascontiguousarray", "asanyarray", "moveaxis"}
 #: methods that put their arguments into a list, set or dict
 _INSERTS = {"append", "insert", "extend", "add", "setdefault", "update"}
 _COLLECTION_CALLS = {"dict", "list", "defaultdict", "OrderedDict"}
-_COMPOUND = (
-    ast.For, ast.AsyncFor, ast.While, ast.If, ast.With, ast.AsyncWith, ast.Try,
-    ast.ClassDef,
-)
+#: names that hold the thread's workspace without a seeding assignment
+_WS_NAMES = {"ws", "workspace"}
 
 
 def _is_public(name: str) -> bool:
     return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
-
-
-def _header(stmt: ast.stmt) -> List[ast.AST]:
-    """The expressions a compound statement evaluates itself."""
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.iter]
-    if isinstance(stmt, (ast.While, ast.If)):
-        return [stmt.test]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return [item.context_expr for item in stmt.items]
-    return []
 
 
 @register
@@ -94,15 +82,10 @@ class WorkspaceEscapeRule(CacheMutationRule):
         "public function, assigned to an attribute, or stored in a dict, "
         "list or KV cache"
     )
-    default_options = {
-        **CacheMutationRule.default_options,
-        "workspace_name_pattern": r"^(?:ws|workspace)$",
-    }
 
     def check(
         self, module: ParsedModule, options: Dict[str, object]
     ) -> Iterator[Finding]:
-        self._ws_pattern = re.compile(str(options["workspace_name_pattern"]))
         self._public: List[bool] = [False]
         return super().check(module, options)
 
@@ -112,7 +95,7 @@ class WorkspaceEscapeRule(CacheMutationRule):
             kind = taint.get(node.id)
             if kind in (WORKSPACE, VIEW):
                 return kind
-            if kind is None and self._ws_pattern.search(node.id):
+            if kind is None and node.id in _WS_NAMES:
                 return WORKSPACE
             return None
         if isinstance(node, ast.Attribute):
@@ -197,29 +180,6 @@ class WorkspaceEscapeRule(CacheMutationRule):
             return "stored into a KV cache"
         return None
 
-    def _assignment(
-        self, stmt: ast.stmt, taint: Dict[str, str], findings: List[Finding]
-    ) -> None:
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        pairs: List[Tuple[ast.AST, ast.AST]] = []
-        for target in targets:
-            if isinstance(target, (ast.Tuple, ast.List)) and isinstance(
-                stmt.value, (ast.Tuple, ast.List)
-            ) and len(target.elts) == len(stmt.value.elts):
-                pairs.extend(zip(target.elts, stmt.value.elts))
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                pairs.extend((elt, stmt.value) for elt in target.elts)
-            else:
-                pairs.append((target, stmt.value))
-        for target, value in pairs:
-            if self._taint_of_expr(value, taint) != VIEW:
-                continue
-            where = self._escape_target(target, taint)
-            if where:
-                findings.append(
-                    self.finding(self._module, stmt, f"workspace view {where}")
-                )
-
     def _call_sink(
         self, node: ast.Call, taint: Dict[str, str]
     ) -> Optional[str]:
@@ -237,39 +197,52 @@ class WorkspaceEscapeRule(CacheMutationRule):
             return f"workspace view stored into a container via .{fn.attr}()"
         return None
 
-    # R1's walk calls these on every statement, nested bodies included;
-    # the sinks here need the stored value and the statement's own taint
-    def _call_violation(self, node: ast.Call, taint: Dict[str, str]) -> Optional[str]:
-        return None
-
-    def _store_violation(self, target, taint, augmented) -> Optional[str]:
-        return None
-
-    # -- walk --------------------------------------------------------------
-    def _statement(
-        self, stmt: ast.stmt, taint: Dict[str, str], findings: List[Finding]
+    # -- R1's walk hooks ----------------------------------------------------
+    def _function(
+        self, fn: ast.stmt, taint: Dict[str, str], findings: List[Finding]
     ) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._public.append(_is_public(stmt.name))
-            try:
-                super()._statement(stmt, taint, findings)
-            finally:
-                self._public.pop()
+        self._public.append(_is_public(fn.name))  # type: ignore[attr-defined]
+        try:
+            super()._function(fn, taint, findings)
+        finally:
+            self._public.pop()
+
+    def _node_violation(
+        self, node: ast.AST, taint: Dict[str, str]
+    ) -> Optional[str]:
+        if isinstance(node, ast.Call):
+            return self._call_sink(node, taint)
+        if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
+            if self._public[-1] and node.value is not None:
+                if self._taint_of_expr(node.value, taint) == VIEW:
+                    return "public function hands out a workspace view"
+        return None
+
+    def _store_violations(
+        self, stmt: ast.stmt, taint: Dict[str, str]
+    ) -> Iterator[str]:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
             return
-        exprs = _header(stmt) if isinstance(stmt, _COMPOUND) else [stmt]
-        for node in (n for expr in exprs for n in ast.walk(expr)):
-            why = None
-            if isinstance(node, ast.Call):
-                why = self._call_sink(node, taint)
-            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                if self._public[-1] and node.value is not None:
-                    if self._taint_of_expr(node.value, taint) == VIEW:
-                        why = "public function hands out a workspace view"
-            if why:
-                findings.append(self.finding(self._module, node, why))
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
-            self._assignment(stmt, taint, findings)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        pairs: List[Tuple[ast.AST, ast.AST]] = []
+        for target in targets:
+            if isinstance(target, (ast.Tuple, ast.List)) and isinstance(
+                stmt.value, (ast.Tuple, ast.List)
+            ) and len(target.elts) == len(stmt.value.elts):
+                pairs.extend(zip(target.elts, stmt.value.elts))
+            elif isinstance(target, (ast.Tuple, ast.List)):
+                pairs.extend((elt, stmt.value) for elt in target.elts)
+            else:
+                pairs.append((target, stmt.value))
+        for target, value in pairs:
+            if self._taint_of_expr(value, taint) == VIEW:
+                where = self._escape_target(target, taint)
+                if where:
+                    yield f"workspace view {where}"
+
+    def _bind(self, stmt: ast.stmt, taint: Dict[str, str]) -> None:
+        super()._bind(stmt, taint)
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 if (
                     isinstance(item.optional_vars, ast.Name)
@@ -280,4 +253,3 @@ class WorkspaceEscapeRule(CacheMutationRule):
             if isinstance(stmt.target, ast.Name):
                 if self._taint_of_expr(stmt.iter, taint) == VIEW:
                     taint[stmt.target.id] = VIEW  # rows of a view are views
-        super()._statement(stmt, taint, findings)

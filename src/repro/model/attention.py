@@ -159,7 +159,7 @@ class PackedRows(NamedTuple):
     def padded(self) -> bool:
         return self.offsets.size < self.lengths.size * self.width
 
-    def pad(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def pad(self, x: np.ndarray, *, out: np.ndarray) -> np.ndarray:
         """Packed ``(N, H, hd)`` -> head-major ``(B, H, width, hd)``, zeros
         in the pad slots: a view of ``out`` (``(B * width, H, hd)``)."""
         if self.padded:
@@ -170,7 +170,7 @@ class PackedRows(NamedTuple):
         B, T = self.lengths.size, self.width
         return out.reshape((B, T) + out.shape[1:]).transpose(0, 2, 1, 3)
 
-    def unpad(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def unpad(self, x: np.ndarray, *, out: np.ndarray) -> np.ndarray:
         """Padded ``(B, width, d)`` -> packed ``(N, d)``, gathered into
         ``out``."""
         x = x.reshape(-1, x.shape[-1])
@@ -280,6 +280,7 @@ class MultiHeadAttention(Module):
         kp: Optional[np.ndarray],
         vp: Optional[np.ndarray],
         last_only: bool,
+        *,
         out: np.ndarray,
         store: Optional[Dict[str, np.ndarray]] = None,
     ) -> np.ndarray:
@@ -302,9 +303,9 @@ class MultiHeadAttention(Module):
             k = ws.take((B * T, H, hd), x.dtype)
             v = ws.take((B * T, H, hd), x.dtype)
             with ws.scope():
-                k = rows.pad(self._rotated(self.wk, x, pos, ws), k)
+                k = rows.pad(self._rotated(self.wk, x, pos, ws), out=k)
                 proj = self.wv(x, out=ws.take(x.shape, x.dtype))
-                v = rows.pad(proj.reshape(-1, H, hd), v)
+                v = rows.pad(proj.reshape(-1, H, hd), out=v)
             if store is not None:
                 store["k"], store["v"] = _frozen_copy(k), _frozen_copy(v)
             if last_only:
@@ -317,13 +318,13 @@ class MultiHeadAttention(Module):
                 return self.wo(ctx.reshape(-1, D), out=out)
             q = ws.take((B * T, H, hd), x.dtype)
             with ws.scope():
-                q = rows.pad(self._rotated(self.wq, x, pos, ws), q)
+                q = rows.pad(self._rotated(self.wq, x, pos, ws), out=q)
             # full rows: query t sits at position t of its row
             mask = causal_mask(self.rope.max_seq_len)[:T, :T]
             ctx = self._shared_prefix_attention(q, k, v, kp, vp, mask, ws)
             merged = ws.take((B, T, H, hd), x.dtype)
             np.copyto(merged, ctx.transpose(0, 2, 1, 3))
-            flat = rows.unpad(merged.reshape(B, T, D), ws.take(x.shape, x.dtype))
+            flat = rows.unpad(merged.reshape(B, T, D), out=ws.take(x.shape, x.dtype))
             return self.wo(flat, out=out)
 
     def _rotated(

@@ -147,7 +147,7 @@ class Linear(Module):
 
     def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``x @ W``, written into ``out`` when given."""
-        return _matmul_rows(x, self.params["weight"], out)
+        return _matmul_rows(x, self.params["weight"], out=out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = (x,)
@@ -168,7 +168,7 @@ _SMALL_GEMM = 100**3
 
 
 def _matmul_rows(
-    x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None
+    x: np.ndarray, w: np.ndarray, *, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """``x @ w`` as one GEMM over all rows of a contiguous ``x``, written
     into ``out`` (C-contiguous) when given.
@@ -236,7 +236,7 @@ class RMSNorm(Module):
 
     def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``g * x / rms(x)``, written into ``out`` when given."""
-        return self._normalize(x, out)[0]
+        return self._normalize(x, out=out)[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, inv_rms = self._normalize(x)
@@ -244,7 +244,7 @@ class RMSNorm(Module):
         return y
 
     def _normalize(
-        self, x: np.ndarray, out: Optional[np.ndarray] = None
+        self, x: np.ndarray, *, out: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(y, 1 / rms(x))``, ``y`` written into ``out`` when given (which
         holds ``x * x`` first)."""

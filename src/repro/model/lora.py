@@ -66,7 +66,7 @@ class LoRALinear(Module):
 
     def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The pure call, written into ``out`` when given."""
-        return self._project(x, x @ self.params["lora_A"], out)
+        return self._project(x, x @ self.params["lora_A"], out=out)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         xa = x @ self.params["lora_A"]
@@ -74,7 +74,7 @@ class LoRALinear(Module):
         return self._project(x, xa)
 
     def _project(
-        self, x: np.ndarray, xa: np.ndarray, out: Optional[np.ndarray] = None
+        self, x: np.ndarray, xa: np.ndarray, *, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         y = np.matmul(x, self.frozen_weight, out=out)
         y += xa @ self.params["lora_B"] * self.config.scaling

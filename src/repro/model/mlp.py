@@ -45,19 +45,25 @@ class SwiGLU(Module):
         thread's workspace; without it (decode, whose hidden state is a
         few KB) the hidden state is fresh."""
         if out is None:
-            return self.w2(self._gated(x, None, None))
+            return self.w2(self._gated(x))
         with workspace().scope() as ws:
             hidden = x.shape[:-1] + (self.w1.d_out,)
-            gated = self._gated(x, ws.take(hidden, x.dtype), ws.take(hidden, x.dtype))
+            gated = self._gated(
+                x, out=ws.take(hidden, x.dtype), scratch=ws.take(hidden, x.dtype)
+            )
             return self.w2(gated, out=out)
 
     def _gated(
-        self, x: np.ndarray, a: Optional[np.ndarray], s: Optional[np.ndarray]
+        self,
+        x: np.ndarray,
+        *,
+        out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``silu(w1 x) * w3 x``, in ``a``, with ``s`` as scratch (fresh
-        arrays where None)."""
-        a = self.w1(x, out=a)
-        s = sigmoid(a, out=s)
+        """``silu(w1 x) * w3 x``, in ``out``, with ``scratch`` as scratch
+        (fresh arrays where None)."""
+        a = self.w1(x, out=out)
+        s = sigmoid(a, out=scratch)
         a *= s  # silu(a)
         a *= self.w3(x, out=s)
         return a

@@ -78,6 +78,7 @@ class TransformerBlock(Module):
         kp: Optional[np.ndarray],
         vp: Optional[np.ndarray],
         last_only: bool,
+        *,
         store: Optional[Dict[str, np.ndarray]] = None,
     ) -> np.ndarray:
         """The block over packed rows (see
@@ -93,7 +94,7 @@ class TransformerBlock(Module):
             if last_only:
                 x = x[rows.last]
             a = ws.take(x.shape, x.dtype)
-            x += self.attn.forward_rows(h, rows, kp, vp, last_only, a, store)
+            x += self.attn.forward_rows(h, rows, kp, vp, last_only, out=a, store=store)
         with ws.scope():
             h = self.mlp_norm(x, out=ws.take(x.shape, x.dtype))
             x += self.mlp(h, out=ws.take(x.shape, x.dtype))
@@ -320,7 +321,7 @@ class TransformerLM(Module):
                 layer = cache[i] if cache is not None else {}
                 x = block.forward_rows(
                     x, layout, layer.get("k"), layer.get("v"), i == last,
-                    layer if extend else None,
+                    store=layer if extend else None,
                 )
         return x  # the last block's fresh (B, d)
 

@@ -80,6 +80,16 @@ VIOLATIONS = {
         """,
         MODEL_PATH,
     ),
+    "R1-nested-write-reported-once": (
+        "R1",
+        """
+        def clear(cache, ready):
+            for layer in cache:
+                if ready:
+                    layer["k"].fill(0.0)
+        """,
+        MODEL_PATH,
+    ),
     "R2-rank-branch": (
         "R2",
         """
@@ -302,6 +312,15 @@ VIOLATIONS = {
         """,
         MODEL_PATH,
     ),
+    "R11-padded-kv-store": (
+        "R11",
+        """
+        def attend(self, x, rows, layer, ws):
+            k = rows.pad(self._keys(x), out=ws.take(x.shape, x.dtype))
+            layer["k"] = k
+        """,
+        MODEL_PATH,
+    ),
     "R11-list-append": (
         "R11",
         """
@@ -326,6 +345,19 @@ CLEAN = {
             if kp is not None:
                 k = np.concatenate([kp, k], axis=2)
             cache["k"], cache["v"] = k, v
+        """,
+        MODEL_PATH,
+    ),
+    "R1-rebound-in-branch": (
+        """
+        import numpy as np
+
+        def reset(cache, fresh):
+            k = cache[0]["k"]
+            if fresh:
+                k = np.zeros(k.shape)
+                k.fill(1.0)
+            return k
         """,
         MODEL_PATH,
     ),
