@@ -49,6 +49,7 @@ from repro.faults.harness import (
     DataParallelFaultLoop,
     PipelineFaultLoop,
     TensorParallelFaultLoop,
+    fingerprint,
     run_clean,
 )
 from repro.faults.serve import SERVE_FAULT_KINDS, ServeFaultInjector
@@ -79,6 +80,7 @@ __all__ = [
     "TensorParallelFaultLoop",
     "PipelineFaultLoop",
     "ALL_LOOPS",
+    "fingerprint",
     "run_clean",
     "SERVE_FAULT_KINDS",
     "ServeFaultInjector",

@@ -5,8 +5,12 @@ the :class:`~repro.faults.recovery.FaultableLoop` protocol so a single
 :class:`~repro.faults.recovery.RecoveryManager` can drive any of them
 through a fault plan.  The adapters hold no training arithmetic of their
 own: they call the trainers' phases in :mod:`repro.parallel` (compute /
-norm / apply) and the checkpoint functions (save / load), and hand the
-trainers' communicators and gradients to the injector's hooks.
+norm / apply), hand the trainers' communicators and gradients to the
+injector's hooks, and expose their training state as one flat dict of
+live arrays (``state()``) plus the optimizer step counter
+(``step_count``).  The recovery manager saves, restores and fingerprints
+every loop through that one accessor, so a snapshot holds exactly what
+the bit-equality checks compare.
 
 Shared contract (what makes faulted runs bit-identically recoverable):
 
@@ -22,24 +26,18 @@ Shared contract (what makes faulted runs bit-identically recoverable):
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.model.config import ModelConfig
+from repro.model.layers import assign_state
 from repro.model.transformer import TransformerLM
 from repro.parallel.collectives import Communicator
 from repro.parallel.data_parallel import DataParallelTrainer, DDPConfig
 from repro.parallel.mesh import DeviceMesh
 from repro.parallel.pipeline_parallel import PipelinedModel
 from repro.parallel.tensor_parallel import TensorParallelMLPTrainer
-from repro.train.checkpointing import (
-    load_state_arrays,
-    load_training_state,
-    save_state_arrays,
-    save_training_state,
-)
 from repro.train.optimizer import AdamW, clip_grad_norm, grad_sq_sum
 from repro.utils.rng import new_rng
 
@@ -60,10 +58,10 @@ def _state_views(model: TransformerLM, optimizer: AdamW) -> Dict[str, np.ndarray
     return {**model.named_parameters(), **optimizer.moments()}
 
 
-def _fingerprint(model: TransformerLM, optimizer: AdamW) -> Dict[str, np.ndarray]:
-    """A copy of a model-plus-AdamW training state, for bit comparisons."""
-    out = {k: v.copy() for k, v in _state_views(model, optimizer).items()}
-    out["step_count"] = np.array([optimizer.step_count])
+def fingerprint(loop) -> Dict[str, np.ndarray]:
+    """A copy of ``loop.state()`` plus its step counter, for bit comparisons."""
+    out = {k: v.copy() for k, v in loop.state().items()}
+    out["step_count"] = np.array([loop.step_count])
     return out
 
 
@@ -80,7 +78,6 @@ class DataParallelFaultLoop:
     """DDP across ``world`` ranks behind the faultable-loop protocol."""
 
     name = "dp"
-    checkpoint_target = "optimizer.npz"
 
     def __init__(
         self,
@@ -125,30 +122,29 @@ class DataParallelFaultLoop:
     def apply_step(self, step: int) -> None:
         self.ddp.apply_gradients()
 
-    def save(self, path: Path, step: int) -> None:
-        save_training_state(path, self.ddp.model, self.ddp.optimizers[0], step)
+    def state(self) -> Dict[str, np.ndarray]:
+        """Rank 0's parameters and moments: every replica holds the same."""
+        return _state_views(self.ddp.model, self.ddp.optimizers[0])
 
-    def load(self, path: Path) -> int:
-        meta = load_training_state(path, self.ddp.model, self.ddp.optimizers[0])
-        # Mirror the restored rank-0 state onto every other replica, exactly
-        # as real DDP re-broadcasts after restore.
-        lead = self.ddp.optimizers[0]
-        lead_state = _state_views(self.ddp.model, lead)
+    @property
+    def step_count(self) -> int:
+        return self.ddp.optimizers[0].step_count
+
+    @step_count.setter
+    def step_count(self, value: int) -> None:
+        # Set last in a restore, after rank 0's state was written: mirror it
+        # onto every other replica, exactly as real DDP re-broadcasts.
+        lead = self.state()
         for replica, opt in zip(self.ddp.replicas[1:], self.ddp.optimizers[1:]):
-            for key, arr in _state_views(replica, opt).items():
-                arr[...] = lead_state[key]
-            opt.step_count = lead.step_count
-        return int(meta["step"])
-
-    def fingerprint(self) -> Dict[str, np.ndarray]:
-        return _fingerprint(self.ddp.model, self.ddp.optimizers[0])
+            assign_state(_state_views(replica, opt), lead)
+        for opt in self.ddp.optimizers:
+            opt.step_count = int(value)
 
 
 class TensorParallelFaultLoop:
     """Megatron-sharded MLP trainer behind the faultable-loop protocol."""
 
     name = "tp"
-    checkpoint_target = "state.npz"
 
     def __init__(
         self,
@@ -198,22 +194,24 @@ class TensorParallelFaultLoop:
     def apply_step(self, step: int) -> None:
         self.trainer.apply_gradients(self.lr)
 
-    def save(self, path: Path, step: int) -> None:
-        save_state_arrays(
-            path,
-            self.trainer.state_arrays(),
-            meta={"step": int(step), "step_count": int(self.trainer.step_count)},
-        )
-
-    def load(self, path: Path) -> int:
-        arrays, extra = load_state_arrays(path)
-        self.trainer.load_state_arrays(arrays, int(extra["step_count"]))
-        return int(extra["step"])
-
-    def fingerprint(self) -> Dict[str, np.ndarray]:
-        out = {k: v.copy() for k, v in self.trainer.state_arrays().items()}
-        out["step_count"] = np.array([self.trainer.step_count])
+    def state(self) -> Dict[str, np.ndarray]:
+        """Every rank's parameter and moment shards, keyed by rank."""
+        out: Dict[str, np.ndarray] = {}
+        for r, (params, opt) in enumerate(
+            zip(self.trainer.shard_params, self.trainer.optimizers)
+        ):
+            out.update((f"rank{r}::param::{k}", a) for k, a in params.items())
+            out.update((f"rank{r}::{k}", a) for k, a in opt.moments().items())
         return out
+
+    @property
+    def step_count(self) -> int:
+        return self.trainer.step_count
+
+    @step_count.setter
+    def step_count(self, value: int) -> None:
+        for opt in self.trainer.optimizers:
+            opt.step_count = int(value)
 
 
 class PipelineFaultLoop:
@@ -226,7 +224,6 @@ class PipelineFaultLoop:
     """
 
     name = "pp"
-    checkpoint_target = "optimizer.npz"
 
     def __init__(
         self,
@@ -278,15 +275,16 @@ class PipelineFaultLoop:
         clip_grad_norm(self.model.named_gradients(), self.clip_norm)
         self.optimizer.step(self.lr)
 
-    def save(self, path: Path, step: int) -> None:
-        save_training_state(path, self.model, self.optimizer, step)
+    def state(self) -> Dict[str, np.ndarray]:
+        return _state_views(self.model, self.optimizer)
 
-    def load(self, path: Path) -> int:
-        meta = load_training_state(path, self.model, self.optimizer)
-        return int(meta["step"])
+    @property
+    def step_count(self) -> int:
+        return self.optimizer.step_count
 
-    def fingerprint(self) -> Dict[str, np.ndarray]:
-        return _fingerprint(self.model, self.optimizer)
+    @step_count.setter
+    def step_count(self, value: int) -> None:
+        self.optimizer.step_count = int(value)
 
 
 def run_clean(loop, total_steps: int) -> Tuple[List[float], Dict[str, np.ndarray]]:
@@ -301,7 +299,7 @@ def run_clean(loop, total_steps: int) -> Tuple[List[float], Dict[str, np.ndarray
         losses.append(float(loop.compute_step(step)))
         loop.grad_norm()
         loop.apply_step(step)
-    return losses, loop.fingerprint()
+    return losses, fingerprint(loop)
 
 
 ALL_LOOPS = (DataParallelFaultLoop, TensorParallelFaultLoop, PipelineFaultLoop)

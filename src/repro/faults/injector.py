@@ -11,7 +11,7 @@ R6 (``fault-injection-registry``) forbids ad-hoc raises of fault types in
   raises :class:`PreemptionError` at scheduled step boundaries,
   :meth:`on_gradients` applies scheduled loss-spike gradient scalings;
 * the checkpoint post-save hook (:meth:`on_checkpoint_saved`) — corrupts
-  freshly written shards per the plan.
+  a freshly written snapshot file per the plan.
 
 All state is derived from ``(plan, plan.seed)``; :meth:`reset` rewinds the
 injector so the identical fault sequence replays, which the differential
@@ -163,7 +163,12 @@ class FaultInjector(TrainerHooks):
 
     # -- checkpoint hook -------------------------------------------------
     def on_checkpoint_saved(self, path, step: int) -> None:
-        """Post-save hook: corrupt the scheduled shard of this snapshot."""
+        """Post-save hook: corrupt the scheduled file of this snapshot.
+
+        A target the snapshot does not hold raises ``ValueError``: a
+        corruption fault that hits nothing would let the scenario pass
+        without ever exercising the fallback.
+        """
         path = Path(path)
         for i, event in enumerate(self.plan.events):
             if (
@@ -171,10 +176,12 @@ class FaultInjector(TrainerHooks):
                 and event.step == step
                 and i not in self._fired
             ):
-                self._fired.add(i)
                 target = path / event.target
-                if target.exists():
-                    corrupt_file(target, event.mode, self.seed)
-                    self._record(
-                        event, target=event.target, mode=event.mode
+                if not target.is_file():
+                    raise ValueError(
+                        f"checkpoint-corruption target {event.target!r} is not "
+                        f"in snapshot {path.name}"
                     )
+                self._fired.add(i)
+                corrupt_file(target, event.mode, self.seed)
+                self._record(event, target=event.target, mode=event.mode)

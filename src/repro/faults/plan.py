@@ -21,9 +21,11 @@ Fault classes
     ``duration`` steps starting at ``step`` (timing only — arithmetic,
     and therefore the trained parameters, are unaffected).
 ``checkpoint-corruption``
-    The snapshot written at step ``step`` has one shard corrupted
-    (``mode``: ``"flip"`` a byte or ``"truncate"`` the tail); recovery
-    falls back to the previous intact snapshot at restore time.
+    The snapshot written at step ``step`` has one file, ``target``
+    (``state.npz`` unless named), corrupted (``mode``: ``"flip"`` a byte
+    or ``"truncate"`` the tail); recovery falls back to the previous
+    intact snapshot at restore time.  A target the snapshot does not hold
+    is an error, not a silent no-op.
 ``loss-spike``
     Accumulated gradients at step ``step`` are scaled by ``factor``
     once, emulating a data/hardware glitch; recovery detects the norm
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.train.checkpointing import STATE_NAME
 
 PREEMPTION = "preemption"
 COLLECTIVE_TRANSIENT = "collective-transient"
@@ -67,7 +71,7 @@ class FaultEvent:
     attempts: int = 1  # collective-transient: consecutive failing calls
     factor: float = 1.0  # degraded-link slowdown / loss-spike gradient scale
     duration: int = 1  # degraded-link: steps the window lasts
-    target: str = "optimizer.npz"  # checkpoint-corruption: shard file name
+    target: str = STATE_NAME  # checkpoint-corruption: snapshot file name
     mode: str = "flip"  # checkpoint-corruption: "flip" | "truncate"
 
     def validate(self) -> None:
@@ -146,9 +150,7 @@ class FaultPlan:
         return cls(events=events, seed=int(data.get("seed", 0)))  # type: ignore[arg-type]
 
 
-def single_fault_plans(
-    step: int, seed: int = 0, ckpt_target: str = "optimizer.npz"
-) -> Iterable[Tuple[str, FaultPlan]]:
+def single_fault_plans(step: int, seed: int = 0) -> Iterable[Tuple[str, FaultPlan]]:
     """One minimal plan per fault class, all firing around ``step``.
 
     The differential test matrix iterates these to guarantee every fault
@@ -163,7 +165,7 @@ def single_fault_plans(
     )
     yield CHECKPOINT_CORRUPTION, FaultPlan(
         [
-            FaultEvent(CHECKPOINT_CORRUPTION, step, target=ckpt_target),
+            FaultEvent(CHECKPOINT_CORRUPTION, step),
             FaultEvent(PREEMPTION, step + 1),
         ],
         seed=seed,

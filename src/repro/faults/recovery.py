@@ -9,7 +9,7 @@ against it.  Recovery actions:
   (simulated, deterministically jittered delays — nothing sleeps);
 * **preemption** → simulated job restart: rebuild the loop from its seed
   and restore the newest *intact* snapshot;
-* **corrupt checkpoint shard** → checksum validation rejects the snapshot
+* **corrupt checkpoint file** → checksum validation rejects the snapshot
   and recovery falls back to the previous one;
 * **gradient/loss spike** → the anomalous update is discarded and the
   step recomputed (injected faults fire once, so the recompute is clean);
@@ -40,9 +40,12 @@ from repro.faults.errors import (
     TransientCollectiveError,
 )
 from repro.faults.injector import FaultInjector
+from repro.model.layers import assign_state
 from repro.train.checkpointing import (
     checkpoint_dir_for_step,
     latest_valid_checkpoint,
+    load_snapshot,
+    save_snapshot,
     set_post_save_hook,
 )
 from repro.utils.rng import derive_seed
@@ -58,7 +61,14 @@ class FaultableLoop(Protocol):
     its collectives before touching parameters or optimizer state;
     ``build`` recreates the exact initial state from the loop's seed; the
     batch for step ``i`` is a pure function of ``(seed, i)``.
+
+    ``state()`` is the whole training state as live arrays by name, and
+    ``step_count`` the optimizer's update count.  The manager saves,
+    restores and fingerprints through these two alone; a restore writes
+    ``state()`` first and sets ``step_count`` last.
     """
+
+    step_count: int
 
     def build(self) -> None: ...
 
@@ -72,11 +82,7 @@ class FaultableLoop(Protocol):
 
     def apply_step(self, step: int) -> None: ...
 
-    def save(self, path: Path, step: int) -> None: ...
-
-    def load(self, path: Path) -> int: ...
-
-    def fingerprint(self) -> Dict[str, np.ndarray]: ...
+    def state(self) -> Dict[str, np.ndarray]: ...
 
 
 @dataclass
@@ -208,7 +214,7 @@ class RecoveryManager:
 
     def _save(self, log: RecoveryLog, loop: FaultableLoop, step: int) -> None:
         path = checkpoint_dir_for_step(self.checkpoint_root, step)
-        loop.save(path, step)
+        save_snapshot(path, loop.state(), step, loop.step_count)
         log.add(step, "checkpoint-saved", {"snapshot": path.name})
 
     def _restart(self, log: RecoveryLog, loop: FaultableLoop) -> int:
@@ -226,7 +232,10 @@ class RecoveryManager:
                 "checkpoint-fallback",
                 {"snapshot": bad_path.name, "reason": "checksum-mismatch"},
             )
-        resume = int(loop.load(path))
+        arrays, meta = load_snapshot(path)
+        assign_state(loop.state(), arrays)
+        loop.step_count = int(meta["optimizer_step_count"])
+        resume = int(meta["step"])
         log.add(resume, "resume", {"snapshot": path.name})
         return resume
 

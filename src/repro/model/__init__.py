@@ -18,7 +18,7 @@ keeps float64 NumPy scalars out).
 """
 
 from repro.model.config import ModelConfig
-from repro.model.layers import Embedding, Linear, Module, RMSNorm
+from repro.model.layers import Embedding, Linear, Module, RMSNorm, assign_state
 from repro.model.attention import MultiHeadAttention, RotaryEmbedding
 from repro.model.kv_cache import (
     KVCache,
@@ -37,6 +37,7 @@ from repro.model.precision import bf16_round
 __all__ = [
     "ModelConfig",
     "Module",
+    "assign_state",
     "Linear",
     "Embedding",
     "RMSNorm",

@@ -39,9 +39,38 @@ cache or hands a caller is a fresh array.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
+
+
+def assign_state(
+    live: Mapping[str, np.ndarray], state: Mapping[str, np.ndarray]
+) -> None:
+    """Copy ``state`` into the ``live`` arrays in place, strictly.
+
+    ``state`` must hold exactly ``live``'s names, each with its live
+    array's shape and dtype: nothing broadcasts, nothing is cast, no key
+    is ignored.  Every check runs before the first write, so a mismatch
+    raises (``KeyError`` for names, ``ValueError`` for shapes and dtypes)
+    with nothing loaded.  Module loads and checkpoint restores both go
+    through here.
+    """
+    missing = set(live) - set(state)
+    extra = set(state) - set(live)
+    if missing or extra:
+        raise KeyError(
+            f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}"
+        )
+    for key, arr in live.items():
+        src = state[key]
+        if src.shape != arr.shape or src.dtype != arr.dtype:
+            raise ValueError(
+                f"{key}: {src.dtype}{src.shape} does not match the live "
+                f"{arr.dtype}{arr.shape}"
+            )
+    for key, arr in live.items():
+        arr[...] = state[key]
 
 
 class Module:
@@ -104,21 +133,9 @@ class Module:
         return sum(int(p.size) for p in self.named_parameters().values())
 
     def load_state(self, state: Dict[str, np.ndarray]) -> None:
-        """Copy values from ``state`` into this module's parameters in place."""
-        own = self.named_parameters()
-        missing = set(own) - set(state)
-        extra = set(state) - set(own)
-        if missing or extra:
-            raise KeyError(
-                f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-            )
-        for key, arr in own.items():
-            src = state[key]
-            if src.shape != arr.shape:
-                raise ValueError(
-                    f"shape mismatch for {key}: {src.shape} vs {arr.shape}"
-                )
-            arr[...] = src
+        """Copy ``state`` into this module's parameters in place
+        (strict: see :func:`assign_state`)."""
+        assign_state(self.named_parameters(), state)
 
     def state_copy(self) -> Dict[str, np.ndarray]:
         """Deep copy of all parameters (for checkpoints / EMA / diffing)."""

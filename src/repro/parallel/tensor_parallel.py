@@ -222,23 +222,6 @@ class TensorParallelMLPTrainer:
             optimizer.step(lr)
         return norm
 
-    # ------------------------------------------------------------------
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Flat named-array snapshot: shard params + AdamW moments."""
-        out: Dict[str, np.ndarray] = {}
-        for r, (params, opt) in enumerate(zip(self.shard_params, self.optimizers)):
-            state = {f"param::{k}": a for k, a in params.items()}
-            state.update(opt.moments())
-            out.update((f"rank{r}::{k}", a) for k, a in state.items())
-        return out
-
-    def load_state_arrays(self, arrays: Dict[str, np.ndarray], step_count: int) -> None:
-        """Restore a :meth:`state_arrays` snapshot bit-exactly."""
-        for key, arr in self.state_arrays().items():
-            arr[...] = arrays[key]
-        for opt in self.optimizers:
-            opt.step_count = int(step_count)
-
 
 def attention_heads_tp_split(n_heads: int, parts: int) -> List[List[int]]:
     """Head assignment for TP attention: contiguous head blocks per rank."""

@@ -28,10 +28,8 @@ from repro.train.checkpointing import (
     checkpoint_dir_for_step,
     latest_valid_checkpoint,
     list_checkpoints,
-    load_state_arrays,
-    load_training_state,
-    save_state_arrays,
-    save_training_state,
+    load_snapshot,
+    save_snapshot,
     set_post_save_hook,
     verify_checkpoint,
     write_manifest,
@@ -62,10 +60,8 @@ __all__ = [
     "checkpoint_dir_for_step",
     "latest_valid_checkpoint",
     "list_checkpoints",
-    "load_state_arrays",
-    "load_training_state",
-    "save_state_arrays",
-    "save_training_state",
+    "load_snapshot",
+    "save_snapshot",
     "set_post_save_hook",
     "verify_checkpoint",
     "write_manifest",

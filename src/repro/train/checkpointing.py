@@ -1,19 +1,30 @@
 """Training-state checkpointing: resume-exact, integrity-checked snapshots.
 
 The paper's 70B CPT ran ~2,000 GPU-hours on a shared leadership facility —
-the kind of job that *will* be preempted.  A checkpoint captures model
-parameters, AdamW moments, and the step counter, and restores them so that
-a resumed run is bit-identical to an uninterrupted one (asserted by tests).
+the kind of job that *will* be preempted.  There is one snapshot layout,
+for a model plus AdamW and for the sharded trainers alike: a flat dict of
+named arrays — for a model, ``{**model.named_parameters(),
+**optimizer.moments()}`` — saved as one directory::
 
-Every snapshot also carries a ``manifest.json`` of SHA-256 digests, so a
-shard that was truncated or corrupted on the shared filesystem is detected
-at load time (:class:`CheckpointIntegrityError`) instead of silently
-resuming from garbage; the fault-injection recovery layer
+    state.npz       every named array
+    meta.json       format version, step, optimizer step count, ``extra``
+    manifest.json   SHA-256 of the two files above, written last
+
+:func:`save_snapshot` writes it and :func:`load_snapshot` reads it back,
+refusing a snapshot whose digests no longer verify
+(:class:`CheckpointIntegrityError`) or whose format version differs.  The
+restore is :func:`repro.model.layers.assign_state` into the same live
+arrays, which is strict: the snapshot must hold exactly the live names,
+shapes and dtypes, so a resumed run is bit-identical to an uninterrupted
+one (asserted by tests) or the restore raises.
+
+Because the manifest is written last, a snapshot without one was cut off
+mid-save and counts as incomplete.  The fault-injection recovery layer
 (:mod:`repro.faults.recovery`) uses :func:`latest_valid_checkpoint` to fall
-back to the newest snapshot whose digests still verify.
+back to the newest snapshot that still verifies.
 
 A module-level post-save hook gives the fault injector a seam to corrupt
-freshly written shards *without* the save path knowing anything about
+a freshly written file *without* the save path knowing anything about
 faults; the happy path is unchanged when no hook is installed.
 """
 
@@ -27,13 +38,13 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.model.layers import Module
-from repro.train.optimizer import AdamW
-
 PathLike = Union[str, Path]
 
-_FORMAT_VERSION = 1
+# version 1 split model.npz / optimizer.npz; its snapshots are refused
+_FORMAT_VERSION = 2
 
+STATE_NAME = "state.npz"
+META_NAME = "meta.json"
 MANIFEST_NAME = "manifest.json"
 
 _STEP_DIR_RE = re.compile(r"^step-(\d+)$")
@@ -89,18 +100,16 @@ def write_manifest(path: PathLike) -> Dict[str, str]:
 def verify_checkpoint(path: PathLike) -> List[str]:
     """Names of snapshot files whose SHA-256 no longer matches the manifest.
 
-    Returns an empty list when the snapshot is intact.  A missing manifest
-    (pre-manifest snapshot) verifies trivially; a missing or unreadable
-    *file* listed in the manifest counts as corrupt.
+    Returns an empty list when the snapshot is intact.  A missing or
+    unreadable manifest is reported as ``[MANIFEST_NAME]``: the manifest is
+    written last, so without one the save never finished.  A missing or
+    unreadable *file* listed in the manifest counts as corrupt.
     """
     path = Path(path)
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.exists():
-        return []
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
         digests = dict(manifest["sha256"])
-    except (ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError):
         return [MANIFEST_NAME]
     bad = []
     for name, expected in sorted(digests.items()):
@@ -110,114 +119,55 @@ def verify_checkpoint(path: PathLike) -> List[str]:
     return bad
 
 
-def save_training_state(
+def save_snapshot(
     path: PathLike,
-    model: Module,
-    optimizer: AdamW,
+    arrays: Dict[str, np.ndarray],
     step: int,
+    step_count: int,
     extra: Optional[dict] = None,
 ) -> None:
-    """Snapshot model + optimizer + progress under ``path`` (a directory)."""
+    """Write ``arrays`` plus progress as one snapshot directory at ``path``.
+
+    ``step`` is the training step to resume at and ``step_count`` the
+    optimizer's update count; ``extra`` is stored as-is in ``meta.json``.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path / "model.npz", **model.named_parameters())
-    np.savez_compressed(path / "optimizer.npz", **optimizer.moments())
+    np.savez_compressed(path / STATE_NAME, **arrays)
     meta = {
         "format_version": _FORMAT_VERSION,
         "step": int(step),
-        "optimizer_step_count": int(optimizer.step_count),
-        "beta1": optimizer.beta1,
-        "beta2": optimizer.beta2,
-        "eps": optimizer.eps,
-        "weight_decay": optimizer.weight_decay,
+        "optimizer_step_count": int(step_count),
         "extra": extra or {},
     }
-    (path / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
+    (path / META_NAME).write_text(json.dumps(meta, indent=2), encoding="utf-8")
     write_manifest(path)
     if _post_save_hook is not None:
         _post_save_hook(path, int(step))
 
 
-def load_training_state(
-    path: PathLike, model: Module, optimizer: AdamW, verify: bool = True
-) -> dict:
-    """Restore a snapshot into existing model/optimizer objects.
+def load_snapshot(path: PathLike) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Read a :func:`save_snapshot` directory; returns ``(arrays, meta)``.
 
-    Returns the metadata dict (including ``step``).  Shapes and parameter
-    names must match exactly; mismatches raise rather than partially load.
-    With ``verify`` (the default) the manifest digests are checked first
-    and a corrupt snapshot raises :class:`CheckpointIntegrityError` before
-    anything is loaded.
+    The manifest digests are checked first, so a corrupt or incomplete
+    snapshot raises :class:`CheckpointIntegrityError` before anything is
+    read; a different format version raises ``ValueError``.  Restore the
+    arrays with :func:`repro.model.layers.assign_state`.
     """
     path = Path(path)
-    if verify:
-        bad = verify_checkpoint(path)
-        if bad:
-            raise CheckpointIntegrityError(
-                f"checkpoint {path} failed checksum validation: {', '.join(bad)}"
-            )
-    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    bad = verify_checkpoint(path)
+    if bad:
+        raise CheckpointIntegrityError(
+            f"checkpoint {path} failed checksum validation: {', '.join(bad)}"
+        )
+    meta = json.loads((path / META_NAME).read_text(encoding="utf-8"))
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(
             f"checkpoint format {meta.get('format_version')} != {_FORMAT_VERSION}"
         )
-    with np.load(path / "model.npz") as data:
-        model.load_state({k: data[k] for k in data.files})
-    moments = optimizer.moments()
-    with np.load(path / "optimizer.npz") as data:
-        if set(data.files) != set(moments):
-            raise KeyError("optimizer state keys do not match checkpoint")
-        for key, arr in moments.items():
-            src = data[key]
-            if src.shape != arr.shape:
-                raise ValueError(f"moment shape mismatch for {key}")
-            arr[...] = src
-    optimizer.step_count = int(meta["optimizer_step_count"])
-    return meta
-
-
-# ----------------------------------------------------------------------
-# Generic array-state snapshots (sharded trainables that are not Modules)
-# ----------------------------------------------------------------------
-def save_state_arrays(
-    path: PathLike, arrays: Dict[str, np.ndarray], meta: Optional[dict] = None
-) -> None:
-    """Snapshot an arbitrary named-array state dict with the same
-    manifest/hook machinery as :func:`save_training_state`.
-
-    Used by trainables whose state is not a :class:`Module` — e.g. the
-    tensor-parallel sharded trainer, whose parameters and moments live in
-    per-rank shard dicts.
-    """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path / "state.npz", **arrays)
-    payload = {"format_version": _FORMAT_VERSION, "extra": meta or {}}
-    (path / "meta.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    write_manifest(path)
-    if _post_save_hook is not None:
-        _post_save_hook(path, int((meta or {}).get("step", -1)))
-
-
-def load_state_arrays(
-    path: PathLike, verify: bool = True
-) -> Tuple[Dict[str, np.ndarray], dict]:
-    """Load a :func:`save_state_arrays` snapshot; returns ``(arrays, extra)``."""
-    path = Path(path)
-    if verify:
-        bad = verify_checkpoint(path)
-        if bad:
-            raise CheckpointIntegrityError(
-                f"checkpoint {path} failed checksum validation: {', '.join(bad)}"
-            )
-    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"checkpoint format {meta.get('format_version')} != {_FORMAT_VERSION}"
-        )
-    with np.load(path / "state.npz") as data:
+    with np.load(path / STATE_NAME) as data:
         arrays = {k: data[k] for k in data.files}
-    return arrays, dict(meta.get("extra", {}))
+    return arrays, meta
 
 
 # ----------------------------------------------------------------------
@@ -254,11 +204,6 @@ def latest_valid_checkpoint(
     skipped: List[Tuple[int, Path]] = []
     for step, path in reversed(list_checkpoints(root)):
         if verify_checkpoint(path):
-            skipped.append((step, path))
-            continue
-        try:
-            json.loads((path / "meta.json").read_text(encoding="utf-8"))
-        except (OSError, ValueError):
             skipped.append((step, path))
             continue
         return step, path, skipped

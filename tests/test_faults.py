@@ -28,9 +28,12 @@ from repro.faults import (
     RetryPolicy,
     TensorParallelFaultLoop,
     corrupt_file,
+    fingerprint,
     run_clean,
     single_fault_plans,
 )
+from repro.model import assign_state
+from repro.train.checkpointing import load_snapshot, save_snapshot
 
 TOTAL_STEPS = 6
 CKPT_EVERY = 2
@@ -63,9 +66,7 @@ def clean_runs():
 
 def scenario_params():
     for cls in LOOPS:
-        for kind, plan in single_fault_plans(
-            FAULT_STEP, seed=PLAN_SEED, ckpt_target=cls.checkpoint_target
-        ):
+        for kind, plan in single_fault_plans(FAULT_STEP, seed=PLAN_SEED):
             yield pytest.param(cls, kind, plan, id=f"{cls.name}-{kind}")
 
 
@@ -98,7 +99,7 @@ class TestDifferentialRecovery:
         for action in EXPECTED_ACTIONS[kind]:
             assert action in actions, f"{kind} recovery never did {action}"
 
-        assert_fingerprints_equal(loop.fingerprint(), clean_fp)
+        assert_fingerprints_equal(fingerprint(loop), clean_fp)
         np.testing.assert_array_equal(
             np.asarray(result.losses), np.asarray(clean_losses)
         )
@@ -111,7 +112,7 @@ class TestDifferentialRecovery:
         assert res_a.log.to_json() == res_b.log.to_json()
         assert mgr_a.injector.injected == mgr_b.injector.injected
         assert res_a.restarts == res_b.restarts
-        assert_fingerprints_equal(loop_a.fingerprint(), loop_b.fingerprint())
+        assert_fingerprints_equal(fingerprint(loop_a), fingerprint(loop_b))
 
 
 class TestRecoveryPaths:
@@ -129,11 +130,7 @@ class TestRecoveryPaths:
     def test_corruption_falls_back_to_previous_snapshot(self, tmp_path):
         plan = FaultPlan(
             [
-                FaultEvent(
-                    CHECKPOINT_CORRUPTION,
-                    4,
-                    target=TensorParallelFaultLoop.checkpoint_target,
-                ),
+                FaultEvent(CHECKPOINT_CORRUPTION, 4),
                 FaultEvent(PREEMPTION, 5),
             ],
             seed=PLAN_SEED,
@@ -144,22 +141,29 @@ class TestRecoveryPaths:
         assert [e.detail["snapshot"] for e in fallbacks] == ["step-00000004"]
         assert [e.detail["snapshot"] for e in resumes] == ["step-00000002"]
 
+    def test_corruption_target_missing_from_snapshot_is_an_error(self, tmp_path):
+        # a corruption that hits no file would pass without a fallback
+        plan = FaultPlan(
+            [
+                FaultEvent(CHECKPOINT_CORRUPTION, 4, target="optimizer.npz"),
+                FaultEvent(PREEMPTION, 5),
+            ],
+            seed=PLAN_SEED,
+        )
+        with pytest.raises(ValueError, match="optimizer.npz"):
+            managed_run(TensorParallelFaultLoop, plan, tmp_path)
+
     def test_truncated_shard_also_detected(self, tmp_path, clean_runs):
         plan = FaultPlan(
             [
-                FaultEvent(
-                    CHECKPOINT_CORRUPTION,
-                    4,
-                    target=TensorParallelFaultLoop.checkpoint_target,
-                    mode="truncate",
-                ),
+                FaultEvent(CHECKPOINT_CORRUPTION, 4, mode="truncate"),
                 FaultEvent(PREEMPTION, 5),
             ],
             seed=PLAN_SEED,
         )
         loop, _, result = managed_run(TensorParallelFaultLoop, plan, tmp_path)
         assert result.log.count("checkpoint-fallback") == 1
-        assert_fingerprints_equal(loop.fingerprint(), clean_runs["tp"][1])
+        assert_fingerprints_equal(fingerprint(loop), clean_runs["tp"][1])
 
     def test_transient_retry_count_matches_plan(self, tmp_path):
         plan = FaultPlan(
@@ -176,7 +180,7 @@ class TestRecoveryPaths:
         spikes = [e for e in result.log.events if e.action == "spike-discard"]
         assert len(spikes) == 1
         assert spikes[0].detail["grad_norm"] > 1e3
-        assert_fingerprints_equal(loop.fingerprint(), clean_runs["tp"][1])
+        assert_fingerprints_equal(fingerprint(loop), clean_runs["tp"][1])
 
     def test_degraded_link_slows_comm_but_not_math(self, tmp_path):
         baseline_loop, _, _ = managed_run(
@@ -192,7 +196,7 @@ class TestRecoveryPaths:
         slow_s = degraded_loop.communicators()[0].stats.simulated_seconds
         assert slow_s > base_s
         assert_fingerprints_equal(
-            degraded_loop.fingerprint(), baseline_loop.fingerprint()
+            fingerprint(degraded_loop), fingerprint(baseline_loop)
         )
 
     def test_retry_budget_exhaustion_raises(self, tmp_path):
@@ -213,6 +217,69 @@ class TestRecoveryPaths:
         )
         with pytest.raises(FaultRecoveryExhausted):
             managed_run(TensorParallelFaultLoop, plan, tmp_path, max_restarts=2)
+
+
+def expected_state_keys(loop):
+    """Every parameter plus its AdamW ``m::``/``v::`` moments; for TP, of
+    every rank's shards."""
+    if isinstance(loop, TensorParallelFaultLoop):
+        shards = [
+            (f"rank{r}::param::", f"rank{r}::", params)
+            for r, params in enumerate(loop.trainer.shard_params)
+        ]
+    elif isinstance(loop, DataParallelFaultLoop):
+        shards = [("", "", loop.ddp.model.named_parameters())]
+    else:
+        shards = [("", "", loop.model.named_parameters())]
+    keys = set()
+    for param_prefix, moment_prefix, params in shards:
+        assert params
+        for name in params:
+            keys |= {
+                param_prefix + name,
+                f"{moment_prefix}m::{name}",
+                f"{moment_prefix}v::{name}",
+            }
+    return keys
+
+
+class TestSnapshotContents:
+    """The snapshot holds the whole training state, and only it."""
+
+    @pytest.mark.parametrize("loop_cls", LOOPS, ids=[c.name for c in LOOPS])
+    def test_snapshot_keys_are_params_plus_moments(self, tmp_path, loop_cls):
+        loop, _, _ = managed_run(loop_cls, FaultPlan([], seed=PLAN_SEED), tmp_path)
+        arrays, meta = load_snapshot(tmp_path / f"step-{TOTAL_STEPS:08d}")
+        assert set(arrays) == expected_state_keys(loop)
+        assert meta["optimizer_step_count"] == TOTAL_STEPS
+        expected = fingerprint(loop)
+        assert expected.pop("step_count")[0] == TOTAL_STEPS
+        assert_fingerprints_equal(arrays, expected)
+
+    @pytest.mark.parametrize("loop_cls", LOOPS, ids=[c.name for c in LOOPS])
+    def test_restore_into_other_seed_matches_clean(self, tmp_path, clean_runs, loop_cls):
+        clean_losses, clean_fp = clean_runs[loop_cls.name]
+        source = loop_cls(seed=LOOP_SEED)
+        run_clean(source, FAULT_STEP)
+        save_snapshot(tmp_path / "s", source.state(), FAULT_STEP, source.step_count)
+
+        loop = loop_cls(seed=LOOP_SEED + 1)
+        loop.build()
+        # batches follow the reference run; every array build() seeded
+        # differently must be overwritten by the restore
+        loop.seed = LOOP_SEED
+        arrays, meta = load_snapshot(tmp_path / "s")
+        assign_state(loop.state(), arrays)
+        loop.step_count = meta["optimizer_step_count"]
+        losses = []
+        for step in range(meta["step"], TOTAL_STEPS):
+            losses.append(float(loop.compute_step(step)))
+            loop.grad_norm()
+            loop.apply_step(step)
+        assert_fingerprints_equal(fingerprint(loop), clean_fp)
+        np.testing.assert_array_equal(losses, clean_losses[FAULT_STEP:])
+        if isinstance(loop, DataParallelFaultLoop):
+            assert loop.ddp.replicas_in_sync()
 
 
 class TestPlanAndInjector:

@@ -16,7 +16,7 @@ from repro.model import (
 )
 from repro.model.config import scaled_config
 from repro.model.precision import bf16_ulp
-from repro.train.checkpointing import load_state_arrays, save_state_arrays
+from repro.train.checkpointing import load_snapshot, save_snapshot
 from tests.conftest import ATOL, position_sensitive_model
 
 
@@ -282,10 +282,10 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         """A model round-trips bit-exactly through the manifest format."""
         model = small_model(seed=9)
-        meta = {"config": model.config.to_dict()}
-        save_state_arrays(tmp_path / "ckpt", model.named_parameters(), meta=meta)
-        arrays, meta = load_state_arrays(tmp_path / "ckpt")
-        loaded = TransformerLM(ModelConfig.from_dict(meta["config"]))
+        extra = {"config": model.config.to_dict()}
+        save_snapshot(tmp_path / "ckpt", model.named_parameters(), 0, 0, extra)
+        arrays, meta = load_snapshot(tmp_path / "ckpt")
+        loaded = TransformerLM(ModelConfig.from_dict(meta["extra"]["config"]))
         loaded.load_state(arrays)
         assert loaded.config == model.config
         x = np.asarray([[1, 2, 3]])
@@ -298,6 +298,9 @@ class TestCheckpoint:
         )
         with pytest.raises(KeyError):
             b.load_state(a.state_copy())
+        wide = {k: v.astype(np.float64) for k, v in a.state_copy().items()}
+        with pytest.raises(ValueError):
+            a.load_state(wide)
 
 
 class TestPrecision:
