@@ -5,9 +5,10 @@ The subsystem has four layers, lowest to highest:
 * :mod:`repro.faults.errors` — the injected-fault exception taxonomy;
 * :mod:`repro.faults.plan` — declarative, seeded fault schedules
   (:class:`FaultPlan` / :class:`FaultEvent`);
-* :mod:`repro.faults.injector` — the sole component that fires faults,
-  via hooks in collectives, the trainer and checkpointing (lint rule R6
-  keeps ad-hoc raises out of ``parallel/`` and ``train/``);
+* :mod:`repro.faults.injector` — the sole component that fires faults:
+  through the communicator and checkpoint post-save hooks, and the step
+  calls the recovery manager makes around each step of the loop it drives
+  (lint rule R6 keeps ad-hoc raises out of ``parallel/`` and ``train/``);
 * :mod:`repro.faults.recovery` + :mod:`repro.faults.harness` — the
   recovery policy (:class:`RecoveryManager`) and the DP/TP/pipeline loop
   adapters it drives.

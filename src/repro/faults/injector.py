@@ -7,7 +7,8 @@ R6 (``fault-injection-registry``) forbids ad-hoc raises of fault types in
 * ``Communicator.hook`` (:meth:`FaultInjector.collective_hook`) — raises
   :class:`TransientCollectiveError` for scheduled transient failures and
   returns the degraded-link time multiplier;
-* :class:`~repro.train.trainer.TrainerHooks` — :meth:`on_step_start`
+* the step calls that :class:`~repro.faults.recovery.RecoveryManager`
+  makes around each step of the loop it drives — :meth:`on_step_start`
   raises :class:`PreemptionError` at scheduled step boundaries,
   :meth:`on_gradients` applies scheduled loss-spike gradient scalings;
 * the checkpoint post-save hook (:meth:`on_checkpoint_saved`) — corrupts
@@ -33,7 +34,6 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
 )
-from repro.train.trainer import TrainerHooks
 from repro.utils.rng import derive_seed
 
 
@@ -54,7 +54,7 @@ def corrupt_file(path: Path, mode: str, seed: int) -> None:
     path.write_bytes(data[:offset] + flipped + data[offset + 1 :])
 
 
-class FaultInjector(TrainerHooks):
+class FaultInjector:
     """Seeded, replayable interpreter of one :class:`FaultPlan`.
 
     The driving loop calls :meth:`begin_step` at each step boundary so the
@@ -91,7 +91,7 @@ class FaultInjector(TrainerHooks):
         """Tell the injector which optimizer step is executing."""
         self.current_step = int(step)
 
-    # -- trainer hooks --------------------------------------------------
+    # -- step calls -----------------------------------------------------
     def on_step_start(self, step: int) -> None:
         """Raise a scheduled preemption exactly once."""
         self.begin_step(step)

@@ -4,8 +4,12 @@ The stack's correctness rests on contracts that ordinary tests cannot
 guard exhaustively: forked KV caches are shared read-only views (R1),
 simulated ranks issue symmetric collective sequences (R2), all
 randomness flows through seeded, namespaced generators (R3), floating
-point results are never compared with ``==`` (R4), and ``__all__``
-tracks the real public surface (R5).  This package machine-checks them:
+point results are never compared with ``==`` (R4), ``__all__`` tracks
+the real public surface (R5), faults fire only through the injector
+(R6), serving code reads time only from the injected clock (R7), model
+math never makes float64 NumPy scalars (R8), no import goes unused (R9)
+and no workspace view outlives its scope (R11).  This package
+machine-checks them; every finding fails the run (exit status 1):
 
     PYTHONPATH=src python -m repro.lint src tests
     PYTHONPATH=src python -m repro.lint --format json src
@@ -20,7 +24,7 @@ See ``docs/lint_rules.md`` for the rule reference.
 
 import repro.lint.rules  # noqa: F401  (registers the built-in rules)
 from repro.lint.config import LintConfig
-from repro.lint.core import Finding, ParsedModule, Rule, Severity, all_rules, register
+from repro.lint.core import Finding, ParsedModule, Rule, all_rules, register
 from repro.lint.engine import LintResult, collect_files, lint_source, run_lint
 from repro.lint.reporters import json_report, text_report
 from repro.lint.suppress import Suppressions, parse_suppressions
@@ -31,7 +35,6 @@ __all__ = [
     "LintResult",
     "ParsedModule",
     "Rule",
-    "Severity",
     "Suppressions",
     "all_rules",
     "collect_files",

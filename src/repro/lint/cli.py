@@ -1,7 +1,7 @@
 """``python -m repro.lint`` — run the invariant checker from the shell.
 
-Exit status: 0 when clean (below ``--fail-on``), 1 when findings fail the
-build, 2 on usage errors.
+Exit status: 0 when clean, 1 on any finding (a parse error's ``E999``
+included), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -21,9 +21,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "AST-based invariant checker for the repro stack: cache "
-            "mutation, collective symmetry, RNG hygiene, float equality, "
-            "export drift."
+            "AST-based invariant checker for the repro stack, ten rules: "
+            "cache mutation, collective symmetry, RNG hygiene, float "
+            "equality, export drift, fault-injection registry, wall-clock "
+            "hygiene, NumPy scalar promotion, unused imports, workspace "
+            "escape (see --list-rules)."
+        ),
+        epilog=(
+            "exit status: 0 when clean, 1 on any finding, 2 on a usage error"
         ),
     )
     parser.add_argument(
@@ -53,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip these rules (codes or names)",
     )
     parser.add_argument(
-        "--fail-on",
-        choices=("info", "warning", "error"),
-        default="warning",
-        help="lowest severity that fails the build (default: warning)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
@@ -77,16 +76,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.list_rules:
         for rule_cls in all_rules():
-            print(
-                f"{rule_cls.code}  {rule_cls.name:<22} "
-                f"[{rule_cls.default_severity}]  {rule_cls.description}"
-            )
+            print(f"{rule_cls.code}  {rule_cls.name:<22}  {rule_cls.description}")
         return 0
     try:
         config = LintConfig.from_cli(
             select=_split(args.select),
             disable=_split(args.disable),
-            fail_on=args.fail_on,
         )
         result = run_lint(args.paths, config)
     except (FileNotFoundError, ValueError) as exc:
@@ -97,7 +92,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(report)
     except BrokenPipeError:  # e.g. piped into `head`; exit status still counts
         sys.stderr.close()
-    return result.exit_code(config.fail_on)
+    return result.exit_code()
 
 
 if __name__ == "__main__":

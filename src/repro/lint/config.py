@@ -1,33 +1,23 @@
-"""Linter configuration: rule selection, severity overrides, rule options."""
+"""Linter configuration: which rules run."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
-from repro.lint.core import Severity, all_rules, resolve_rule_id
+from repro.lint.core import Rule, all_rules, resolve_rule_id
 
 
 @dataclass
 class LintConfig:
-    """What to run and how strictly.
+    """Which rules run.
 
     ``select``/``disable`` accept rule codes ("R1") or slugs
     ("cache-mutation"); ``select=None`` means all registered rules.
-    ``severity_overrides`` maps rule code -> :class:`Severity`;
-    ``rule_options`` maps rule code -> option overrides merged over the
-    rule's ``default_options``.  ``exclude_parts`` drops any file whose
-    '/'-normalized path contains one of the fragments.
     """
 
     select: Optional[Set[str]] = None
     disable: Set[str] = field(default_factory=set)
-    severity_overrides: Dict[str, Severity] = field(default_factory=dict)
-    rule_options: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    exclude_parts: List[str] = field(
-        default_factory=lambda: ["/.git/", "/__pycache__/", "/.venv/"]
-    )
-    fail_on: Severity = Severity.WARNING
 
     @staticmethod
     def _canonical(idents: Iterable[str]) -> Set[str]:
@@ -44,30 +34,17 @@ class LintConfig:
         cls,
         select: Optional[Iterable[str]] = None,
         disable: Optional[Iterable[str]] = None,
-        fail_on: str = "warning",
     ) -> "LintConfig":
         return cls(
             select=cls._canonical(select) if select else None,
             disable=cls._canonical(disable) if disable else set(),
-            fail_on=Severity.from_name(fail_on),
         )
 
-    def enabled_rules(self):
-        """Instantiated, enabled rules with their merged options."""
-        enabled = []
-        for rule_cls in all_rules():
-            code = rule_cls.code
-            if self.select is not None and code not in self.select:
-                continue
-            if code in self.disable:
-                continue
-            options = dict(rule_cls.default_options)
-            options.update(self.rule_options.get(code, {}))
-            enabled.append((rule_cls(), options))
-        return enabled
-
-    def severity_for(self, code: str, default: Severity) -> Severity:
-        return self.severity_overrides.get(code, default)
-
-    def excludes(self, norm_path: str) -> bool:
-        return any(part in norm_path for part in self.exclude_parts)
+    def enabled_rules(self) -> List[Rule]:
+        """Instantiated, enabled rules, ordered by code."""
+        return [
+            rule_cls()
+            for rule_cls in all_rules()
+            if (self.select is None or rule_cls.code in self.select)
+            and rule_cls.code not in self.disable
+        ]

@@ -10,45 +10,22 @@ becomes a :class:`Rule` that walks a module's AST and yields
 
 Rules self-register via :func:`register`; the engine instantiates every
 registered rule unless a :class:`~repro.lint.config.LintConfig` narrows the
-selection.
+selection, and runs each only on the files its declared scope covers.
 """
 
 from __future__ import annotations
 
 import ast
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Type
-
-
-class Severity(enum.IntEnum):
-    """Ordered severity levels; the CLI fails on findings >= ``--fail-on``."""
-
-    INFO = 10
-    WARNING = 20
-    ERROR = 30
-
-    @classmethod
-    def from_name(cls, name: str) -> "Severity":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {name!r}; expected one of "
-                f"{[s.name.lower() for s in cls]}"
-            ) from None
-
-    def __str__(self) -> str:  # "error", for reports
-        return self.name.lower()
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at a source location."""
+    """One rule violation at a source location; every finding fails the run."""
 
     rule: str  # rule code, e.g. "R1"
     name: str  # rule slug, e.g. "cache-mutation"
-    severity: Severity
     path: str
     line: int
     col: int
@@ -62,7 +39,6 @@ class Finding:
         return {
             "rule": self.rule,
             "name": self.name,
-            "severity": str(self.severity),
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -87,34 +63,33 @@ class ParsedModule:
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set ``code`` / ``name`` / ``description`` /
-    ``default_severity`` (and optionally ``default_options``) and implement
-    :meth:`check`.  Options arrive already merged (defaults overlaid with
-    any per-rule config), so ``check`` never consults global state.
+    Subclasses set ``code`` / ``name`` / ``description`` and implement
+    :meth:`check`.  A rule's scope is declared, not coded: ``paths`` lists
+    path fragments (``"/serve/"``) of which a file must contain one (empty:
+    every file), and ``exempt`` lists path suffixes (``"serve/clock.py"``)
+    the rule skips.  The engine applies both before calling :meth:`check`.
     """
 
     code: str = ""
     name: str = ""
     description: str = ""
-    default_severity: Severity = Severity.ERROR
-    default_options: Dict[str, object] = {}
+    paths: Tuple[str, ...] = ()
+    exempt: Tuple[str, ...] = ()
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
+    def applies_to(self, path: str) -> bool:
+        """True when the '/'-normalized ``path`` is in this rule's scope."""
+        rooted = "/" + path.lstrip("/")
+        if self.paths and not any(frag in rooted for frag in self.paths):
+            return False
+        return not any(path.endswith(suffix) for suffix in self.exempt)
+
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(
-        self,
-        module: ParsedModule,
-        node: ast.AST,
-        message: str,
-        severity: Optional[Severity] = None,
-    ) -> Finding:
+    def finding(self, module: ParsedModule, node: ast.AST, message: str) -> Finding:
         return Finding(
             rule=self.code,
             name=self.name,
-            severity=severity or self.default_severity,
             path=module.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),

@@ -1,8 +1,9 @@
 """The lint engine: collect files, parse once, run rules, filter, sort.
 
-Parse failures are not crashes — a file that does not parse yields a
-single ``E999`` finding (severity error) so CI fails loudly with a
-location instead of a traceback.
+Each rule runs only on the files its declared ``paths``/``exempt`` scope
+covers.  Parse failures are not crashes — a file that does not parse
+yields a single ``E999`` finding so CI fails loudly with a location
+instead of a traceback.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.lint.config import LintConfig
-from repro.lint.core import Finding, ParsedModule, Severity
+from repro.lint.core import Finding, ParsedModule
 from repro.lint.suppress import parse_suppressions
 
 PARSE_ERROR_RULE = "E999"
+#: files under these directories are never linted
+EXCLUDED_PARTS = ("/.git/", "/__pycache__/", "/.venv/")
 
 
 @dataclass
@@ -31,15 +34,16 @@ class LintResult:
             counts[f.rule] = counts.get(f.rule, 0) + 1
         return dict(sorted(counts.items()))
 
-    def exit_code(self, fail_on: Severity) -> int:
-        return int(any(f.severity >= fail_on for f in self.findings))
+    def exit_code(self) -> int:
+        """0 when clean, 1 on any finding."""
+        return int(bool(self.findings))
 
 
 def _norm(path: str) -> str:
     return path.replace(os.sep, "/")
 
 
-def collect_files(paths: Sequence[str], config: LintConfig) -> List[str]:
+def collect_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a sorted, de-duplicated .py file list."""
     files: List[str] = []
     seen = set()
@@ -59,7 +63,8 @@ def collect_files(paths: Sequence[str], config: LintConfig) -> List[str]:
             raise FileNotFoundError(f"no such file or directory: {path}")
         for cand in candidates:
             norm = _norm(cand)
-            if norm in seen or config.excludes("/" + norm.lstrip("/")):
+            rooted = "/" + norm.lstrip("/")
+            if norm in seen or any(part in rooted for part in EXCLUDED_PARTS):
                 continue
             seen.add(norm)
             files.append(cand)
@@ -81,7 +86,6 @@ def lint_source(
             Finding(
                 rule=PARSE_ERROR_RULE,
                 name="parse-error",
-                severity=Severity.ERROR,
                 path=norm_path,
                 line=exc.lineno or 1,
                 col=(exc.offset or 1) - 1,
@@ -91,22 +95,12 @@ def lint_source(
     module = ParsedModule(path=norm_path, source=source, tree=tree)
     supp = parse_suppressions(source)
     findings: List[Finding] = []
-    for rule, options in config.enabled_rules():
-        for finding in rule.check(module, options):
-            if supp.is_suppressed(finding.rule, finding.line):
-                continue
-            severity = config.severity_for(finding.rule, finding.severity)
-            if severity is not finding.severity:
-                finding = Finding(
-                    rule=finding.rule,
-                    name=finding.name,
-                    severity=severity,
-                    path=finding.path,
-                    line=finding.line,
-                    col=finding.col,
-                    message=finding.message,
-                )
-            findings.append(finding)
+    for rule in config.enabled_rules():
+        if not rule.applies_to(norm_path):
+            continue
+        findings.extend(
+            f for f in rule.check(module) if not supp.is_suppressed(f.rule, f.line)
+        )
     findings.sort(key=lambda f: f.sort_key)
     return findings
 
@@ -117,7 +111,7 @@ def run_lint(
     """Lint every python file under ``paths``."""
     config = config or LintConfig()
     result = LintResult()
-    for filename in collect_files(paths, config):
+    for filename in collect_files(paths):
         with open(filename, "r", encoding="utf-8") as handle:
             source = handle.read()
         result.findings.extend(lint_source(source, path=filename, config=config))

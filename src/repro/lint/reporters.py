@@ -11,14 +11,13 @@ from typing import Dict
 
 from repro.lint.engine import LintResult
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 def text_report(result: LintResult) -> str:
     """One line per finding plus a summary tail."""
     lines = [
-        f"{f.path}:{f.line}:{f.col + 1}: {f.rule} [{f.severity}] "
-        f"{f.message} [{f.name}]"
+        f"{f.path}:{f.line}:{f.col + 1}: {f.rule} {f.message} [{f.name}]"
         for f in result.findings
     ]
     if result.findings:

@@ -61,6 +61,12 @@ _VIEW_FUNCS = {
     "view",
     "astype",  # astype(copy=False) may alias; stay conservative
 }
+#: names treated as cache roots even without a taint-seeding assignment
+CACHE_NAME_PATTERN = re.compile(
+    r"(?:^|_)(?:kv_?)?caches?$|^pc$|^prefix(?:_cache)?$", re.I
+)
+#: dict keys under which cached tensors live
+KV_KEYS = {"k", "v"}
 
 
 def _terminal_name(node: ast.AST) -> Optional[str]:
@@ -101,18 +107,8 @@ class CacheMutationRule(Rule):
         "in-place write into a tensor reachable from a KVCache/PrefixCache "
         "binding (the attention contract rebinds, never mutates)"
     )
-    default_options = {
-        # names treated as cache roots even without a taint-seeding assignment
-        "cache_name_pattern": r"(?:^|_)(?:kv_?)?caches?$|^pc$|^prefix(?:_cache)?$",
-        # dict keys under which cached tensors live
-        "kv_keys": ["k", "v"],
-    }
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
-        self._pattern = re.compile(str(options["cache_name_pattern"]), re.I)
-        self._kv_keys = set(options["kv_keys"])  # type: ignore[arg-type]
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         self._module = module
         findings: List[Finding] = []
         self._scope(module.tree.body, {}, findings)
@@ -128,7 +124,7 @@ class CacheMutationRule(Rule):
             return True
         if kind == ARRAY:
             return False  # array taint is handled separately
-        return bool(self._pattern.search(name))
+        return bool(CACHE_NAME_PATTERN.search(name))
 
     def _taint_of_expr(self, node: ast.AST, taint: Dict[str, str]) -> Optional[str]:
         """Taint kind produced by evaluating ``node``, if any."""
@@ -150,7 +146,7 @@ class CacheMutationRule(Rule):
                         return ARRAY
             if name is not None and taint.get(name) in (CONTAINER, PREFIX):
                 return taint[name]
-            if name is not None and self._pattern.search(name):
+            if name is not None and CACHE_NAME_PATTERN.search(name):
                 return CONTAINER
             return None
         if isinstance(node, ast.Subscript):
@@ -159,7 +155,7 @@ class CacheMutationRule(Rule):
             root, steps = _chain(node)
             if self._is_cache_root(root, taint):
                 if any(
-                    kind == "sub" and _str_index(idx) in self._kv_keys
+                    kind == "sub" and _str_index(idx) in KV_KEYS
                     for kind, idx in steps
                 ):
                     return ARRAY
@@ -179,7 +175,7 @@ class CacheMutationRule(Rule):
                 base_tainted = self._is_cache_root(
                     fn.value, taint
                 ) or self._taint_of_expr(fn.value, taint) in (CONTAINER, PREFIX)
-                if base_tainted and _str_index(node.args[0]) in self._kv_keys:
+                if base_tainted and _str_index(node.args[0]) in KV_KEYS:
                     return ARRAY
             if fn_name in _VIEW_FUNCS:
                 for arg in node.args:
@@ -237,7 +233,7 @@ class CacheMutationRule(Rule):
         kv_positions = [
             i
             for i, (kind, idx) in enumerate(steps)
-            if kind == "sub" and _str_index(idx) in self._kv_keys
+            if kind == "sub" and _str_index(idx) in KV_KEYS
         ]
         if not kv_positions:
             return None

@@ -7,18 +7,20 @@ a ``while`` whose condition is rank-dependent, or in a loop whose trip
 count depends on the rank, is exactly that bug.
 
 Scope is limited to the distributed layers (``parallel``/``train`` path
-fragments by default) so ordinary code may branch on whatever it likes.
+fragments) so ordinary code may branch on whatever it likes.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.lint.core import Finding, ParsedModule, Rule, iter_names, register
 
 COLLECTIVES = {"all_reduce", "all_gather", "reduce_scatter", "broadcast", "barrier"}
+#: names that hold a rank
+RANK_NAME_PATTERN = re.compile(r"(?:^|_)ranks?$|^world_rank$|^group_rank$", re.I)
 
 
 def _collective_name(node: ast.Call) -> Optional[str]:
@@ -38,23 +40,13 @@ class CollectiveSymmetryRule(Rule):
         "collective call inside a rank-dependent branch or loop "
         "(every rank must issue the same collective sequence)"
     )
-    default_options = {
-        "path_fragments": ["/parallel/", "/train/"],
-        "rank_name_pattern": r"(?:^|_)ranks?$|^world_rank$|^group_rank$",
-    }
+    paths = ("/parallel/", "/train/")
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
-        fragments = list(options["path_fragments"])  # type: ignore[arg-type]
-        norm = "/" + module.path.lstrip("/")
-        if fragments and not any(frag in norm for frag in fragments):
-            return iter(())
-        pattern = re.compile(str(options["rank_name_pattern"]), re.I)
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         findings: List[Finding] = []
 
         def rank_dependent(node: ast.AST) -> bool:
-            return any(pattern.search(name) for name in iter_names(node))
+            return any(RANK_NAME_PATTERN.search(name) for name in iter_names(node))
 
         def describe(ctrl: ast.stmt) -> str:
             kind = {ast.If: "if", ast.While: "while", ast.For: "for"}.get(

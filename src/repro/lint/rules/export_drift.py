@@ -16,7 +16,7 @@ skipped rather than guessed at.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.lint.core import Finding, ParsedModule, Rule, register
 
@@ -113,9 +113,7 @@ class ExportDriftRule(Rule):
         "defs missing from __all__"
     )
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         entries = _literal_all(module.tree)
         if entries is None:
             return iter(())

@@ -19,7 +19,7 @@ fragments and raises freely.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.lint.core import Finding, ParsedModule, Rule, register
 
@@ -52,25 +52,15 @@ class FaultRegistryRule(Rule):
         "(faults must fire through the FaultInjector hook registry so "
         "every scenario replays from its plan)"
     )
-    default_options = {
-        "path_fragments": ["/parallel/", "/train/"],
-        "fault_type_names": list(FAULT_TYPE_NAMES),
-    }
+    paths = ("/parallel/", "/train/")
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
-        fragments = list(options["path_fragments"])  # type: ignore[arg-type]
-        norm = "/" + module.path.lstrip("/")
-        if fragments and not any(frag in norm for frag in fragments):
-            return iter(())
-        names = set(options["fault_type_names"])  # type: ignore[arg-type]
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Raise):
                 continue
             name = _raised_name(node)
-            if name in names:
+            if name in FAULT_TYPE_NAMES:
                 findings.append(
                     self.finding(
                         module,

@@ -24,7 +24,7 @@ bit-identity checks on other values take an inline suppression.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.lint.core import Finding, ParsedModule, Rule, register
 
@@ -113,9 +113,7 @@ class FloatEqualityRule(Rule):
         "bit-identity checks"
     )
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Compare):

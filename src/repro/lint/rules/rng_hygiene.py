@@ -16,7 +16,7 @@ stochastic component to draw from an explicitly seeded, namespaced stream
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List
+from typing import Iterator, List
 
 from repro.lint.core import Finding, ParsedModule, Rule, register
 
@@ -77,16 +77,9 @@ class RngHygieneRule(Rule):
         "numpy global RNG state or unseeded default_rng() outside the "
         "sanctioned repro.utils.rng wrapper"
     )
-    default_options = {
-        "allowed_file_suffixes": ["repro/utils/rng.py"],
-    }
+    exempt = ("repro/utils/rng.py",)
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
-        suffixes = list(options["allowed_file_suffixes"])  # type: ignore[arg-type]
-        if any(module.path.endswith(suffix) for suffix in suffixes):
-            return iter(())
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         findings: List[Finding] = []
         numpy_aliases = {"numpy", "np"}
         for node in ast.walk(module.tree):
@@ -143,5 +136,4 @@ class RngHygieneRule(Rule):
                         "np.random.default_rng Generator instead",
                     )
                 )
-        findings.sort(key=lambda f: f.sort_key)
         return iter(findings)

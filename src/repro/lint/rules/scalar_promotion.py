@@ -74,15 +74,9 @@ class ScalarPromotionRule(Rule):
         "scalar that promotes float32 arrays to float64 (NEP 50); use math "
         "or cast with np.float32"
     )
-    default_options = {"path_fragments": ["/model/", "/train/"]}
+    paths = ("/model/", "/train/")
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
-        fragments = list(options["path_fragments"])  # type: ignore[arg-type]
-        norm = "/" + module.path.lstrip("/")
-        if fragments and not any(frag in norm for frag in fragments):
-            return iter(())
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         numpy_aliases = {"numpy", "np"}
         parents: Dict[ast.AST, ast.AST] = {}
         for node in ast.walk(module.tree):
@@ -140,5 +134,4 @@ class ScalarPromotionRule(Rule):
                     f"use {instead} or np.float32(...)",
                 )
             )
-        findings.sort(key=lambda f: f.sort_key)
         return iter(findings)

@@ -17,7 +17,7 @@ package's ``__init__`` is for.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Union
+from typing import Iterator, List, Set, Union
 
 from repro.lint.core import Finding, ParsedModule, Rule, register
 from repro.lint.rules.export_drift import _literal_all
@@ -82,11 +82,9 @@ class UnusedImportRule(Rule):
         "the code that needed it was deleted)"
     )
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
-        if module.path.endswith("__init__.py"):
-            return iter(())
+    exempt = ("__init__.py",)
+
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         read = _read_names(module.tree)
         read.update(name for name, _ in _literal_all(module.tree) or [])
         findings: List[Finding] = []

@@ -20,7 +20,7 @@ time enters the engine *only* as an injected
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List
+from typing import Iterator, List
 
 from repro.lint.core import Finding, ParsedModule, Rule, register
 
@@ -51,21 +51,10 @@ class WallClockRule(Rule):
         "driven by the injected Clock so simulations replay bit-identically; "
         "only serve/clock.py may touch the time module)"
     )
-    default_options = {
-        "path_fragments": ["/serve/"],
-        "allowed_file_suffixes": ["serve/clock.py"],
-    }
+    paths = ("/serve/",)
+    exempt = ("serve/clock.py",)
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
-        fragments = list(options["path_fragments"])  # type: ignore[arg-type]
-        norm = "/" + module.path.lstrip("/")
-        if fragments and not any(frag in norm for frag in fragments):
-            return iter(())
-        suffixes = list(options["allowed_file_suffixes"])  # type: ignore[arg-type]
-        if any(module.path.endswith(suffix) for suffix in suffixes):
-            return iter(())
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         findings: List[Finding] = []
         time_aliases = {"time"}
         for node in ast.walk(module.tree):
@@ -119,5 +108,4 @@ class WallClockRule(Rule):
                         f"clock; serving code must use the injected Clock",
                     )
                 )
-        findings.sort(key=lambda f: f.sort_key)
         return iter(findings)

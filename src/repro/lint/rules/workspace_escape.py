@@ -83,11 +83,9 @@ class WorkspaceEscapeRule(CacheMutationRule):
         "list or KV cache"
     )
 
-    def check(
-        self, module: ParsedModule, options: Dict[str, object]
-    ) -> Iterator[Finding]:
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         self._public: List[bool] = [False]
-        return super().check(module, options)
+        return super().check(module)
 
     # -- taint -------------------------------------------------------------
     def _taint_of_expr(self, node: ast.AST, taint: Dict[str, str]) -> Optional[str]:

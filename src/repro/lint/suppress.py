@@ -21,7 +21,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.lint.core import resolve_rule_id
 
@@ -38,8 +38,6 @@ class Suppressions:
 
     by_line: Dict[int, Set[str]] = field(default_factory=dict)
     file_wide: Set[str] = field(default_factory=set)
-    #: directives whose rule list contained an unknown identifier
-    unknown: List[str] = field(default_factory=list)
 
     def is_suppressed(self, rule_code: str, line: int) -> bool:
         if "all" in self.file_wide or rule_code in self.file_wide:
@@ -48,7 +46,8 @@ class Suppressions:
         return rules is not None and ("all" in rules or rule_code in rules)
 
 
-def _resolve(idents: str, unknown: List[str]) -> Set[str]:
+def _resolve(idents: str) -> Set[str]:
+    """The rule codes a directive names; an unknown name suppresses nothing."""
     resolved: Set[str] = set()
     for ident in idents.split(","):
         ident = ident.strip()
@@ -58,9 +57,7 @@ def _resolve(idents: str, unknown: List[str]) -> Set[str]:
             resolved.add("all")
             continue
         code = resolve_rule_id(ident)
-        if code is None:
-            unknown.append(ident)
-        else:
+        if code is not None:
             resolved.add(code)
     return resolved
 
@@ -79,7 +76,7 @@ def parse_suppressions(source: str) -> Suppressions:
         match = _DIRECTIVE.search(tok.string)
         if match is None:
             continue
-        rules = _resolve(match.group("rules"), supp.unknown)
+        rules = _resolve(match.group("rules"))
         if not rules:
             continue
         if match.group("kind") == "disable-file":

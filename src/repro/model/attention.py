@@ -222,16 +222,9 @@ class MultiHeadAttention(Module):
         return x.transpose(0, 2, 1, 3).reshape(B, T, H * hd)
 
     # -- forward ---------------------------------------------------------
-    def forward(
-        self,
-        x: np.ndarray,
-        start_pos: int = 0,
-        cache: Optional[Dict[str, np.ndarray]] = None,
-    ) -> np.ndarray:
+    def forward(self, x: np.ndarray, start_pos: int = 0) -> np.ndarray:
         """The training call over full sequences: stashes what
-        :meth:`backward` reads.  With ``cache`` it is the pure call."""
-        if cache is not None:
-            return self(x, start_pos, cache)
+        :meth:`backward` reads."""
         q = self.rope.apply(self._split_heads(self.wq.forward(x)), start_pos)
         k = self.rope.apply(self._split_heads(self.wk.forward(x)), start_pos)
         v = self._split_heads(self.wv.forward(x))

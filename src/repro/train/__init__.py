@@ -22,7 +22,7 @@ from repro.train.dataloader import (
     pack_documents,
     pad_examples,
 )
-from repro.train.trainer import Trainer, TrainerHooks, TrainingConfig, TrainingHistory
+from repro.train.trainer import Trainer, TrainingConfig, TrainingHistory
 from repro.train.checkpointing import (
     CheckpointIntegrityError,
     checkpoint_dir_for_step,
@@ -53,7 +53,6 @@ __all__ = [
     "pack_documents",
     "pad_examples",
     "Trainer",
-    "TrainerHooks",
     "TrainingConfig",
     "TrainingHistory",
     "CheckpointIntegrityError",

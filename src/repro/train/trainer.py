@@ -66,24 +66,6 @@ class TrainingHistory:
         return float(np.mean(tail))
 
 
-class TrainerHooks:
-    """Optional observation/injection points around the step loop.
-
-    The fault injector (:mod:`repro.faults`) subclasses this to preempt a
-    run at a step boundary or perturb accumulated gradients; the default
-    implementations do nothing, so a hook-less trainer behaves exactly as
-    before.  ``on_step_start`` fires before any microbatch of the step;
-    ``on_gradients`` fires after accumulation, before clipping and the
-    optimizer update.
-    """
-
-    def on_step_start(self, step: int) -> None:  # pragma: no cover - trivial
-        return None
-
-    def on_gradients(self, step: int, grads: dict) -> None:  # pragma: no cover
-        return None
-
-
 class Trainer:
     """Runs a model over a batch stream for ``total_steps`` optimizer steps.
 
@@ -92,15 +74,9 @@ class Trainer:
     step and loops the stream if it is exhausted (via the ``reset`` callable).
     """
 
-    def __init__(
-        self,
-        model: Module,
-        config: TrainingConfig,
-        hooks: Optional[TrainerHooks] = None,
-    ) -> None:
+    def __init__(self, model: Module, config: TrainingConfig) -> None:
         self.model = model
         self.config = config
-        self.hooks = hooks
         self.schedule = CosineSchedule(
             config.learning_rate,
             config.total_steps,
@@ -132,8 +108,6 @@ class Trainer:
         cfg = self.config
         iterator = iter(make_batches())
         for step in range(cfg.total_steps):
-            if self.hooks is not None:
-                self.hooks.on_step_start(step)
             for g in self._grads.values():
                 g.fill(0.0)
             accum_loss = 0.0
@@ -155,8 +129,6 @@ class Trainer:
                     tokens += int(np.asarray(targets).size)
                 else:
                     tokens += int(np.asarray(mask).sum())
-            if self.hooks is not None:
-                self.hooks.on_gradients(step, self._grads)
             norm = clip_grad_norm(self._grads, cfg.clip_norm)
             lr = self.schedule.lr(step)
             self.optimizer.step(lr)

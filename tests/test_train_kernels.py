@@ -171,8 +171,8 @@ def ref_swiglu_backward(self, dout):
     return dx
 
 
-def ref_block_forward(self, x, start_pos=0, cache=None):
-    x = x + self.attn.forward(self.attn_norm.forward(x), start_pos, cache)
+def ref_block_forward(self, x, start_pos=0):
+    x = x + self.attn.forward(self.attn_norm.forward(x), start_pos)
     x = x + self.mlp.forward(self.mlp_norm.forward(x))
     return x
 
@@ -366,16 +366,16 @@ class TestKernels:
 
     @pytest.mark.parametrize("new", [1, 4])
     def test_attention_with_cache(self, dtype, new):
-        """A cached forward at ``start_pos`` = the cache's length, where
+        """The cached pure call at ``start_pos`` = the cache's length, where
         the old absolute-position mask and the offset mask agree."""
         rng = np.random.default_rng(new)
         rope = RotaryEmbedding(8, 32)
         attn = as_dtype(MultiHeadAttention(32, 4, rope, rng, init_std=0.3), dtype)
         prompt, step = randn(rng, (1, 6, 32), dtype), randn(rng, (1, new, 32), dtype)
         got, want = {}, {}
-        attn.forward(prompt, 0, got)
+        attn(prompt, 0, got)
         ref_attention_forward(attn, prompt, 0, want)
-        assert_same(attn.forward(step, 6, got), ref_attention_forward(attn, step, 6, want))
+        assert_same(attn(step, 6, got), ref_attention_forward(attn, step, 6, want))
         assert_same(got["k"], want["k"])
 
     def test_swiglu(self, dtype):
