@@ -43,6 +43,17 @@ from repro.train.sft import SFTConfig, SupervisedFineTuner
 from repro.train.trainer import TrainingHistory
 
 
+# The micro world's fixed stage settings.
+CPT_LEARNING_RATE = 9e-4  # x4 for LoRA entries
+CPT_BATCH_SIZE = 16
+CPT_QA_BRIDGE = 0.3  # fraction of QA-style bridge documents mixed into CPT
+LORA_RANK = 8
+SFT_LEARNING_RATE = 4e-4
+SFT_BATCH_SIZE = 8
+FEW_SHOT = 2
+EVAL_BATCH_SIZE = 32  # suffix batch for prefix-cached token scoring
+
+
 def clone_model(model: TransformerLM) -> TransformerLM:
     """Deep copy a model (same config, independent parameters)."""
     twin = TransformerLM(model.config)
@@ -52,7 +63,8 @@ def clone_model(model: TransformerLM) -> TransformerLM:
 
 @dataclass
 class PipelineConfig:
-    """Every stage's knobs, tuned for the micro world.
+    """The stage settings a run varies, tuned for the micro world; the
+    rest are this module's constants.
 
     The CPT learning rate / epoch ladder is the micro analogue of the
     paper's fixed recipe: all entries share it (the paper used the same
@@ -61,23 +73,11 @@ class PipelineConfig:
     """
 
     pretrain: BasePretrainConfig = field(default_factory=BasePretrainConfig)
-    # CPT
-    cpt_learning_rate: float = 9e-4
     cpt_epochs: float = 6.0
-    cpt_batch_size: int = 16
-    cpt_qa_bridge: float = 0.3
-    cpt_word_budget: Optional[int] = None  # fixed token budget across datasets
-    lora_rank: int = 8
-    # SFT
     sft_scale: float = 0.01  # fraction of the paper's 31k mixture
-    sft_learning_rate: float = 4e-4
     sft_epochs: float = 2.0
-    sft_batch_size: int = 8
-    # evaluation
     max_questions: Optional[int] = None
-    few_shot: int = 2
     gen_max_new_tokens: int = 32
-    eval_batch_size: int = 32  # suffix batch for prefix-cached token scoring
     seed: int = 0
 
 
@@ -145,17 +145,12 @@ class AstroLLaMAPipeline:
         }
         if name not in builders:
             raise KeyError(f"unknown CPT dataset {name!r}")
-        dataset = builders[name](self.world.archive)
-        if self.config.cpt_word_budget is not None:
-            dataset = dataset.truncate_words(self.config.cpt_word_budget)
-        if self.config.cpt_qa_bridge > 0:
-            dataset = with_qa_bridge(
-                dataset,
-                self.world.astro,
-                self.config.cpt_qa_bridge,
-                seed=self.config.seed,
-            )
-        return dataset
+        return with_qa_bridge(
+            builders[name](self.world.archive),
+            self.world.astro,
+            CPT_QA_BRIDGE,
+            seed=self.config.seed,
+        )
 
     def run_cpt(
         self, entry: ModelZooEntry, base: PretrainedBase
@@ -170,13 +165,13 @@ class AstroLLaMAPipeline:
         adapters = None
         if entry.cpt_lora:
             adapters = apply_lora(
-                model, LoRAConfig(rank=cfg.lora_rank), seed=cfg.seed
+                model, LoRAConfig(rank=LORA_RANK), seed=cfg.seed
             )
         cpt = ContinualPretrainer(
             CPTConfig(
-                learning_rate=cfg.cpt_learning_rate
+                learning_rate=CPT_LEARNING_RATE
                 * (4.0 if entry.cpt_lora else 1.0),
-                total_batch_size=cfg.cpt_batch_size,
+                total_batch_size=CPT_BATCH_SIZE,
                 max_token_length=model.config.max_seq_len,
                 epochs=cfg.cpt_epochs,
                 bf16=False,
@@ -209,8 +204,8 @@ class AstroLLaMAPipeline:
             pad_id=tokenizer.vocab.pad_id,
             eos_id=tokenizer.vocab.eos_id,
             config=SFTConfig(
-                learning_rate=cfg.sft_learning_rate,
-                total_batch_size=cfg.sft_batch_size,
+                learning_rate=SFT_LEARNING_RATE,
+                total_batch_size=SFT_BATCH_SIZE,
                 max_token_length=min(192, model.config.max_seq_len),
                 epochs=cfg.sft_epochs,
                 bf16=False,
@@ -232,7 +227,7 @@ class AstroLLaMAPipeline:
     ) -> Dict[str, EvaluationResult]:
         cfg = self.config
         runner = BatchedEvaluationRunner(self.world.benchmark, cfg.max_questions)
-        few_shot = self.world.benchmark.few_shot(cfg.few_shot)
+        few_shot = self.world.benchmark.few_shot(FEW_SHOT)
         prefix = [tokenizer.vocab.eos_id]
         out: Dict[str, EvaluationResult] = {}
 
@@ -241,7 +236,7 @@ class AstroLLaMAPipeline:
             tokenizer,
             few_shot,
             prefix_ids=prefix,
-            batch_size=cfg.eval_batch_size,
+            batch_size=EVAL_BATCH_SIZE,
         )
         out["token_base"] = runner.run(base_eval, "token_base", model_name)
 
@@ -250,7 +245,7 @@ class AstroLLaMAPipeline:
             tokenizer,
             few_shot,
             prefix_ids=prefix,
-            batch_size=cfg.eval_batch_size,
+            batch_size=EVAL_BATCH_SIZE,
         )
         out["token_instruct"] = runner.run(
             instr_eval, "token_instruct", model_name
@@ -272,20 +267,19 @@ class AstroLLaMAPipeline:
         return out
 
     # ------------------------------------------------------------------
-    def run(self, entry: ModelZooEntry, use_cache: bool = True) -> PipelineResult:
+    def run(self, entry: ModelZooEntry) -> PipelineResult:
         """All four stages for one zoo entry.
 
         Stage outputs are cached per entry (and bases per tier), so a
         harness that runs the whole zoo plus per-mechanism studies trains
-        each model exactly once.  Pass ``use_cache=False`` for independent
-        replicates.
+        each model exactly once.
         """
-        if use_cache and entry.name in self._result_cache:
+        if entry.name in self._result_cache:
             return self._result_cache[entry.name]
         base = self.base_for(entry)
         cpt_history = None
         if entry.cpt_dataset is not None:
-            if use_cache and entry.name in self._cpt_cache:
+            if entry.name in self._cpt_cache:
                 knowledge_model, cpt_history = self._cpt_cache[entry.name]
             else:
                 knowledge_model, cpt_history = self.run_cpt(entry, base)
@@ -300,8 +294,7 @@ class AstroLLaMAPipeline:
             entry, base, knowledge_model, instruct_model,
             cpt_history, sft_history, evaluations,
         )
-        if use_cache:
-            self._result_cache[entry.name] = result
+        self._result_cache[entry.name] = result
         return result
 
     def _assemble_result(

@@ -111,8 +111,8 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
 
 
 def all_rules() -> List[Type[Rule]]:
-    """Registered rule classes ordered by code."""
-    return [_REGISTRY[code] for code in sorted(_REGISTRY)]
+    """Registered rule classes ordered by code number (R1 ... R9, R11)."""
+    return [_REGISTRY[code] for code in sorted(_REGISTRY, key=lambda c: int(c[1:]))]
 
 
 def resolve_rule_id(ident: str) -> Optional[str]:

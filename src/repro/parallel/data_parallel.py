@@ -27,6 +27,10 @@ from repro.parallel.zero_optimizer import flatten_params, unflatten_into
 from repro.train.optimizer import AdamW, clip_grad_norm, grad_sq_sum
 from repro.train.schedule import CosineSchedule
 
+# Simulated per-rank compute throughput used for the timing model
+# (seconds per token of forward+backward).
+SECONDS_PER_TOKEN = 1e-6
+
 
 @dataclass
 class DDPConfig:
@@ -35,10 +39,6 @@ class DDPConfig:
     warmup_ratio: float = 0.03
     clip_norm: float = 1.0
     weight_decay: float = 0.0
-    betas: Tuple[float, float] = (0.9, 0.95)
-    # Simulated per-rank compute throughput used for the timing model
-    # (seconds per token of forward+backward); calibrated per GPU spec.
-    seconds_per_token: float = 1e-6
 
 
 @dataclass
@@ -86,7 +86,6 @@ class DataParallelTrainer:
             AdamW(
                 r.named_parameters(),
                 r.named_gradients(),
-                betas=self.config.betas,
                 weight_decay=self.config.weight_decay,
             )
             for r in self.replicas
@@ -168,9 +167,7 @@ class DataParallelTrainer:
             # per-rank compute: a rank processes batch/world tokens; ranks
             # run concurrently so wall time is one shard's time.
             shard_tokens = inputs.size / self.mesh.world_size
-            result.simulated_compute_seconds += (
-                shard_tokens * cfg.seconds_per_token
-            )
+            result.simulated_compute_seconds += shard_tokens * SECONDS_PER_TOKEN
         result.simulated_comm_seconds = (
             self.comm.stats.simulated_seconds - comm_before
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -149,16 +149,12 @@ class TensorParallelMLPTrainer:
         d_out: int,
         comm: Communicator,
         seed: int = 0,
-        clip_norm: float = 1.0,
-        betas: Tuple[float, float] = (0.9, 0.95),
-        weight_decay: float = 0.0,
     ) -> None:
         if d_hidden % comm.size != 0:
             raise ValueError(
                 f"d_hidden {d_hidden} not divisible by tp={comm.size}"
             )
         self.comm = comm
-        self.clip_norm = clip_norm
         rng = new_rng(seed, "tp_mlp")
         w_up = rng.standard_normal((d_in, d_hidden)) * (1.0 / np.sqrt(d_in))
         w_down = rng.standard_normal((d_hidden, d_out)) * (1.0 / np.sqrt(d_hidden))
@@ -171,8 +167,7 @@ class TensorParallelMLPTrainer:
             {k: np.zeros_like(v) for k, v in p.items()} for p in self.shard_params
         ]
         self.optimizers: List[AdamW] = [
-            AdamW(p, g, betas=betas, weight_decay=weight_decay)
-            for p, g in zip(self.shard_params, self.shard_grads)
+            AdamW(p, g) for p, g in zip(self.shard_params, self.shard_grads)
         ]
         self._pre: List[np.ndarray] = []
         self._act: List[np.ndarray] = []
@@ -215,10 +210,11 @@ class TensorParallelMLPTrainer:
         return math.sqrt(total[0])
 
     def apply_gradients(self, lr: float) -> float:
-        """Global-norm clip then the per-shard AdamW step; returns the norm."""
+        """Global-norm clip to 1 then the per-shard AdamW step (no weight
+        decay); returns the pre-clip norm."""
         norm = self.grad_norm()
         for grads, optimizer in zip(self.shard_grads, self.optimizers):
-            clip_to_norm(grads, norm, self.clip_norm)
+            clip_to_norm(grads, norm, 1.0)
             optimizer.step(lr)
         return norm
 

@@ -66,8 +66,6 @@ class Zero1AdamW:
     """
 
     comm: Communicator
-    betas: Tuple[float, float] = (0.9, 0.95)
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
@@ -131,7 +129,6 @@ class Zero1AdamW:
                 if a < b:
                     adamw_update(
                         p[a:b], g[a:b], m[a:b], v[a:b], lr, self.step_count,
-                        self.betas, self.eps,
                         self.weight_decay if decays(shape) else 0.0,
                     )
         gathered = self.comm.all_gather(param_shards)[0]

@@ -7,11 +7,15 @@ Provides the two-stage recipe from the paper (Section III):
 * :mod:`repro.train.sft` — supervised fine-tuning on conversations
   (next-token objective with the prompt positions masked out of the loss).
 
-Both drivers share the :class:`~repro.train.trainer.Trainer` engine, which
-implements the optimizer step loop with warmup + cosine decay, gradient
-accumulation, global-norm clipping and bf16 parameter rounding — the same
-knobs the paper reports (lr 2e-5 / 3e-7, warmup ratio 0.03, cosine decay,
-bf16, one epoch).
+Both drivers share one run config, :class:`~repro.train.trainer.RunConfig`
+(its fields, checks and epoch-to-step budget), and the
+:class:`~repro.train.trainer.Trainer` it builds: AdamW with fixed betas
+(0.9, 0.95) and eps 1e-8, linear warmup into cosine decay to 0, gradient
+accumulation, global-norm clipping and bf16 parameter rounding.
+``CPTConfig`` and ``SFTConfig`` differ only in their defaults, the numbers
+the paper reports (lr 2e-5 / 3e-7, total batch 96 / 48, max length 512 /
+2048; warmup ratio 0.03, bf16 and one epoch for both); the drivers differ
+only in how they build microbatches (packed windows or padded pairs).
 """
 
 from repro.train.optimizer import AdamW, clip_grad_norm
@@ -22,7 +26,7 @@ from repro.train.dataloader import (
     pack_documents,
     pad_examples,
 )
-from repro.train.trainer import Trainer, TrainingConfig, TrainingHistory
+from repro.train.trainer import RunConfig, Trainer, TrainingConfig, TrainingHistory
 from repro.train.checkpointing import (
     CheckpointIntegrityError,
     checkpoint_dir_for_step,
@@ -52,6 +56,7 @@ __all__ = [
     "PaddedBatch",
     "pack_documents",
     "pad_examples",
+    "RunConfig",
     "Trainer",
     "TrainingConfig",
     "TrainingHistory",

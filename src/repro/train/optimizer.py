@@ -1,10 +1,11 @@
 """AdamW and global-norm clipping, in the one copy every training path uses.
 
-Dense :class:`AdamW` runs :func:`adamw_update` once per parameter, ZeRO-1
-once per shard slice of a parameter; the update is elementwise, so both
-give the same bits.  Parameters are updated in place (the model exposes
-references, not copies), so an optimizer bound to a model at construction
-keeps working as training proceeds.
+AdamW's betas and eps are fixed at (0.9, 0.95) and 1e-8 (:data:`BETAS`,
+:data:`EPS`).  Dense :class:`AdamW` runs :func:`adamw_update` once per
+parameter, ZeRO-1 once per shard slice of a parameter; the update is
+elementwise, so both give the same bits.  Parameters are updated in place
+(the model exposes references, not copies), so an optimizer bound to a
+model at construction keeps working as training proceeds.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from typing import Dict, Tuple
 import numpy as np
 
 ParamDict = Dict[str, np.ndarray]
+
+BETAS = (0.9, 0.95)
+EPS = 1e-8
 
 
 def grad_sq_sum(grads: ParamDict) -> float:
@@ -53,13 +57,13 @@ def decays(shape: Tuple[int, ...]) -> bool:
 
 def adamw_update(
     p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-    lr: float, t: int, betas: Tuple[float, float], eps: float, weight_decay: float,
+    lr: float, t: int, weight_decay: float,
 ) -> None:
     """AdamW step ``t`` (1-based) on equal-shape arrays, in place on ``p``,
     ``m`` and ``v`` (which may be views, such as a shard slice).  The
     caller passes ``weight_decay`` 0 for a parameter :func:`decays` exempts.
     """
-    beta1, beta2 = betas
+    beta1, beta2 = BETAS
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     # two temporaries, each reused for every term that fits it
@@ -72,7 +76,7 @@ def adamw_update(
     v += a
     np.divide(v, bc2, out=a)  # v_hat
     np.sqrt(a, out=a)
-    a += eps
+    a += EPS
     update = m / bc1  # m_hat
     update *= lr
     update /= a  # lr * m_hat / (sqrt(v_hat) + eps)
@@ -90,8 +94,6 @@ class AdamW:
         self,
         params: ParamDict,
         grads: ParamDict,
-        betas: tuple = (0.9, 0.95),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         if set(params) != set(grads):
@@ -99,8 +101,6 @@ class AdamW:
         self.params = params
         self.grads = grads
         self.step_count = 0
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m: ParamDict = {k: np.zeros_like(v) for k, v in params.items()}
         self.v: ParamDict = {k: np.zeros_like(v) for k, v in params.items()}
@@ -114,10 +114,8 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.step_count += 1
-        betas = (self.beta1, self.beta2)
         for key, p in self.params.items():
             adamw_update(
                 p, self.grads[key], self.m[key], self.v[key], lr,
-                self.step_count, betas, self.eps,
-                self.weight_decay if decays(p.shape) else 0.0,
+                self.step_count, self.weight_decay if decays(p.shape) else 0.0,
             )

@@ -2,7 +2,7 @@
 
 The paper uses linear warmup (ratio 0.03) into cosine decay (SGDR-style,
 Loshchilov & Hutter 2016) for both CPT and SFT, and so does every trainer
-here.
+here.  The decay ends at a learning rate of 0.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class CosineSchedule:
-    """Linear warmup to ``peak_lr`` then cosine decay to ``min_lr``."""
+    """Linear warmup to ``peak_lr`` then cosine decay to 0."""
 
     peak_lr: float
     total_steps: int
     warmup_ratio: float = 0.03
-    min_lr: float = 0.0
 
     def __post_init__(self) -> None:
         if self.total_steps <= 0:
@@ -38,4 +37,4 @@ class CosineSchedule:
         span = max(self.total_steps - w, 1)
         progress = min(max(step - w, 0) / span, 1.0)
         cos = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.peak_lr - self.min_lr) * cos
+        return self.peak_lr * cos

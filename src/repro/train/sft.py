@@ -2,8 +2,9 @@
 
 Turns conversations into (prompt, response) token pairs under a chat
 template, then trains with the LM objective restricted to response tokens.
-The paper's SFT recipe (Section III): learning rate 3e-7, one epoch, total
-batch 48, max token length 2048, warmup 0.03, cosine decay.
+The paper's SFT recipe (Section III) is the run config CPT uses,
+:class:`~repro.train.trainer.RunConfig`, with other numbers: learning rate
+3e-7, total batch 48 and max token length 2048.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 
 from repro.model.transformer import TransformerLM
 from repro.train.dataloader import PaddedBatch, pad_examples
-from repro.train.trainer import Trainer, TrainingConfig, TrainingHistory
+from repro.train.trainer import RunConfig, TrainingHistory
 from repro.utils.rng import new_rng
 
 
@@ -62,47 +63,12 @@ class SFTExample:
 
 
 @dataclass
-class SFTConfig:
-    """SFT hyperparameters (defaults = the paper's reported values)."""
+class SFTConfig(RunConfig):
+    """SFT hyperparameters; the defaults are the paper's SFT recipe."""
 
     learning_rate: float = 3e-7
     total_batch_size: int = 48
     max_token_length: int = 2048
-    warmup_ratio: float = 0.03
-    epochs: float = 1.0
-    clip_norm: float = 1.0
-    weight_decay: float = 0.0
-    bf16: bool = True
-    microbatch_size: int = 0
-    seed: int = 0
-    min_steps: int = 1
-
-    def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if self.microbatch_size < 0:
-            raise ValueError("microbatch_size must be >= 0")
-        if self.microbatch_size == 0:
-            self.microbatch_size = self.total_batch_size
-        if self.total_batch_size % self.microbatch_size != 0:
-            raise ValueError("total_batch_size must be a multiple of microbatch_size")
-
-    @property
-    def grad_accum(self) -> int:
-        return self.total_batch_size // self.microbatch_size
-
-    @classmethod
-    def paper(cls, **overrides) -> "SFTConfig":
-        base = dict(
-            learning_rate=3e-7,
-            total_batch_size=48,
-            max_token_length=2048,
-            warmup_ratio=0.03,
-            epochs=1.0,
-            bf16=True,
-        )
-        base.update(overrides)
-        return cls(**base)
 
 
 @dataclass
@@ -172,22 +138,8 @@ class SupervisedFineTuner:
             raise ValueError("no SFT examples provided")
         cfg = self.config
         max_len = min(cfg.max_token_length, model.config.max_seq_len)
-        micro_per_epoch = max(
-            (len(examples) + cfg.microbatch_size - 1) // cfg.microbatch_size, 1
-        )
-        steps_per_epoch = max(micro_per_epoch // cfg.grad_accum, 1)
-        total_steps = max(int(round(steps_per_epoch * cfg.epochs)), cfg.min_steps)
-        trainer = Trainer(
-            model,
-            TrainingConfig(
-                learning_rate=cfg.learning_rate,
-                total_steps=total_steps,
-                warmup_ratio=cfg.warmup_ratio,
-                grad_accum=cfg.grad_accum,
-                clip_norm=cfg.clip_norm,
-                weight_decay=cfg.weight_decay,
-                bf16=cfg.bf16,
-            ),
+        trainer = cfg.trainer(
+            model, (len(examples) + cfg.microbatch_size - 1) // cfg.microbatch_size
         )
         epoch_counter = {"epoch": 0}
         response_tokens = 0
@@ -211,7 +163,7 @@ class SupervisedFineTuner:
         return SFTResult(
             history=history,
             examples=len(examples),
-            steps=total_steps,
+            steps=trainer.config.total_steps,
             response_tokens=response_tokens,
             config=cfg,
         )

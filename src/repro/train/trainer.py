@@ -1,8 +1,11 @@
-"""The optimizer step loop shared by CPT and SFT.
+"""The one run config and the optimizer step loop shared by CPT and SFT.
 
-Implements the knobs the paper reports using: AdamW, linear warmup + cosine
-decay, gradient accumulation (total batch = ``batch_size * grad_accum``),
-global-norm clipping, and bf16 parameter rounding after each step.
+CPT and SFT follow one recipe (paper Section III): AdamW with fixed betas
+(0.9, 0.95) and eps 1e-8, linear warmup into cosine decay to 0, gradient
+accumulation (total batch = ``microbatch_size * grad_accum``), global-norm
+clipping, bf16 parameter rounding after each step, and one epoch.
+:class:`RunConfig` holds that recipe and its epoch-to-step budget once; the
+CPT and SFT configs differ from it only in their defaults.
 """
 
 from __future__ import annotations
@@ -33,11 +36,9 @@ class TrainingConfig:
     learning_rate: float = 1e-3
     total_steps: int = 100
     warmup_ratio: float = 0.03
-    min_lr: float = 0.0
     grad_accum: int = 1
     clip_norm: float = 1.0
     weight_decay: float = 0.0
-    betas: Tuple[float, float] = (0.9, 0.95)
     bf16: bool = False
 
     def __post_init__(self) -> None:
@@ -78,20 +79,14 @@ class Trainer:
         self.model = model
         self.config = config
         self.schedule = CosineSchedule(
-            config.learning_rate,
-            config.total_steps,
-            config.warmup_ratio,
-            config.min_lr,
+            config.learning_rate, config.total_steps, config.warmup_ratio
         )
         # the model's parameter set is fixed, so its name -> array dicts
         # are built once, not walked out of the module tree every step
         self._params = model.named_parameters()
         self._grads = model.named_gradients()
         self.optimizer = AdamW(
-            self._params,
-            self._grads,
-            betas=config.betas,
-            weight_decay=config.weight_decay,
+            self._params, self._grads, weight_decay=config.weight_decay
         )
 
     def train(
@@ -141,3 +136,63 @@ class Trainer:
             history.tokens_seen += tokens
             history.steps += 1
         return history
+
+
+@dataclass
+class RunConfig:
+    """One CPT or SFT run.
+
+    The fields without a default are the ones the paper sets per stage;
+    :class:`~repro.train.cpt.CPTConfig` and
+    :class:`~repro.train.sft.SFTConfig` give them their defaults.
+    ``microbatch_size`` 0 means the whole total batch in one microbatch (no
+    accumulation).  ``epochs`` converts to a step budget from the number of
+    microbatches one epoch holds; the paper trains one epoch.
+    """
+
+    learning_rate: float
+    total_batch_size: int
+    max_token_length: int
+    warmup_ratio: float = 0.03
+    epochs: float = 1.0
+    weight_decay: float = 0.0
+    clip_norm: float = 1.0
+    bf16: bool = True
+    microbatch_size: int = 0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.epochs <= 0:
+            raise ValueError("epochs must be positive")
+        if self.total_batch_size < 1:
+            raise ValueError("total_batch_size must be >= 1")
+        if self.microbatch_size < 0:
+            raise ValueError("microbatch_size must be >= 0")
+        if self.microbatch_size == 0:
+            self.microbatch_size = self.total_batch_size
+        if self.total_batch_size % self.microbatch_size != 0:
+            raise ValueError(
+                "total_batch_size must be a multiple of microbatch_size"
+            )
+
+    @property
+    def grad_accum(self) -> int:
+        return self.total_batch_size // self.microbatch_size
+
+    def trainer(self, model: Module, microbatches: int) -> Trainer:
+        """The :class:`Trainer` for ``epochs`` passes over an epoch of
+        ``microbatches`` microbatches: at least one step per epoch, and at
+        least one step in all."""
+        steps_per_epoch = max(microbatches // self.grad_accum, 1)
+        return Trainer(
+            model,
+            TrainingConfig(
+                learning_rate=self.learning_rate,
+                total_steps=max(round(steps_per_epoch * self.epochs), 1),
+                warmup_ratio=self.warmup_ratio,
+                grad_accum=self.grad_accum,
+                clip_norm=self.clip_norm,
+                weight_decay=self.weight_decay,
+                bf16=self.bf16,
+            ),
+        )

@@ -693,6 +693,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             LintConfig.from_cli(select=["R99"])
 
+    def test_rules_ordered_by_code_number(self):
+        codes = [f"R{n}" for n in range(1, 10)] + ["R11"]
+        assert [cls.code for cls in all_rules()] == codes
+        assert [rule.code for rule in LintConfig().enabled_rules()] == codes
+
 
 class TestReporters:
     SRC = "def f(s):\n    return s == 64.7\n"

@@ -166,7 +166,7 @@ class TestDDP:
             ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2, max_seq_len=16),
             seed=0,
         )
-        opt = AdamW(solo.named_parameters(), solo.named_gradients(), betas=(0.9, 0.95))
+        opt = AdamW(solo.named_parameters(), solo.named_gradients())
         schedule = CosineSchedule(1e-3, 3, 0.03)
         from repro.train.optimizer import clip_grad_norm
 

@@ -84,10 +84,6 @@ class TestSchedules:
         lrs = [s.lr(i) for i in range(50)]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
-    def test_min_lr_floor(self):
-        s = CosineSchedule(peak_lr=1.0, total_steps=10, warmup_ratio=0.0, min_lr=0.1)
-        assert s.lr(9) >= 0.1
-
     @given(st.integers(min_value=1, max_value=500), st.integers(min_value=0, max_value=499))
     @settings(max_examples=50, deadline=None)
     def test_cosine_lr_bounded(self, total, step):
@@ -298,8 +294,12 @@ class TestCPT:
             cpt.run(model, [], eos_id=2)
 
     def test_paper_presets(self):
-        assert CPTConfig.paper_8b().total_batch_size == 96
-        assert CPTConfig.paper_8b().max_token_length == 512
+        # the defaults are AstroLLaMA-3-8B's recipe
+        cfg = CPTConfig()
+        assert cfg.learning_rate == pytest.approx(2e-5)
+        assert (cfg.total_batch_size, cfg.max_token_length) == (96, 512)
+        assert cfg.warmup_ratio == pytest.approx(0.03)
+        assert cfg.epochs == 1.0 and cfg.bf16
         assert CPTConfig.paper_70b().total_batch_size == 160
         assert CPTConfig.paper_70b().max_token_length == 2048
         assert CPTConfig.paper_70b().learning_rate == pytest.approx(2e-5)
@@ -313,11 +313,47 @@ class TestCPT:
 
 @pytest.mark.parametrize("config_cls", [CPTConfig, SFTConfig])
 @pytest.mark.parametrize(
-    "bad", [{"epochs": 0}, {"epochs": -1.0}, {"microbatch_size": -4}]
+    "bad",
+    [
+        {"epochs": 0},
+        {"epochs": -1.0},
+        {"microbatch_size": -4},
+        {"total_batch_size": 0},
+        {"total_batch_size": -4},
+    ],
 )
 def test_config_rejects_nonpositive_epochs_and_negative_microbatch(config_cls, bad):
     with pytest.raises(ValueError):
         config_cls(**bad)
+
+
+def _budget_run(driver, epochs):
+    """16 samples in microbatches of 2 under total batch 4: 8 microbatches,
+    so 4 optimizer steps, per epoch."""
+    run = dict(learning_rate=1e-3, total_batch_size=4, microbatch_size=2, epochs=epochs, bf16=False)
+    if driver is ContinualPretrainer:
+        # each 6-token document plus its EOS fills one 7-token window exactly
+        docs = [[3 + (i + j) % 20 for j in range(6)] for i in range(16)]
+        cpt = ContinualPretrainer(CPTConfig(max_token_length=6, **run))
+        return cpt.run(tiny_model(), docs, eos_id=2)
+    examples = [SFTExample(user=f"question {i}", assistant="answer") for i in range(16)]
+    texts = [ChatTemplate().render_full(e.user, e.assistant) for e in examples]
+    tok = WordTokenizer.train(texts, vocab_size=64)
+    tuner = SupervisedFineTuner(
+        tok, pad_id=tok.vocab.pad_id, eos_id=tok.vocab.eos_id,
+        config=SFTConfig(max_token_length=32, **run),
+    )
+    return tuner.run(tiny_model(vocab=tok.vocab_size), examples)
+
+
+@pytest.mark.parametrize("driver", [ContinualPretrainer, SupervisedFineTuner])
+def test_step_budget_shared_by_both_drivers(driver):
+    # round(4 * 0.1) is 0 steps: the budget still runs one
+    result = _budget_run(driver, epochs=0.1)
+    assert result.steps == result.history.steps == 1
+    # round(4 * 1.4) = 6 steps, looping into a second epoch
+    result = _budget_run(driver, epochs=1.4)
+    assert result.steps == result.history.steps == round(4 * 1.4) == 6
 
 
 class TestSFT:
@@ -363,10 +399,12 @@ class TestSFT:
             tuner.run(model, [])
 
     def test_paper_preset(self):
-        cfg = SFTConfig.paper()
+        # the defaults are the paper's SFT recipe
+        cfg = SFTConfig()
         assert cfg.learning_rate == pytest.approx(3e-7)
-        assert cfg.total_batch_size == 48
-        assert cfg.epochs == 1.0
+        assert (cfg.total_batch_size, cfg.max_token_length) == (48, 2048)
+        assert cfg.warmup_ratio == pytest.approx(0.03)
+        assert cfg.epochs == 1.0 and cfg.bf16
 
     def test_chat_template_rendering(self):
         t = ChatTemplate()

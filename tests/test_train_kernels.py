@@ -21,7 +21,7 @@ from repro.model.layers import Linear, RMSNorm, softmax
 from repro.model.mlp import SwiGLU, sigmoid
 from repro.model.transformer import TransformerBlock, TransformerLM
 from repro.train.cpt import ContinualPretrainer, CPTConfig
-from repro.train.optimizer import AdamW, clip_grad_norm
+from repro.train.optimizer import BETAS, EPS, AdamW, clip_grad_norm
 from repro.train.trainer import Trainer, TrainingHistory
 from tests.test_model_grads import float64_copy
 
@@ -206,22 +206,23 @@ def ref_cross_entropy(logits, targets, mask=None):
 
 
 def ref_adamw_step(self, lr):
+    beta1, beta2 = BETAS
     self.step_count += 1
     t = self.step_count
-    bc1 = 1.0 - self.beta1**t
-    bc2 = 1.0 - self.beta2**t
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
     for key, p in self.params.items():
         g = self.grads[key]
         m, v = self.m[key], self.v[key]
-        m *= self.beta1
-        m += (1 - self.beta1) * g
-        v *= self.beta2
-        v += (1 - self.beta2) * (g * g)
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
         if self.weight_decay > 0 and p.ndim > 1:
             p -= lr * self.weight_decay * p
-        p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def ref_trainer_train(self, make_batches):
