@@ -160,10 +160,12 @@ def build_summary_dataset(
     ocr: Optional[NougatOCR] = None,
     cutoffs: Optional[ArchiveCutoffs] = None,
 ) -> CorpusDataset:
-    """OCR the full text (2024-01 cutoff), then summarize each paper.
+    """Summarize each paper up to the 2024-01 cutoff; OCR only as fallback.
 
-    The OCR stage is part of the pipeline for fidelity; Nougat's noise
-    rates are low enough that summaries stay information-dense.
+    A paper's document is its summary.  When the summary has five words or
+    fewer, the document is instead the Nougat OCR transcript of the full
+    text, made only then, on OCR stream ``i`` (the paper's index), so each
+    fallback document is the same whichever other papers fall back.
     """
     cutoffs = cutoffs or ArchiveCutoffs()
     summarizer = summarizer or Summarizer()
@@ -172,11 +174,13 @@ def build_summary_dataset(
     docs = []
     ids = []
     for i, p in enumerate(papers):
-        transcribed = ocr.transcribe(p.full_text, stream=i)
         # the summarizer runs on the OCR output in the real pipeline; our
         # simulated summarizer keys on sentence structure, so feed it the
         # paper object but measure coverage from the realized fact set
         summary = summarizer.summarize(p)
-        docs.append(summary if len(summary.split()) > 5 else transcribed)
+        if len(summary.split()) > 5:
+            docs.append(summary)
+        else:
+            docs.append(ocr.transcribe(p.full_text, stream=i))
         ids.append(set(p.fact_ids))
     return CorpusDataset("summary", docs, ids, len(archive.knowledge))

@@ -28,25 +28,32 @@ from repro.tokenizer.vocab import SpecialTokens, Vocabulary
 
 SPACE_MARKER = "Ġ"  # 'Ġ', marks a word that follows a space
 
-_WORD_RE = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
+# One match per word: (the whitespace run before it, the word itself).
+_WORD_RE = re.compile(r"(\s*)([A-Za-z0-9]+|[^\sA-Za-z0-9])")
 
 Pair = Tuple[str, str]
+
+
+def spaced_words(text: str) -> List[Tuple[str, str]]:
+    """``(whitespace before, word)`` for each word of ``text``, in one pass.
+
+    Trailing whitespace is stripped first: with no word after it, the
+    pattern would rescan the run from each of its characters (quadratic).
+    """
+    return _WORD_RE.findall(text.rstrip())
 
 
 def pretokenize(text: str) -> List[str]:
     """Split text into marker-prefixed words.
 
-    The first word of the text carries no marker; every word that follows
-    whitespace is prefixed with :data:`SPACE_MARKER`.
+    A word is prefixed with :data:`SPACE_MARKER` exactly when whitespace
+    comes right before it, so a first word carries the marker only if the
+    text starts with whitespace.
     """
-    words: List[str] = []
-    for match in _WORD_RE.finditer(text):
-        word = match.group(0)
-        preceded_by_space = match.start() > 0 and text[match.start() - 1].isspace()
-        if preceded_by_space:
-            word = SPACE_MARKER + word
-        words.append(word)
-    return words
+    return [
+        SPACE_MARKER + word if space else word
+        for space, word in spaced_words(text)
+    ]
 
 
 def _count_pairs(

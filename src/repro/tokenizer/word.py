@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.tokenizer.bpe import SPACE_MARKER, pretokenize
+from repro.tokenizer.bpe import SPACE_MARKER, pretokenize, spaced_words
 from repro.tokenizer.normalize import TextNormalizer
 from repro.tokenizer.vocab import SpecialTokens, Vocabulary
 
@@ -72,10 +72,9 @@ class WordTokenizer:
 
     @staticmethod
     def _split(text: str, space_prefix: bool) -> List[str]:
-        words = pretokenize(text)
         if space_prefix:
-            return words
-        return [w[len(SPACE_MARKER) :] if w.startswith(SPACE_MARKER) else w for w in words]
+            return pretokenize(text)
+        return [word for _, word in spaced_words(text)]
 
     # ------------------------------------------------------------------
     def encode(

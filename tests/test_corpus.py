@@ -1,5 +1,7 @@
 """Corpus substrate tests: knowledge, papers, archive, OCR, summaries, datasets."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from repro.corpus import (
     make_general_knowledge,
     with_qa_bridge,
 )
+from repro.core.world import MicroWorld, WorldConfig
+from repro.corpus.arxiv import ArchiveCutoffs
 from repro.corpus.generator import PaperGenerator
 from repro.corpus.general import render_mcq_exercise
 from repro.corpus.knowledge import ANSWER_LETTERS
@@ -241,6 +245,84 @@ class TestDatasets:
         aic = build_aic_dataset(archive)
         with pytest.raises(ValueError):
             with_qa_bridge(aic, astro, fraction=1.5)
+
+
+class _ShortFor(Summarizer):
+    """Summarizes as usual, but gives a five-word summary for chosen papers."""
+
+    def __init__(self, paper_ids):
+        super().__init__()
+        self.paper_ids = set(paper_ids)
+
+    def summarize(self, paper):
+        if paper.paper_id in self.paper_ids:
+            return "too short to use here"
+        return super().summarize(paper)
+
+
+class _CountingOCR(NougatOCR):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def transcribe(self, text, stream=0):
+        self.calls.append((text, stream))
+        return super().transcribe(text, stream)
+
+
+def _sha256(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestSummaryFallback:
+    """The OCR transcript is the document only where the summary is too
+    short, and OCR runs for those papers alone."""
+
+    FALLBACK = (0, 3, 7)
+
+    @pytest.fixture
+    def papers(self, archive):
+        return archive.until(*ArchiveCutoffs().ocr)
+
+    def test_short_summaries_fall_back_to_ocr(self, archive, papers):
+        chosen = [papers[i].paper_id for i in self.FALLBACK]
+        ds = build_summary_dataset(archive, summarizer=_ShortFor(chosen))
+        for i, (p, doc) in enumerate(zip(papers, ds.documents)):
+            if i in self.FALLBACK:
+                assert doc == NougatOCR().transcribe(p.full_text, stream=i)
+            else:
+                assert doc == Summarizer().summarize(p)
+            assert ds.doc_fact_ids[i] == set(p.fact_ids)
+
+    def test_ocr_runs_only_for_fallbacks(self, archive, papers):
+        chosen = [papers[i].paper_id for i in self.FALLBACK]
+        ocr = _CountingOCR()
+        build_summary_dataset(archive, summarizer=_ShortFor(chosen), ocr=ocr)
+        assert ocr.calls == [(papers[i].full_text, i) for i in self.FALLBACK]
+        ocr = _CountingOCR()
+        build_summary_dataset(archive, ocr=ocr)
+        assert ocr.calls == []
+
+    def test_default_world_bits_pinned(self):
+        """Documents, fact ids and llama-2 ids of the default world's Summary
+        set, pinned from the build that OCR'd every paper."""
+        world = MicroWorld.build(WorldConfig())
+        ds = build_summary_dataset(world.archive)
+        tok = world.tokenizers["llama-2"]
+        assert len(ds) == 120
+        assert _sha256(ds.documents) == (
+            "68627a7b118ea2f3c6d877270498afe6df3f865d2c445c68ae1e7d00929e4667"
+        )
+        assert _sha256(sorted(ids) for ids in ds.doc_fact_ids) == (
+            "02fc4d9f6265664287469cba737d768cf6c5114a5826f1a69dac47a9c9b8f1c5"
+        )
+        assert _sha256(tok.encode(d) for d in ds.documents) == (
+            "f7f39bc3155122b23269940700ae9331cd8d3e9462b513418a1a0f9a787b71e4"
+        )
 
 
 class TestGeneralCorpus:

@@ -333,8 +333,10 @@ def make_real_model(tok, bench, seed=0):
 
 class TestBatchedPrediction:
     def test_batched_matches_sequential_on_full_benchmark(self, astro, bench):
-        """Acceptance: prefix-cached batched scoring is bit-identical to
-        the per-question path over the whole micro benchmark."""
+        """Acceptance: prefix-cached batched scoring predicts the same
+        letter as the per-question path on every question of the micro
+        benchmark.  Only the predictions are compared: a row's logits may
+        differ from the per-question ones in the last bits (about 5e-7)."""
         tok = make_tokenizer(astro, False)
         model = make_real_model(tok, bench, seed=5)
         evaluator = TokenPredictionEvaluator(

@@ -1,5 +1,9 @@
 """Tokenizer tests: BPE training/round-trips, word tokenizer conventions."""
 
+import re
+import string
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,35 @@ CORPUS = [
     "the night sky is full of bright stars and planets",
     "Answer : A Answer : B Answer : C Answer : D",
 ]
+
+# Every character class the pretokenizer treats differently, plus the
+# Unicode whitespace that ``str.isspace`` accepts beyond ASCII.
+_WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1f\x85\xa0 \u3000"
+_CHARS = st.one_of(
+    st.sampled_from(string.ascii_letters + string.digits),
+    st.sampled_from(string.punctuation + SPACE_MARKER),
+    st.characters(min_codepoint=0x80, whitelist_categories=("Lu", "Ll", "Lo")),
+    st.sampled_from(_WHITESPACE),
+)
+_SPACED_TEXT = st.builds(
+    lambda head, body, tail: head + body + tail,
+    st.text(alphabet=_WHITESPACE, max_size=3),
+    st.text(alphabet=_CHARS, max_size=60),
+    st.text(alphabet=_WHITESPACE, max_size=3),
+)
+_REFERENCE_WORD_RE = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
+
+
+def _reference_pretokenize(text):
+    """The two-step pretokenizer: find each word, then look one character
+    back for whitespace."""
+    words = []
+    for match in _REFERENCE_WORD_RE.finditer(text):
+        word = match.group(0)
+        if match.start() > 0 and text[match.start() - 1].isspace():
+            word = SPACE_MARKER + word
+        words.append(word)
+    return words
 
 
 class TestVocabulary:
@@ -55,6 +88,27 @@ class TestPretokenize:
 
     def test_empty_text(self):
         assert pretokenize("") == []
+
+    def test_long_trailing_whitespace_is_linear(self):
+        # A whitespace run with no word after it must not be rescanned from
+        # each of its characters: one pass over 20,000 spaces takes well
+        # under a millisecond, the quadratic rescan about ten seconds.
+        start = time.perf_counter()
+        assert pretokenize("star" + " " * 20_000) == ["star"]
+        assert time.perf_counter() - start < 1.0
+
+    @given(_SPACED_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_lookbehind_reference(self, text):
+        assert pretokenize(text) == _reference_pretokenize(text)
+
+    @given(_SPACED_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_word_split_conventions(self, text):
+        # the bare convention keeps each word as matched; the space-prefix
+        # convention is exactly the pretokenizer
+        assert WordTokenizer._split(text, False) == _REFERENCE_WORD_RE.findall(text)
+        assert WordTokenizer._split(text, True) == _reference_pretokenize(text)
 
 
 class TestBPE:
