@@ -77,12 +77,11 @@ class TestModelStep:
     def test_generation_step(self, benchmark):
         cfg = scaled_config(1000, "small", max_seq_len=128)
         model = TransformerLM(cfg, seed=0)
-        from repro.model.sampling import greedy_decode
+        from repro.model.sampling import GenerationConfig, generate
 
         out = benchmark.pedantic(
-            greedy_decode,
-            args=(model, list(range(1, 30))),
-            kwargs={"max_new_tokens": 16},
+            generate,
+            args=(model, list(range(1, 30)), GenerationConfig(max_new_tokens=16)),
             rounds=3,
             iterations=1,
         )

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.corpus.general import render_mcq_exercise
 from repro.corpus.knowledge import ANSWER_LETTERS, Fact
-from repro.model.sampling import greedy_decode
+from repro.model.sampling import GenerationConfig, generate
 from repro.model.transformer import TransformerLM
 from repro.utils.rng import new_rng
 
@@ -53,7 +53,7 @@ def knowledge_recall(
     hits = 0
     for fact in facts:
         ids = list(prefix_ids) + tokenizer.encode(fact.question())
-        out = greedy_decode(model, ids, max_new_tokens=max_new_tokens)
+        out = generate(model, ids, GenerationConfig(max_new_tokens=max_new_tokens))
         completion = tokenizer.decode(out).split()
         if completion[:1] == [fact.correct.split()[0]]:
             hits += 1

@@ -30,7 +30,7 @@ from repro.model.kv_cache import (
 )
 from repro.model.mlp import SwiGLU
 from repro.model.transformer import TransformerBlock, TransformerLM
-from repro.model.sampling import GenerationConfig, generate, greedy_decode
+from repro.model.sampling import GenerationConfig, generate
 from repro.model.lora import LoRAConfig, LoRALinear, apply_lora, merge_lora
 from repro.model.precision import bf16_round
 
@@ -54,7 +54,6 @@ __all__ = [
     "shared_prefix",
     "GenerationConfig",
     "generate",
-    "greedy_decode",
     "LoRAConfig",
     "LoRALinear",
     "apply_lora",

@@ -5,13 +5,16 @@ question; the KV cache makes that linear rather than quadratic in the
 response length.
 
 :func:`generate` and the serving scheduler share one prompt-to-decode
-path: :func:`clamp_prompt`, :func:`open_prompt`, :class:`DecodeStream`.
+path: :func:`clamp_prompt`, :func:`open_prompt`, :class:`DecodeStream`,
+and :func:`decode_step`, the one loop that advances decoding rows.
+:func:`generate` is a batch of one; the scheduler passes its whole
+running batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +103,7 @@ def clamp_prompt(
 
 class OpenedPrompt(NamedTuple):
     cache: KVCache  # a fork covering the whole prompt
+    length: int  # prompt tokens the cache covers
     logits: np.ndarray  # next-token logits after the last prompt token
     forwarded: int  # prompt tokens this call ran through the model
     hit: int  # prompt tokens the store's best entry covered (0 on a miss)
@@ -122,53 +126,61 @@ def open_prompt(
         fresh = model.prefill(prompt)
         if store is not None:
             store.put(fresh)
-        return OpenedPrompt(fresh.fork(), fresh.last_logits, len(prompt), 0)
+        return OpenedPrompt(
+            fresh.fork(), len(prompt), fresh.last_logits, len(prompt), 0
+        )
     prefix, overlap = match
     if overlap == prefix.length == len(prompt):
-        return OpenedPrompt(prefix.fork(), prefix.last_logits, 0, overlap)
+        return OpenedPrompt(
+            prefix.fork(), len(prompt), prefix.last_logits, 0, overlap
+        )
     reused = min(overlap, len(prompt) - 1)
     cache = prefix.fork(length=reused)
     logits = model.forward(
         np.asarray(prompt[reused:], dtype=np.int64), start_pos=reused, cache=cache
     )
-    return OpenedPrompt(cache, logits[0, -1], len(prompt) - reused, overlap)
+    return OpenedPrompt(
+        cache, len(prompt), logits[0, -1], len(prompt) - reused, overlap
+    )
 
 
 class DecodeStream:
     """One sequence's decode state: cache, step logits, position, rng.
 
-    :func:`generate` and the serving scheduler both decode through it, so
-    a sequence's tokens and logits never depend on who else is decoding.
+    Only :func:`decode_step` drives it, for :func:`generate` and the
+    serving scheduler alike, so a sequence's tokens and logits never
+    depend on who else is decoding.
     """
 
     def __init__(
         self,
         model: TransformerLM,
         opened: OpenedPrompt,
-        pos: int,
         config: GenerationConfig,
         budget: int,
     ) -> None:
         self.model = model
         self.cache = opened.cache
         self.logits = opened.logits  # logits the next select() samples from
-        self.pos = pos  # absolute position of the next forward
+        self.pos = opened.length  # absolute position of the next forward
         self.config = config
         self.budget = budget
         self.emitted = 0
         self.rng = np.random.default_rng(config.seed)
 
     def select(self) -> Tuple[int, Optional[str]]:
-        """The next token, and ``"stop"``/``"length"``/``"context"`` if
-        decoding ends with it (else None)."""
+        """The next token, and ``"stop"``/``"length"`` if decoding ends
+        with it (else None).
+
+        A budget from :func:`clamp_prompt` keeps ``pos`` inside the
+        context window: ``"length"`` fires before the window fills.
+        """
         tok = _select_token(self.logits, self.config, self.rng)
         self.emitted += 1
         if tok in self.config.stop_token_ids:
             return tok, "stop"
         if self.emitted >= self.budget:
             return tok, "length"
-        if self.pos >= self.model.config.max_seq_len:
-            return tok, "context"
         return tok, None
 
     def advance(self, tok: int) -> None:
@@ -180,11 +192,24 @@ class DecodeStream:
         self.pos += 1
 
 
+def decode_step(streams: Sequence[DecodeStream]) -> List[Tuple[int, Optional[str]]]:
+    """One token for every stream: ``(token, finish reason or None)`` each.
+
+    Selects every stream's token in order, then forwards each token that
+    did not end its stream.  Rows are decoded one at a time, so a row's
+    bits do not depend on the others.
+    """
+    picked = [stream.select() for stream in streams]
+    for stream, (tok, reason) in zip(streams, picked):
+        if reason is None:
+            stream.advance(tok)
+    return picked
+
+
 def generate(
     model: TransformerLM,
     prompt_ids: Sequence[int],
     config: Optional[GenerationConfig] = None,
-    logit_hook: Optional[Callable[[np.ndarray], None]] = None,
     store: Optional[PrefixCacheStore] = None,
 ) -> List[int]:
     """Generate a continuation of ``prompt_ids``; returns only new tokens.
@@ -192,45 +217,18 @@ def generate(
     The prompt is left-truncated to fit the context window, then opened
     through ``store`` (see :func:`open_prompt`): the run of it a stored
     prefill covers is reused, and a miss's prefill is kept, which turns a
-    benchmark's shared chat scaffold into a one-time cost.
-    ``logit_hook`` sees each step's logits before its token is picked.
-    It observes and must not write: the first step's logits can be a
-    stored prefix's ``last_logits``, which every later request for the
-    same prompt reads, so they are read-only and a write raises
-    ``ValueError``.
+    benchmark's shared chat scaffold into a one-time cost.  Decoding is
+    :func:`decode_step` over a batch of one.
     """
     config = config or GenerationConfig()
     prompt, budget = clamp_prompt(
         prompt_ids, config.max_new_tokens, model.config.max_seq_len
     )
-    stream = DecodeStream(
-        model, open_prompt(model, prompt, store), len(prompt), config, budget
-    )
+    stream = DecodeStream(model, open_prompt(model, prompt, store), config, budget)
     out: List[int] = []
     for _ in range(budget):
-        if logit_hook is not None:
-            logit_hook(stream.logits)
-        tok, reason = stream.select()
+        [(tok, reason)] = decode_step([stream])
         out.append(tok)
         if reason is not None:
             break
-        stream.advance(tok)
     return out
-
-
-def greedy_decode(
-    model: TransformerLM,
-    prompt_ids: Sequence[int],
-    max_new_tokens: int = 64,
-    stop_token_ids: Sequence[int] = (),
-) -> List[int]:
-    """Convenience wrapper: temperature-0 generation."""
-    return generate(
-        model,
-        prompt_ids,
-        GenerationConfig(
-            max_new_tokens=max_new_tokens,
-            temperature=0.0,
-            stop_token_ids=stop_token_ids,
-        ),
-    )

@@ -22,10 +22,12 @@ Invariants this scheduler maintains:
   scaffold fork a cached prefix instead of re-prefilling it, and every
   miss's prefill is kept for later prompts;
 * **determinism** — no wall-clock reads (all time arrives as ``now``
-  arguments), no unseeded randomness; each request opens and decodes its
-  prompt through the same calls as :func:`repro.model.sampling.generate`,
-  from its own seeded generator, so its tokens and step logits are
-  independent of batch composition and bit-equal to sequential generation.
+  arguments), no unseeded randomness; each request opens its prompt
+  through the same call as :func:`repro.model.sampling.generate` and
+  decodes from its own seeded generator through
+  :func:`repro.model.sampling.decode_step`, the one row loop
+  ``generate()`` also runs, so its tokens and step logits are independent
+  of batch composition and bit-equal to sequential generation.
 
 Fault injection enters through :class:`StepDirectives` (produced by
 ``repro.faults.serve.ServeFaultInjector`` from a ``FaultPlan``): a
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.model.kv_cache import PrefixCacheStore
-from repro.model.sampling import DecodeStream, open_prompt
+from repro.model.sampling import DecodeStream, decode_step, open_prompt
 from repro.serve.admission import AdmissionQueue
 from repro.serve.metrics import ServeMetrics
 from repro.serve.request import RequestKind, RequestState, RequestStatus
@@ -157,8 +159,7 @@ class ContinuousBatchingScheduler:
             state.final_logits = opened.logits
         else:
             state.decode = DecodeStream(
-                self.model, opened, len(state.prompt),
-                state.request.generation, state.budget,
+                self.model, opened, state.request.generation, state.budget
             )
 
         state.status = RequestStatus.RUNNING
@@ -248,8 +249,9 @@ class ContinuousBatchingScheduler:
                 report.finished += 1
 
         # 4. one decode token per running request (admission order)
-        for state in list(self.running):
-            tok, reason = state.decode.select()
+        running = list(self.running)
+        picked = decode_step([state.decode for state in running])
+        for state, (tok, reason) in zip(running, picked):
             state.output_ids.append(tok)
             if state.first_token_at is None:
                 state.first_token_at = now
@@ -260,7 +262,5 @@ class ContinuousBatchingScheduler:
             if reason is not None:
                 self._finish(state, step, now, reason)
                 report.finished += 1
-            else:
-                state.decode.advance(tok)
 
         return report

@@ -12,12 +12,16 @@ Every test belongs to exactly one tier (see ``docs/testing.md``):
 ``--strict-markers`` (set in ``pyproject.toml``) turns marker typos into
 collection errors instead of silently-unselected tests.
 
-It also holds the model the cache and decode-parity suites share.
+It also holds the model and the step-logit recorder the cache and
+decode-parity suites share.
 """
+
+import contextlib
 
 import pytest
 
 from repro.model import ModelConfig, TransformerLM
+from repro.model.sampling import DecodeStream
 
 # how far a cached or batched path's logits may be from the full forward's
 ATOL = 1e-5
@@ -40,6 +44,33 @@ def position_sensitive_model(seed=0):
         ),
         seed=seed,
     )
+
+
+@contextlib.contextmanager
+def recording_step_logits(engine=None):
+    """Record the logits each decode step samples from, by wrapping
+    ``DecodeStream.select`` in the block.
+
+    With an ``engine``, yields {request id: its steps' logits} for the
+    engine's running requests; without one, a list of every step's
+    logits in select order (one ``generate()`` call's, say).  The arrays
+    are recorded as the stream holds them, not copied.
+    """
+    recorded, select = ([] if engine is None else {}), DecodeStream.select
+
+    def spy(stream):
+        if engine is None:
+            recorded.append(stream.logits)
+        else:
+            for state in engine.scheduler.running:
+                if state.decode is stream:
+                    recorded.setdefault(state.request_id, []).append(stream.logits)
+        return select(stream)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(DecodeStream, "select", spy)
+        yield recorded
+
 
 _EXPLICIT_TIERS = ("slow", "faults")
 

@@ -27,7 +27,7 @@ from repro.model.sampling import GenerationConfig, generate
 from repro.serve import InferenceRequest, RequestKind, ServeEngine
 from repro.train import Trainer, TrainingConfig
 from tests.test_model_grads import float64_copy
-from tests.test_serve import recording_step_logits
+from tests.conftest import recording_step_logits
 
 CFG = ModelConfig(vocab_size=64, d_model=32, n_layers=3, n_heads=4, max_seq_len=64)
 PROMPT = list(range(1, 20))
@@ -125,9 +125,9 @@ class TestInference:
     def test_generate_step_logits(self, model, config):
         dtype = dtype_of(model)
         for store in (None, PrefixCacheStore()):
-            steps = []
-            generate(model, PROMPT, config, steps.append, store)
-            generate(model, PROMPT + [7, 8], config, steps.append, store)
+            with recording_step_logits() as steps:
+                generate(model, PROMPT, config, store)
+                generate(model, PROMPT + [7, 8], config, store)
             assert steps
             assert all(s.dtype == dtype for s in steps)
 

@@ -27,6 +27,7 @@ from repro.model.lora import LoRAConfig, apply_lora
 from repro.model.workspace import workspace
 from repro.serve import InferenceRequest, RequestKind, ServeEngine
 from repro.train import corpus_perplexity
+from tests.conftest import recording_step_logits
 
 VOCAB = 64
 ROW = np.array([[5, 17, 3, 42, 8, 29, 11, 60]])
@@ -59,11 +60,8 @@ def generate_after(cover):
         store = PrefixCacheStore()
         if cover:
             store.put(model.prefill(OTHER[:cover]))
-        steps = []
-        generate(
-            model, OTHER, GenerationConfig(max_new_tokens=4), store=store,
-            logit_hook=steps.append,
-        )
+        with recording_step_logits() as steps:
+            generate(model, OTHER, GenerationConfig(max_new_tokens=4), store=store)
         return steps, store._entries
 
     return run

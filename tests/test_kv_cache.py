@@ -14,7 +14,7 @@ from repro.model import (
     shared_prefix,
 )
 from repro.model.sampling import DecodeStream, open_prompt
-from tests.conftest import ATOL, position_sensitive_model
+from tests.conftest import ATOL, position_sensitive_model, recording_step_logits
 
 
 def small_model(seed=0, vocab=120, max_seq_len=96):
@@ -217,9 +217,10 @@ class TestGenerateWithPrefix:
         store = PrefixCacheStore()
         store.put(model.prefill(prompt))
         config = GenerationConfig(max_new_tokens=5, temperature=0.9, seed=4)
-        cold_steps, warm_steps = [], []
-        cold = generate(model, prompt, config, cold_steps.append)
-        warm = generate(model, prompt, config, warm_steps.append, store=store)
+        with recording_step_logits() as cold_steps:
+            cold = generate(model, prompt, config)
+        with recording_step_logits() as warm_steps:
+            warm = generate(model, prompt, config, store=store)
         assert cold == warm and len(cold_steps) == len(warm_steps) == 5
         assert all(np.array_equal(a, b) for a, b in zip(cold_steps, warm_steps))
 
@@ -239,29 +240,28 @@ class TestGenerateWithPrefix:
         prompt = [9, 8, 7, 6]
         config = GenerationConfig(max_new_tokens=4, temperature=0.7, seed=2)
         store = PrefixCacheStore()
-        first_steps, second_steps = [], []
-        first = generate(model, prompt, config, first_steps.append, store=store)
+        with recording_step_logits() as first_steps:
+            first = generate(model, prompt, config, store=store)
         assert store.misses == 1 and len(store) == 1
-        second = generate(model, prompt, config, second_steps.append, store=store)
+        with recording_step_logits() as second_steps:
+            second = generate(model, prompt, config, store=store)
         assert first == second and store.hits == 1
         assert all(np.array_equal(a, b) for a, b in zip(first_steps, second_steps))
 
-    def test_in_place_logit_hook_cannot_rewrite_a_stored_prefix(self):
+    def test_step_logits_cannot_rewrite_a_stored_prefix(self):
         """On an exact cover the first step's logits are the store
-        entry's own ``last_logits``: a hook that writes into them raises,
-        and the entry still decodes what cold generation does."""
+        entry's own ``last_logits``: a write into them raises, and the
+        entry still decodes what cold generation does."""
         model = small_model(seed=6)
         prompt = [1, 2, 3, 4, 5]
         config = GenerationConfig(max_new_tokens=3)
         store = PrefixCacheStore()
         entry = store.put(model.prefill(prompt))
         saved = entry.last_logits.copy()
-
-        def boost_token_zero(logits):
-            logits[0] = 1e9
-
+        with recording_step_logits() as steps:
+            generate(model, prompt, config, store=store)
         with pytest.raises(ValueError):
-            generate(model, prompt, config, boost_token_zero, store=store)
+            steps[0][0] = 1e9
         np.testing.assert_array_equal(entry.last_logits, saved)
         cold = generate(model, prompt, config)
         assert generate(model, prompt, config, store=store) == cold
@@ -309,7 +309,8 @@ class TestDebugCacheGuard:
 
         config = GenerationConfig(max_new_tokens=4)
         for opened, pos in ((exact, len(prompt)), (partial, len(prompt) + 2)):
-            stream = DecodeStream(model, opened, pos, config, 4)
+            stream = DecodeStream(model, opened, config, 4)
+            assert stream.pos == pos
             stream.advance(int(np.argmax(stream.logits)))
             assert_read_only(stream.cache)
 

@@ -255,9 +255,7 @@ def decode_stream_cache(model, prompt):
     store = PrefixCacheStore()
     store.put(model.prefill(prompt))
     opened = open_prompt(model, prompt, store)
-    stream = DecodeStream(
-        model, opened, len(prompt), GenerationConfig(max_new_tokens=2), 2
-    )
+    stream = DecodeStream(model, opened, GenerationConfig(max_new_tokens=2), 2)
     stream.advance(5)
     return stream.cache
 

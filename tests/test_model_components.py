@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.model import (
     GenerationConfig,
@@ -11,13 +13,13 @@ from repro.model import (
     apply_lora,
     bf16_round,
     generate,
-    greedy_decode,
     merge_lora,
 )
 from repro.model.config import scaled_config
 from repro.model.precision import bf16_ulp
+from repro.model.sampling import DecodeStream, clamp_prompt
 from repro.train.checkpointing import load_snapshot, save_snapshot
-from tests.conftest import ATOL, position_sensitive_model
+from tests.conftest import ATOL, position_sensitive_model, recording_step_logits
 
 
 def small_model(seed=0, **kw):
@@ -114,8 +116,8 @@ class TestGeneration:
         a one-position RoPE error moves the logits far past ``ATOL``."""
         model = position_sensitive_model(seed=2)
         prompt = [1, 5, 9, 3]
-        steps = []
-        out = generate(model, prompt, GenerationConfig(max_new_tokens=6), steps.append)
+        with recording_step_logits() as steps:
+            out = generate(model, prompt, GenerationConfig(max_new_tokens=6))
         # recompute each step with a full forward
         seq = list(prompt)
         expected = []
@@ -130,15 +132,16 @@ class TestGeneration:
 
     def test_greedy_deterministic(self):
         model = small_model(seed=2)
-        a = greedy_decode(model, [1, 2, 3], max_new_tokens=5)
-        b = greedy_decode(model, [1, 2, 3], max_new_tokens=5)
+        a = generate(model, [1, 2, 3], GenerationConfig(max_new_tokens=5))
+        b = generate(model, [1, 2, 3], GenerationConfig(max_new_tokens=5))
         assert a == b
 
     def test_stop_tokens(self):
         model = small_model(seed=2)
-        first = greedy_decode(model, [1, 2, 3], max_new_tokens=10)
-        stopped = greedy_decode(
-            model, [1, 2, 3], max_new_tokens=10, stop_token_ids=(first[0],)
+        first = generate(model, [1, 2, 3], GenerationConfig(max_new_tokens=10))
+        stopped = generate(
+            model, [1, 2, 3],
+            GenerationConfig(max_new_tokens=10, stop_token_ids=(first[0],)),
         )
         assert stopped == [first[0]]
 
@@ -151,7 +154,7 @@ class TestGeneration:
 
     def test_top_k_restricts(self):
         model = small_model(seed=2)
-        greedy = greedy_decode(model, [1, 2], max_new_tokens=1)
+        greedy = generate(model, [1, 2], GenerationConfig(max_new_tokens=1))
         top1 = generate(
             model, [1, 2], GenerationConfig(max_new_tokens=1, temperature=2.0, top_k=1)
         )
@@ -200,7 +203,7 @@ class TestGeneration:
 
     def test_top_p_tiny_nucleus_is_greedy(self):
         model = small_model(seed=2)
-        greedy = greedy_decode(model, [1, 2], max_new_tokens=3)
+        greedy = generate(model, [1, 2], GenerationConfig(max_new_tokens=3))
         nucleus = generate(
             model,
             [1, 2],
@@ -265,6 +268,32 @@ class TestGeneration:
         long_prompt = list(np.random.default_rng(0).integers(1, 40, size=100))
         out = generate(model, long_prompt, GenerationConfig(max_new_tokens=4))
         assert len(out) == 4
+
+    def test_zero_budget_returns_nothing_without_decoding(self, monkeypatch):
+        """``max_new_tokens=0`` opens the prompt and returns ``[]``: no
+        token is selected and no decode forward runs."""
+
+        def never(stream, *args):
+            raise AssertionError("a zero-budget generate() decoded")
+
+        monkeypatch.setattr(DecodeStream, "select", never)
+        monkeypatch.setattr(DecodeStream, "advance", never)
+        model = small_model(seed=2)
+        assert generate(model, [1, 2, 3], GenerationConfig(max_new_tokens=0)) == []
+
+    @given(
+        n=st.integers(1, 39), max_new=st.integers(0, 49), window=st.integers(1, 44)
+    )
+    def test_clamped_prompt_and_budget_fit_the_window(self, n, max_new, window):
+        """Prompt + budget never exceed the window, so a decode's budget
+        ("length") always ends it before its position reaches the
+        window's end."""
+        ids = tuple(range(100, 100 + n))
+        prompt, budget = clamp_prompt(ids, max_new, window)
+        assert len(prompt) + budget <= window
+        assert budget == min(max_new, window - 1)
+        assert prompt == ids[len(ids) - len(prompt):]
+        assert len(prompt) == min(n, window - budget)
 
     def test_empty_prompt_raises(self):
         model = small_model()

@@ -3,22 +3,19 @@
 Covers the clock, the bounded admission queue, request/state plumbing,
 the continuous-batching scheduler's invariants, and the headline engine
 contract: tokens and step logits bit-equal to sequential
-:func:`repro.model.sampling.generate` regardless of batch composition
-or prefix-store warmth.
+:func:`repro.model.sampling.generate` regardless of batch composition,
+with ``generate()`` given a store holding the entries the engine's
+store holds (a partial cover's logits differ from a cold prefill's by
+about 5e-7).
 """
 
-import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.model import ModelConfig, PrefixCacheStore, TransformerLM
-from repro.model.sampling import (
-    DecodeStream,
-    GenerationConfig,
-    clamp_prompt,
-    generate,
-)
+from repro.model.sampling import GenerationConfig, clamp_prompt, generate
 from repro.serve import (
     AdmissionQueue,
     InferenceRequest,
@@ -36,7 +33,7 @@ from repro.serve import (
     WallClock,
 )
 from repro.serve.metrics import Counter, Histogram, ServeMetrics
-from tests.conftest import ATOL, position_sensitive_model
+from tests.conftest import ATOL, position_sensitive_model, recording_step_logits
 
 
 def small_model(seed=0, vocab=64, max_seq_len=96):
@@ -62,8 +59,8 @@ def req(rid, prompt, kind=RequestKind.GENERATE, **kw):
 
 def reference(model, prompt, config, store=None):
     """generate()'s tokens and the logits of each of its steps."""
-    steps = []
-    return generate(model, prompt, config, steps.append, store), steps
+    with recording_step_logits() as steps:
+        return generate(model, prompt, config, store), steps
 
 
 def assert_bit_equal(steps, reference_steps):
@@ -89,23 +86,6 @@ def assert_matches_full_forward(model, prompt, config, tokens, steps):
         if config.temperature == 0.0:
             assert tok == int(np.argmax(full))
         seq.append(tok)
-
-
-@contextlib.contextmanager
-def recording_step_logits(engine):
-    """Yield {request id: the logits each of its decode steps sampled
-    from}, recorded by wrapping ``DecodeStream.select`` in the block."""
-    recorded, select = {}, DecodeStream.select
-
-    def spy(stream):
-        for state in engine.scheduler.running:
-            if state.decode is stream:
-                recorded.setdefault(state.request_id, []).append(stream.logits)
-        return select(stream)
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(DecodeStream, "select", spy)
-        yield recorded
 
 
 def queued_state(rid="r", prompt=(1, 2, 3), seq=0, **kw):
@@ -412,7 +392,67 @@ class TestEngineGenerateParity:
         assert list(state.output_ids) == tokens
         assert_bit_equal(recorded["long"], steps)
         assert_matches_full_forward(model, long_prompt, config, tokens, steps)
-        assert state.finish_reason in ("length", "context")
+        assert state.finish_reason == "length"
+
+    def test_stop_token_mid_batch_leaves_the_others_decoding(self, model):
+        """One request's stop token fires while its batchmates decode on;
+        every request still matches generate() bit for bit."""
+        sampled = GenerationConfig(max_new_tokens=8, temperature=0.9, seed=7)
+        free = reference(model, self.PROMPT, sampled)[0]
+        k = next(i for i in range(2, len(free) - 1) if free[i] not in free[:i])
+        configs = {
+            "stop": dataclasses.replace(sampled, stop_token_ids=(free[k],)),
+            "greedy": GenerationConfig(max_new_tokens=8),
+            "top_k": GenerationConfig(
+                max_new_tokens=8, temperature=0.8, top_k=8, seed=11
+            ),
+        }
+        # no prompt starts another, so every request misses the store
+        prompts = {
+            "stop": self.PROMPT, "greedy": self.PROMPT[1:],
+            "top_k": (15,) + self.PROMPT,
+        }
+        engine = ServeEngine(model)
+        for rid, config in configs.items():
+            engine.submit(req(rid, prompts[rid], generation=config))
+        with recording_step_logits(engine) as recorded:
+            engine.drain()
+        for rid, config in configs.items():
+            tokens, steps = reference(model, prompts[rid], config)
+            assert list(engine.state_of(rid).output_ids) == tokens
+            assert_bit_equal(recorded[rid], steps)
+            assert_matches_full_forward(model, prompts[rid], config, tokens, steps)
+        # (step, reason, tokens): all three decode from step 0
+        finished = {e[2]: (e[1],) + e[3:] for e in engine.events if e[0] == "finish"}
+        assert finished == {
+            "stop": (k, "stop", k + 1),
+            "greedy": (7, "length", 8),
+            "top_k": (7, "length", 8),
+        }
+
+    def test_zero_budget_request_finishes_at_admission(self, model, monkeypatch):
+        """``max_new_tokens=0`` finishes ``"length"`` in its admission
+        step with no token; its stream never enters ``decode_step``."""
+        import repro.serve.scheduler as scheduler
+
+        decoded, decode_step = [], scheduler.decode_step
+
+        def spy(streams):
+            decoded.extend(streams)
+            return decode_step(streams)
+
+        monkeypatch.setattr(scheduler, "decode_step", spy)
+        engine = ServeEngine(model)
+        engine.submit(
+            req("z", self.PROMPT, generation=GenerationConfig(max_new_tokens=0))
+        )
+        state = engine.drain()[0]
+        assert state.finish_reason == "length"
+        assert list(state.output_ids) == [] and state.first_token_at is None
+        assert engine.events[1:] == [
+            ("admit", 0, "z", 0), ("finish", 0, "z", "length", 0),
+        ]
+        assert decoded == []
 
     def test_score_matches_prefill_boundary_logits(self, model):
         prompt = [4, 8, 15, 16, 23]

@@ -35,11 +35,10 @@ from repro.serve import (
     simulate,
 )
 from repro.model.sampling import GenerationConfig
-from tests.conftest import position_sensitive_model
+from tests.conftest import position_sensitive_model, recording_step_logits
 from tests.test_serve import (
     assert_bit_equal,
     assert_matches_full_forward,
-    recording_step_logits,
     reference,
 )
 
