@@ -11,12 +11,15 @@ engine on the micro zoo scale:
   (:meth:`TransformerLM.prefill`) and question suffixes are scored in
   packed batches (:meth:`TransformerLM.next_token_logits_many`).
 
-Acceptance target: >= 5x questions/sec, with bit-identical predictions.
+Acceptance target: >= 5x questions/sec, with identical predictions.  It
+is a wall-clock ratio, so it is ``slow``-marked and stays out of the
+blocking CI job; perfbench's table1-eval workload is the speed evidence
+(``work_per_s``).  Batch-size invariance of the predictions is tier-1:
+``tests/test_eval_methods.py::TestBatchedPrediction``.
 """
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.corpus import make_astro_knowledge
@@ -69,13 +72,14 @@ def eval_world():
     return model, tok, bench
 
 
-def _evaluator(model, tok, bench, batch_size=16):
+def _evaluator(model, tok, bench):
     return TokenPredictionEvaluator(
-        model, tok, bench.few_shot(FEW_SHOT), batch_size=batch_size
+        model, tok, bench.few_shot(FEW_SHOT), batch_size=16
     )
 
 
 class TestEvalThroughput:
+    @pytest.mark.slow
     def test_cached_batched_is_faster_and_identical(self, eval_world):
         model, tok, bench = eval_world
         runner = BatchedEvaluationRunner(bench, max_questions=N_QUESTIONS)
@@ -101,16 +105,3 @@ class TestEvalThroughput:
         )
         assert fast.predictions == naive
         assert speedup >= SPEEDUP_TARGET
-
-    def test_batch_size_sweep_smoke(self, eval_world):
-        """Chunked batches agree with one big batch (memory-bounded path)."""
-        model, tok, bench = eval_world
-        questions = bench.test[:16]
-        reference = _evaluator(model, tok, bench, batch_size=16).predict_many(
-            questions
-        )
-        for batch_size in (1, 3, 16):
-            preds = _evaluator(
-                model, tok, bench, batch_size=batch_size
-            ).predict_many(questions)
-            assert preds == reference

@@ -1,26 +1,14 @@
-"""Serving-engine throughput: continuous batching vs sequential serving.
+"""Serving-engine wall-time overhead: the engine against a naive loop.
 
-The paper's Table I workload — thousands of MCQs, a mix of long
-full-instruct generations and single-step next-token scorings — is
-exactly the traffic shape continuous batching was invented for
-(Orca/vLLM): a sequential server decodes one request at a time, so every
-short request waits out every long one, while iteration-level batching
-decodes all in-flight requests in one step.
-
-Two measures, deliberately separated:
-
-* ``test_decode_step_reduction_smoke`` — the *scheduling* win on the
-  virtual-clock measure (``decode_steps``: scheduler iterations that
-  advanced at least one decode).  Deterministic, fast, asserted in
-  blocking CI: identical outputs, >= 3x fewer decode steps.
-* ``test_wall_time_overhead`` — the *wall-time* guardrail (marked
-  ``slow``, nightly): the numpy model decodes each row as its own
-  forward, so continuous batching cannot amortize matmuls on real
-  hardware-free seconds — but the whole serving machinery (queue,
-  scheduler, metrics, event log, prefix store) must come for free
-  relative to a naive per-request ``generate()`` loop.  On a real
-  batched-kernel backend the decode-step reduction *is* the wall-time
-  reduction; here the two measures are kept honest and separate.
+The numpy model forwards each decode row on its own, so continuous
+batching cannot amortize matmuls here.  What this bench guards is that
+the serving machinery (queue, scheduler, metrics, event log, prefix
+store) costs at most ``WALL_OVERHEAD_CEILING`` over a naive
+per-request ``generate()`` loop.  No perfbench gate measures that ratio,
+so it stays here as a ``slow``-marked wall-clock check, run locally;
+perfbench's serve workloads are the speed evidence.  The scheduling win
+itself, >= 3x fewer decode steps than sequential serving with identical
+outputs, is tier-1: ``tests/test_serve_sim.py::TestContinuousVsSequential``.
 """
 
 import time
@@ -28,16 +16,21 @@ import time
 import pytest
 
 from repro.model import ModelConfig, TransformerLM
-from repro.serve import SchedulerConfig, ServeConfig, make_workload, simulate
+from repro.model.sampling import generate
+from repro.serve import (
+    RequestKind,
+    SchedulerConfig,
+    ServeConfig,
+    make_workload,
+    simulate,
+)
 
 N_REQUESTS = 32
 BATCH_WIDTH = 8
-STEP_REDUCTION_TARGET = 3.0
-# the engine may cost at most this factor over the naive loop (nightly)
+# the engine may cost at most this factor over the naive loop
 WALL_OVERHEAD_CEILING = 1.15
 
-#: arrival burst: everything is queued from the start, so the comparison
-#: is pure scheduling policy, not arrival luck
+#: arrival burst: everything is queued from the start
 WORKLOAD = dict(
     seed=17,
     scaffold_len=12,
@@ -48,60 +41,23 @@ WORKLOAD = dict(
     temperature=0.8,
 )
 
-SEQUENTIAL = ServeConfig(
-    queue_capacity=N_REQUESTS,
-    scheduler=SchedulerConfig(token_budget=4096, max_running=1),
-)
 CONTINUOUS = ServeConfig(
     queue_capacity=N_REQUESTS,
     scheduler=SchedulerConfig(token_budget=4096, max_running=BATCH_WIDTH),
 )
 
 
-def serve_model(d_model=32, n_layers=2):
-    return TransformerLM(
-        ModelConfig(
-            vocab_size=256, d_model=d_model, n_layers=n_layers, n_heads=4,
-            max_seq_len=128,
-        ),
-        seed=0,
-    )
-
-
 class TestServeThroughput:
-    def test_decode_step_reduction_smoke(self):
-        """Same answers, >= 3x fewer decode steps — on virtual measures."""
-        model = serve_model()
-        specs = make_workload(N_REQUESTS, vocab_size=256, **WORKLOAD)
-
-        sequential = simulate(model, specs, config=SEQUENTIAL)
-        continuous = simulate(model, specs, config=CONTINUOUS)
-
-        # correctness first: batching must not touch any output
-        assert continuous.outputs == sequential.outputs
-        assert continuous.metrics["finished"] == N_REQUESTS
-
-        seq_steps = sequential.metrics["decode_steps"]
-        cont_steps = continuous.metrics["decode_steps"]
-        reduction = seq_steps / cont_steps
-        print(
-            f"\n[serve-throughput] n={N_REQUESTS} width={BATCH_WIDTH} "
-            f"decode_steps sequential={seq_steps} continuous={cont_steps} "
-            f"reduction={reduction:.1f}x "
-            f"virtual_time {sequential.end_time:.0f}s -> "
-            f"{continuous.end_time:.0f}s"
-        )
-        assert reduction >= STEP_REDUCTION_TARGET
-        # the modeled clock agrees with the step counter's story
-        assert continuous.end_time < sequential.end_time
-
     @pytest.mark.slow
     def test_wall_time_overhead(self):
-        """Serving machinery costs ~nothing over a naive loop (nightly)."""
-        from repro.model.sampling import generate
-        from repro.serve import RequestKind
-
-        model = serve_model(d_model=64, n_layers=3)
+        """Serving machinery costs ~nothing over a naive loop."""
+        model = TransformerLM(
+            ModelConfig(
+                vocab_size=256, d_model=64, n_layers=3, n_heads=4,
+                max_seq_len=128,
+            ),
+            seed=0,
+        )
         specs = make_workload(N_REQUESTS, vocab_size=256, **WORKLOAD)
 
         t0 = time.perf_counter()

@@ -9,6 +9,7 @@ from repro.lint.rules.fault_registry import FaultRegistryRule
 from repro.lint.rules.wall_clock import WallClockRule
 from repro.lint.rules.scalar_promotion import ScalarPromotionRule
 from repro.lint.rules.unused_import import UnusedImportRule
+from repro.lint.rules.inference_purity import InferencePurityRule
 from repro.lint.rules.workspace_escape import WorkspaceEscapeRule
 
 __all__ = [
@@ -21,5 +22,6 @@ __all__ = [
     "WallClockRule",
     "ScalarPromotionRule",
     "UnusedImportRule",
+    "InferencePurityRule",
     "WorkspaceEscapeRule",
 ]

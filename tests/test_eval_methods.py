@@ -316,7 +316,7 @@ class TestFullInstructEvaluator:
         assert evaluator.records[0].response  # transcript retained
 
 
-def make_real_model(tok, bench, seed=0):
+def make_real_model(tok, bench, seed=0, **config):
     """A random-weight TransformerLM big enough for the two-shot prompts."""
     from repro.eval.prompts import format_next_token_prompt
 
@@ -326,7 +326,7 @@ def make_real_model(tok, bench, seed=0):
     )
     cfg = ModelConfig(
         vocab_size=len(tok.vocab), d_model=32, n_layers=2, n_heads=4,
-        max_seq_len=longest + 8,
+        max_seq_len=longest + 8, **config,
     )
     return TransformerLM(cfg, seed=seed)
 
@@ -348,6 +348,24 @@ class TestBatchedPrediction:
         # the shared scaffold really was prefilled (and only once)
         assert evaluator._prefix_cache is not None
         assert evaluator._prefix_cache.length > 0
+
+    def test_batch_size_sweep_matches_one_batch(self, astro, bench):
+        """Chunked batches, last partial chunk included, predict what one
+        batch of every question does."""
+        tok = make_tokenizer(astro, False)
+        # at the default init std every question gets the same letter
+        model = make_real_model(tok, bench, seed=8, init_std=0.3)
+
+        def predict(batch_size):
+            return TokenPredictionEvaluator(
+                model, tok, bench.few_shot(2), batch_size=batch_size
+            ).predict_many(bench.test)
+
+        reference = predict(len(bench.test))
+        assert set(reference) == {0, 1, 2, 3}
+        # 36 questions: 5, 7 and 16 each leave a partial last chunk
+        for batch_size in (1, 3, 5, 7, 16):
+            assert predict(batch_size) == reference
 
     def test_batched_runner_matches_sequential_runner(self, astro, bench):
         tok = make_tokenizer(astro, False)

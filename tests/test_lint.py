@@ -281,6 +281,37 @@ VIOLATIONS = {
         """,
         MODEL_PATH,
     ),
+    "R10-stash-in-pure-call": (
+        "R10",
+        """
+        class Linear:
+            def __call__(self, x):
+                self._cache = (x,)
+                return x @ self.weight
+        """,
+        MODEL_PATH,
+    ),
+    "R10-training-call-reached-from-entry-point": (
+        "R10",
+        """
+        class LM:
+            def prefill(self, ids):
+                return self._hidden(ids)
+
+            def _hidden(self, ids):
+                return self.block.forward(self.embed(ids))
+        """,
+        MODEL_PATH,
+    ),
+    "R10-gradient-read": (
+        "R10",
+        """
+        class Linear:
+            def __call__(self, x):
+                return x @ (self.weight - self.grads["weight"])
+        """,
+        MODEL_PATH,
+    ),
     "R11-reshaped-view-returned-via-out": (
         "R11",
         """
@@ -544,6 +575,31 @@ CLEAN = {
         """,
         "src/repro/model/__init__.py",
     ),
+    "R10-pure-and-cached-calls": (
+        """
+        class LM:
+            def __call__(self, x, cache):
+                return self.head(self.block(x, 0, cache))
+
+            def next_token_logits(self, ids):
+                return self.forward(ids, cache=self.new_cache())[0, -1]
+
+            def forward(self, ids, cache=None):
+                self._tied_cache = ids
+                return self.block.forward(ids)
+        """,
+        MODEL_PATH,
+    ),
+    "R10-training-code-outside-model": (
+        """
+        class Step:
+            def __call__(self, model, x):
+                model.zero_grad()
+                model.backward(model.forward(x))
+                return model.grads
+        """,
+        "src/repro/train/snippet.py",
+    ),
     "R11-fresh-results": (
         """
         import numpy as np
@@ -694,7 +750,7 @@ class TestConfig:
             LintConfig.from_cli(select=["R99"])
 
     def test_rules_ordered_by_code_number(self):
-        codes = [f"R{n}" for n in range(1, 10)] + ["R11"]
+        codes = [f"R{n}" for n in range(1, 12)]
         assert [cls.code for cls in all_rules()] == codes
         assert [rule.code for rule in LintConfig().enabled_rules()] == codes
 

@@ -62,6 +62,19 @@ class TestConfig:
         ]
         assert sizes == sorted(sizes)
 
+    @pytest.mark.parametrize("tier", ["tiny", "small", "large"])
+    def test_every_tier_trains_and_decodes(self, tier):
+        """A training step on an (8, 128) batch gives a finite positive
+        loss, and greedy decoding fills its whole budget."""
+        model = TransformerLM(scaled_config(1000, tier, max_seq_len=128), seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.integers(1, 1000, size=(8, 128))
+        t = rng.integers(1, 1000, size=(8, 128))
+        loss = model.loss_and_backward(x, t)
+        assert np.isfinite(loss) and loss > 0
+        out = generate(model, list(range(1, 30)), GenerationConfig(max_new_tokens=16))
+        assert len(out) == 16
+
     def test_scaled_config_unknown(self):
         with pytest.raises(ValueError):
             scaled_config(100, "gigantic")

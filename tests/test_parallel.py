@@ -58,6 +58,7 @@ class TestCollectives:
     def test_all_reduce_sum(self):
         bufs = [np.full(3, float(i)) for i in range(4)]
         out = self.comm.all_reduce(bufs, "sum")
+        assert len(out) == len(bufs)
         for o in out:
             np.testing.assert_array_equal(o, np.full(3, 6.0))
 
@@ -133,6 +134,15 @@ class TestRingCostModel:
         small = cm.all_reduce_time(1024, 4, False)
         large = cm.all_reduce_time(1 << 30, 4, False)
         assert large > small * 50
+
+    def test_bandwidth_term_saturates_with_world_size(self):
+        """A ring all-reduce moves ``2(n-1)/n`` of the message per rank,
+        so four times the ranks takes less than twice the time."""
+        cm = RingCostModel()
+        nbytes = 100 * 2**20
+        t4 = cm.all_reduce_time(nbytes, 4, False)
+        t16 = cm.all_reduce_time(nbytes, 16, False)
+        assert t16 < t4 * 2
 
 
 class TestDDP:
