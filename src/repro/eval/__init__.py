@@ -14,6 +14,9 @@
 Full-instruct generation opens every prompt through one prefix store
 (:func:`repro.model.sampling.open_prompt`, the call the serving engine
 makes), so the chat scaffold shared by all questions is prefilled once.
+Its decoding settings are the caller's ``GenerationConfig``; the
+interpreter's overlap threshold, the answer-token probe's top ten and its
+four probe questions are fixed constants.
 """
 
 from repro.eval.prompts import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol, Sequence
 
-from repro.eval.parsing import FallbackInterpreter, ParseOutcome, parse_model_answer
+from repro.eval.parsing import ParseOutcome, parse_model_answer
 from repro.eval.prompts import format_micro_chat_prompt
 from repro.mcq.generation import MCQuestion
 from repro.model.kv_cache import PrefixCacheStore
@@ -42,21 +42,15 @@ class FullInstructEvaluator:
         self,
         model: TransformerLM,
         tokenizer: DecoderLike,
+        generation: GenerationConfig,
         prompt_builder: Optional[PromptBuilder] = None,
-        generation: Optional[GenerationConfig] = None,
-        interpreter: Optional[FallbackInterpreter] = None,
-        eos_id: Optional[int] = None,
         prefix_ids: Sequence[int] = (),
         reuse_prefix: bool = True,
     ) -> None:
         self.model = model
         self.tokenizer = tokenizer
+        self.generation = generation
         self.prompt_builder = prompt_builder or format_micro_chat_prompt
-        stop = (eos_id,) if eos_id is not None else ()
-        self.generation = generation or GenerationConfig(
-            max_new_tokens=48, temperature=0.0, stop_token_ids=stop
-        )
-        self.interpreter = interpreter or FallbackInterpreter()
         self.prefix_ids = list(prefix_ids)
         # every question's prompt opens through this store, so the chat
         # scaffold they share is prefilled once and then forked
@@ -71,7 +65,7 @@ class FullInstructEvaluator:
             self.model, prompt_ids, self.generation, store=self._prefix_store
         )
         response = self.tokenizer.decode(out_ids)
-        outcome = parse_model_answer(response, question.options, self.interpreter)
+        outcome = parse_model_answer(response, question.options)
         self.records.append(
             FullInstructRecord(question.question_id, response, outcome)
         )

@@ -36,6 +36,10 @@ _FREEFORM_PATTERNS = (
 )
 _BARE_LETTER_RE = re.compile(r"^\s*([A-D])\s*$", re.IGNORECASE)
 
+#: words an explanation must share with its best option for the
+#: interpreter's overlap stage to pick that option
+MIN_OVERLAP = 1
+
 
 @dataclass(frozen=True)
 class ParseOutcome:
@@ -122,9 +126,6 @@ class FallbackInterpreter:
     explanation and each option, requiring a unique argmax with a margin.
     """
 
-    def __init__(self, min_overlap: int = 1) -> None:
-        self.min_overlap = min_overlap
-
     def interpret(self, text: str, options: Sequence[str]) -> Optional[int]:
         lowered = " ".join(text.lower().split())
         mentions = [
@@ -141,16 +142,12 @@ class FallbackInterpreter:
             opt_tokens = set(opt.lower().split())
             scores.append(len(opt_tokens & text_tokens))
         best = max(scores)
-        if best >= self.min_overlap and scores.count(best) == 1:
+        if best >= MIN_OVERLAP and scores.count(best) == 1:
             return scores.index(best)
         return None
 
 
-def parse_model_answer(
-    text: str,
-    options: Sequence[str],
-    interpreter: Optional[FallbackInterpreter] = None,
-) -> ParseOutcome:
+def parse_model_answer(text: str, options: Sequence[str]) -> ParseOutcome:
     """Run the full two-stage pipeline on one model response."""
     idx = extract_answer_json(text)
     if idx is not None:
@@ -158,8 +155,7 @@ def parse_model_answer(
     idx = extract_answer_freeform(text)
     if idx is not None:
         return ParseOutcome(idx, "regex")
-    interpreter = interpreter or FallbackInterpreter()
-    idx = interpreter.interpret(text, options)
+    idx = FallbackInterpreter().interpret(text, options)
     if idx is not None:
         return ParseOutcome(idx, "interpreter")
     return ParseOutcome(None, "failed")

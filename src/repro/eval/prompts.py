@@ -46,13 +46,10 @@ def format_paper_full_instruct(question: MCQuestion) -> str:
     )
 
 
-def format_micro_chat_prompt(
-    question: MCQuestion, template: Optional[ChatTemplate] = None
-) -> str:
+def format_micro_chat_prompt(question: MCQuestion) -> str:
     """The micro zoo's full-instruct analogue: the trained chat format."""
-    template = template or ChatTemplate()
     body = f"Question : {question.question}\n{question.option_block()}"
-    return template.render_prompt(body)
+    return ChatTemplate().render_prompt(body)
 
 
 def _question_block(question: MCQuestion, answer: Optional[str]) -> str:
@@ -66,16 +63,13 @@ NEXT_TOKEN_HEADER = (
 )
 
 
-def format_next_token_scaffold(
-    few_shot: Sequence[MCQuestion] = (),
-    header: str = NEXT_TOKEN_HEADER,
-) -> str:
+def format_next_token_scaffold(few_shot: Sequence[MCQuestion] = ()) -> str:
     """The question-independent part of the next-token prompt.
 
     Header plus solved few-shot blocks — identical for every question in
     a benchmark run, which is what makes it prefix-cacheable.
     """
-    parts: List[str] = [header]
+    parts: List[str] = [NEXT_TOKEN_HEADER]
     for ex in few_shot:
         parts.append(_question_block(ex, ex.correct_letter))
     return "\n".join(parts)
@@ -87,9 +81,7 @@ def format_next_token_suffix(question: MCQuestion) -> str:
 
 
 def format_next_token_prompt(
-    question: MCQuestion,
-    few_shot: Sequence[MCQuestion] = (),
-    header: str = NEXT_TOKEN_HEADER,
+    question: MCQuestion, few_shot: Sequence[MCQuestion] = ()
 ) -> str:
     """Render the Appendix C two-shot next-token prompt.
 
@@ -97,6 +89,4 @@ def format_next_token_prompt(
     test question ends with a bare ``Answer :`` so the next token is the
     model's choice.
     """
-    return format_next_token_scaffold(few_shot, header) + format_next_token_suffix(
-        question
-    )
+    return format_next_token_scaffold(few_shot) + format_next_token_suffix(question)

@@ -28,6 +28,12 @@ from repro.mcq.generation import MCQuestion
 from repro.model.kv_cache import PrefixCache, shared_prefix
 from repro.model.transformer import TransformerLM
 
+#: next-token ids per probe prompt that answer-token discovery examines
+#: ("the top ten tokens in the model's output", Section V-B)
+PROBE_TOP_K = 10
+#: few-shot questions an evaluator probes when it discovers its answer tokens
+N_PROBE = 4
+
 
 class CausalLM(Protocol):
     def next_token_logits(self, tokens: np.ndarray) -> np.ndarray: ...
@@ -69,14 +75,13 @@ def discover_answer_tokens(
     tokenizer: TokenizerLike,
     probe_questions: Sequence[MCQuestion],
     few_shot: Sequence[MCQuestion] = (),
-    top_k: int = 10,
     prefix_ids: Sequence[int] = (),
 ) -> AnswerTokenMap:
     """Pick the letter-token convention the model actually uses.
 
-    For each probe question the top-``top_k`` next-token ids are collected;
-    each complete convention is scored by how often its candidate ids show
-    up.  Ties (or no hits at all) fall back to the convention supported by
+    For each probe question the top :data:`PROBE_TOP_K` next-token ids are
+    collected; each complete convention is scored by how often its
+    candidate ids show up.  Ties (or no hits at all) fall back to the convention supported by
     the vocabulary, preferring bare tokens.
     """
     conventions = _candidates_by_convention(tokenizer)
@@ -96,7 +101,7 @@ def discover_answer_tokens(
             list(prefix_ids) + tokenizer.encode(prompt), dtype=np.int64
         )
         logits = model.next_token_logits(tokens)
-        k = min(top_k, logits.shape[-1])
+        k = min(PROBE_TOP_K, logits.shape[-1])
         top_ids = set(np.argpartition(logits, -k)[-k:].tolist())
         for name, mapping in conventions.items():
             scores[name] += sum(1 for tid in mapping.values() if tid in top_ids)
@@ -113,7 +118,6 @@ class TokenPredictionEvaluator:
         tokenizer: TokenizerLike,
         few_shot: Sequence[MCQuestion],
         answer_map: Optional[AnswerTokenMap] = None,
-        n_probe: int = 4,
         prefix_ids: Sequence[int] = (),
         batch_size: int = 32,
     ) -> None:
@@ -121,18 +125,19 @@ class TokenPredictionEvaluator:
         the model actually saw during packed training (micro models never
         see BOS, only EOS separators).  ``batch_size`` bounds how many
         question suffixes :meth:`predict_many` scores per forward."""
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.model = model
         self.tokenizer = tokenizer
         self.few_shot = list(few_shot)
         self.prefix_ids = list(prefix_ids)
-        self.batch_size = max(1, batch_size)
+        self.batch_size = batch_size
         self._prefix_cache: Optional[PrefixCache] = None
         if answer_map is None:
-            probes = self.few_shot or []
             answer_map = discover_answer_tokens(
                 model,
                 tokenizer,
-                probes[: max(n_probe, 1)],
+                self.few_shot[:N_PROBE],
                 self.few_shot,
                 prefix_ids=self.prefix_ids,
             )

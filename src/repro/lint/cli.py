@@ -75,8 +75,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_rules:
-        for rule_cls in all_rules():
-            print(f"{rule_cls.code}  {rule_cls.name:<22}  {rule_cls.description}")
+        rules = all_rules()
+        code_w = max(len(r.code) for r in rules)
+        name_w = max(len(r.name) for r in rules)
+        for r in rules:
+            print(f"{r.code:<{code_w}}  {r.name:<{name_w}}  {r.description}")
         return 0
     try:
         config = LintConfig.from_cli(

@@ -124,8 +124,8 @@ class TransformerLM(Module):
         logits = model.forward(next_tok, start_pos=t, cache=cache)  # step
 
     A forward with a cache, :meth:`prefill`, the batched scoring of
-    :meth:`next_token_logits_many`, :meth:`next_token_logits` and
-    :meth:`perplexity` run only the layers' pure calls: inference stashes
+    :meth:`next_token_logits_many` and :meth:`next_token_logits` run only
+    the layers' pure calls: inference stashes
     no activations and allocates no gradient buffers, so it may run
     between a training forward and its :meth:`backward`.
     """
@@ -269,16 +269,6 @@ class TransformerLM(Module):
         loss, dlogits = self.cross_entropy(logits, targets, mask)
         self.backward(dlogits)
         return loss
-
-    def perplexity(
-        self,
-        tokens: np.ndarray,
-        targets: np.ndarray,
-        mask: Optional[np.ndarray] = None,
-    ) -> float:
-        logits = self.forward(tokens, cache=self.new_cache())
-        loss, _ = self.cross_entropy(logits, targets, mask)
-        return float(np.exp(min(loss, 30.0)))
 
     def next_token_logits(self, tokens: np.ndarray) -> np.ndarray:
         """Logits for the token following a single prompt (shape ``(vocab,)``).

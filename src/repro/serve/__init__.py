@@ -8,8 +8,8 @@ This package is that serving layer:
 
 * :mod:`~repro.serve.request` — request/state dataclasses covering both
   workload shapes, with per-request decoding configs and seeds;
-* :mod:`~repro.serve.admission` — bounded queue with priority/FIFO
-  ordering, admission deadlines, and ``QueueFullError`` backpressure;
+* :mod:`~repro.serve.admission` — bounded FIFO queue with admission
+  deadlines and ``QueueFullError`` backpressure;
 * :mod:`~repro.serve.scheduler` — iteration-level continuous batching
   under a token budget, routed through the ``PrefixCacheStore`` so
   shared scaffolds are never re-prefilled; it decodes through the same
@@ -17,7 +17,8 @@ This package is that serving layer:
   and step logits are bit-equal to ``generate()`` (store miss, exact or
   partial cover) and SCORE logits to ``prefill().last_logits``;
 * :mod:`~repro.serve.engine` — the ``submit()/step()/drain()`` loop with
-  per-token streaming callbacks;
+  per-token streaming callbacks; each step advances the clock by the
+  fixed step-cost model :func:`~repro.serve.engine.step_duration`;
 * :mod:`~repro.serve.clock` / :mod:`~repro.serve.sim` — the injected
   time source and the deterministic simulator (lint rule R7 keeps wall
   clocks out of everything but ``clock.py``);
@@ -34,7 +35,7 @@ from repro.serve.admission import (
     QueueFullError,
 )
 from repro.serve.clock import Clock, VirtualClock, WallClock
-from repro.serve.engine import ServeConfig, ServeEngine, StepCostModel
+from repro.serve.engine import ServeConfig, ServeEngine, step_duration
 from repro.serve.metrics import Counter, Histogram, ServeMetrics
 from repro.serve.request import (
     InferenceRequest,
@@ -66,7 +67,7 @@ __all__ = [
     "WallClock",
     "ServeConfig",
     "ServeEngine",
-    "StepCostModel",
+    "step_duration",
     "Counter",
     "Histogram",
     "ServeMetrics",

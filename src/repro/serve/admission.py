@@ -4,7 +4,7 @@ A production benchmark service must refuse load it cannot carry:
 an unbounded queue converts overload into unbounded latency and
 memory growth.  :class:`AdmissionQueue` is the engine's front door —
 bounded capacity, explicit :class:`QueueFullError` rejection with a
-deterministic retry-after hint, priority or FIFO ordering, and
+deterministic retry-after hint, FIFO ordering, and
 deadline expiry for requests that waited too long to be admitted.
 """
 
@@ -20,19 +20,21 @@ __all__ = [
     "QueueFullError",
     "OversizedRequestError",
     "InvalidRequestError",
-    "QUEUE_POLICIES",
+    "SERVICE_TIME_HINT",
 ]
 
-QUEUE_POLICIES = ("fifo", "priority")
+#: per-request service-time estimate (seconds on the engine's clock)
+#: behind the ``retry_after`` backoff hint
+SERVICE_TIME_HINT = 1.0
 
 
 class QueueFullError(RuntimeError):
     """Raised by :meth:`AdmissionQueue.push` when the queue is at capacity.
 
     ``retry_after`` is a deterministic backoff hint (seconds, on the
-    engine's clock) derived from the queue depth and the configured
-    per-request service-time estimate — callers should resubmit no
-    sooner than that.
+    engine's clock) derived from the queue depth and the per-request
+    service-time estimate :data:`SERVICE_TIME_HINT` — callers should
+    resubmit no sooner than that.
     """
 
     def __init__(self, capacity: int, retry_after: float) -> None:
@@ -62,51 +64,30 @@ class InvalidRequestError(ValueError):
 
 
 class AdmissionQueue:
-    """Bounded wait queue ordered by ``(priority, arrival)`` or FIFO.
+    """Bounded wait queue in FIFO order.
 
-    ``policy="fifo"`` ignores priorities entirely; ``policy="priority"``
-    orders by ``(priority, seq)`` so equal priorities stay FIFO.  Both are
-    deterministic: ``seq`` is the engine's submission counter, never a
-    timestamp, so two runs of the same schedule order identically.
+    Requests leave in ``seq`` order, the engine's submission counter,
+    never a timestamp, so two runs of the same schedule order identically.
     """
 
-    def __init__(
-        self,
-        capacity: int = 64,
-        policy: str = "fifo",
-        service_time_hint: float = 1.0,
-    ) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if policy not in QUEUE_POLICIES:
-            raise ValueError(
-                f"unknown queue policy {policy!r}; expected one of "
-                f"{QUEUE_POLICIES}"
-            )
-        if service_time_hint <= 0:
-            raise ValueError("service_time_hint must be > 0")
         self.capacity = capacity
-        self.policy = policy
-        self.service_time_hint = float(service_time_hint)
-        self._heap: List[Tuple[Tuple[int, int], RequestState]] = []
+        self._heap: List[Tuple[int, RequestState]] = []
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def _key(self, state: RequestState) -> Tuple[int, int]:
-        if self.policy == "priority":
-            return (state.request.priority, state.seq)
-        return (0, state.seq)
-
     def retry_after(self) -> float:
         """Deterministic backoff hint for a rejected submit."""
-        return (len(self._heap) + 1) * self.service_time_hint
+        return (len(self._heap) + 1) * SERVICE_TIME_HINT
 
     def push(self, state: RequestState) -> None:
         """Enqueue, or raise :class:`QueueFullError` at capacity."""
         if len(self._heap) >= self.capacity:
             raise QueueFullError(self.capacity, self.retry_after())
-        heapq.heappush(self._heap, (self._key(state), state))
+        heapq.heappush(self._heap, (state.seq, state))
 
     def expire_overdue(self, now: float) -> List[RequestState]:
         """Remove and mark every queued request whose deadline passed."""
@@ -148,6 +129,6 @@ class AdmissionQueue:
 
     def requeue(self, state: RequestState) -> None:
         """Put a preempted request back; its original ``seq`` restores its
-        position among equals, so preemption never reorders peers."""
+        position, so preemption never reorders peers."""
         state.status = RequestStatus.QUEUED
-        heapq.heappush(self._heap, (self._key(state), state))
+        heapq.heappush(self._heap, (state.seq, state))

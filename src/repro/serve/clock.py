@@ -38,8 +38,8 @@ class VirtualClock:
     request arrivals.  Nothing moves unless something advances it.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now

@@ -11,7 +11,7 @@ injected clock into one loop:
     print(state.output_ids, engine.metrics.snapshot())
 
 With the default :class:`~repro.serve.clock.VirtualClock`, each step
-advances time by a deterministic modeled duration (``StepCostModel``,
+advances time by a deterministic modeled duration (:func:`step_duration`,
 scaled by any fault-injected latency factor), so latency metrics and
 deadline behavior are bit-reproducible; pass
 :class:`~repro.serve.clock.WallClock` for live serving.
@@ -40,40 +40,42 @@ from repro.serve.request import (
 )
 from repro.serve.scheduler import ContinuousBatchingScheduler, SchedulerConfig
 
-__all__ = ["StepCostModel", "ServeConfig", "ServeEngine"]
+__all__ = [
+    "STEP_BASE",
+    "STEP_PER_PREFILL_TOKEN",
+    "STEP_PER_DECODE_ROW",
+    "step_duration",
+    "ServeConfig",
+    "ServeEngine",
+]
+
+#: virtual step cost: per-iteration launch overhead, plus linear terms
+#: per prefilled prompt token and per decode row (clock seconds)
+STEP_BASE = 1.0
+STEP_PER_PREFILL_TOKEN = 0.01
+STEP_PER_DECODE_ROW = 0.05
 
 
-@dataclass(frozen=True)
-class StepCostModel:
+def step_duration(prefill_tokens: int, decode_rows: int) -> float:
     """Deterministic virtual duration of one engine step.
 
-    ``base`` models per-iteration launch overhead; prefilled prompt
-    tokens and decode rows add linear terms.  Purely a simulation
-    device — it never affects scheduling decisions' *order*, only the
-    virtual timestamps (and thus deadlines/latency histograms).
+    Purely a simulation device: it never affects the *order* of
+    scheduling decisions, only the virtual timestamps (and thus
+    deadlines and latency histograms).
     """
-
-    base: float = 1.0
-    per_prefill_token: float = 0.01
-    per_decode_row: float = 0.05
-
-    def duration(self, prefill_tokens: int, decode_rows: int) -> float:
-        return (
-            self.base
-            + self.per_prefill_token * prefill_tokens
-            + self.per_decode_row * decode_rows
-        )
+    return (
+        STEP_BASE
+        + STEP_PER_PREFILL_TOKEN * prefill_tokens
+        + STEP_PER_DECODE_ROW * decode_rows
+    )
 
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Engine-level configuration (queue + scheduler + cost model)."""
+    """Engine-level configuration (queue + scheduler)."""
 
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     queue_capacity: int = 64
-    queue_policy: str = "fifo"
-    service_time_hint: float = 1.0
-    step_cost: StepCostModel = field(default_factory=StepCostModel)
 
 
 class ServeEngine:
@@ -93,18 +95,13 @@ class ServeEngine:
         config: Optional[ServeConfig] = None,
         clock: Optional[Clock] = None,
         prefix_store: Optional[PrefixCacheStore] = None,
-        metrics: Optional[ServeMetrics] = None,
         fault_hook=None,
     ) -> None:
         self.model = model
         self.config = config or ServeConfig()
         self.clock = clock if clock is not None else VirtualClock()
-        self.metrics = metrics or ServeMetrics()
-        self.queue = AdmissionQueue(
-            capacity=self.config.queue_capacity,
-            policy=self.config.queue_policy,
-            service_time_hint=self.config.service_time_hint,
-        )
+        self.metrics = ServeMetrics()
+        self.queue = AdmissionQueue(capacity=self.config.queue_capacity)
         self.scheduler = ContinuousBatchingScheduler(
             model,
             self.queue,
@@ -222,10 +219,7 @@ class ServeEngine:
             self.metrics.inc("decode_steps")
         factor = directives.latency_factor if directives else 1.0
         self.clock.advance(
-            self.config.step_cost.duration(
-                report.prefill_tokens, report.decode_rows
-            )
-            * factor
+            step_duration(report.prefill_tokens, report.decode_rows) * factor
         )
         self._step_index += 1
         return self.scheduler.events[before:]

@@ -9,7 +9,7 @@ its injected :class:`~repro.serve.clock.Clock`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.model.kv_cache import PrefixCacheStore
 
@@ -107,14 +107,14 @@ class ServeMetrics:
         self.batch_size = Histogram(buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128))
         self.time_to_first_token = Histogram()
         self.e2e_latency = Histogram()
-        self._stores: List[Tuple[str, PrefixCacheStore]] = []
+        self._store: Optional[PrefixCacheStore] = None
 
     def inc(self, name: str, n: int = 1) -> None:
         self.counters[name].inc(n)
 
-    def watch_store(self, store: PrefixCacheStore, name: str = "prefix_cache") -> None:
-        """Fold ``store.stats()`` into every snapshot under ``name``."""
-        self._stores.append((name, store))
+    def watch_store(self, store: PrefixCacheStore) -> None:
+        """Fold ``store.stats()`` into every snapshot under ``"prefix_cache"``."""
+        self._store = store
 
     def snapshot(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -124,8 +124,8 @@ class ServeMetrics:
         out["batch_size"] = self.batch_size.snapshot()
         out["time_to_first_token"] = self.time_to_first_token.snapshot()
         out["e2e_latency"] = self.e2e_latency.snapshot()
-        for name, store in self._stores:
-            out[name] = store.stats()
+        if self._store is not None:
+            out["prefix_cache"] = self._store.stats()
         return out
 
     def observe_finish(self, submitted_at: Optional[float], first_token_at: Optional[float], finished_at: float) -> None:

@@ -62,8 +62,6 @@ TERMINAL_STATUSES = (
 class InferenceRequest:
     """One unit of serving work.
 
-    ``priority`` orders the admission queue when the engine runs the
-    ``"priority"`` policy (lower value = more urgent; ties break FIFO).
     ``deadline`` is an absolute clock time by which the request must be
     *admitted* — a queued request whose deadline passes is expired, never
     silently served late (admission-control semantics, see
@@ -75,7 +73,6 @@ class InferenceRequest:
     prompt_ids: Tuple[int, ...]
     kind: RequestKind = RequestKind.GENERATE
     generation: GenerationConfig = field(default_factory=GenerationConfig)
-    priority: int = 0
     deadline: Optional[float] = None
     stream: Optional[TokenCallback] = None
 

@@ -12,10 +12,10 @@ Invariants this scheduler maintains:
 * **token budget** — the sum of every running request's *reserved*
   length (truncated prompt + decode budget) never exceeds
   ``token_budget``, so admission can never strand a request mid-decode;
-* **head-of-line order** — admission pops the queue strictly in policy
-  order; the head blocks until it fits, so equal-priority requests are
-  FIFO and nothing is starved (every admitted request finishes within
-  its decode budget, freeing tokens for the head);
+* **head-of-line order** — admission pops the queue strictly in FIFO
+  order; the head blocks until it fits, so nothing is starved (every
+  admitted request finishes within its decode budget, freeing tokens
+  for the head);
 * **prefix reuse** — admission opens each prompt through one
   :class:`~repro.model.kv_cache.PrefixCacheStore` with
   :func:`repro.model.sampling.open_prompt`: prompts sharing the MCQ

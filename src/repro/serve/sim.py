@@ -45,7 +45,6 @@ class SimRequestSpec:
     top_k: int = 0
     top_p: float = 1.0
     seed: int = 0
-    priority: int = 0
     deadline_offset: Optional[float] = None  # deadline = arrival + offset
 
     def to_request(self) -> InferenceRequest:
@@ -65,7 +64,6 @@ class SimRequestSpec:
                 top_p=self.top_p,
                 seed=self.seed,
             ),
-            priority=self.priority,
             deadline=deadline,
         )
 
@@ -112,7 +110,6 @@ def make_workload(
     prompt_len_range: Tuple[int, int] = (4, 10),
     max_new_range: Tuple[int, int] = (4, 16),
     temperature: float = 0.0,
-    priority_levels: int = 1,
     deadline_offset: Optional[float] = None,
 ) -> List[SimRequestSpec]:
     """A seeded mixed workload sharing one scaffold prefix.
@@ -145,7 +142,6 @@ def make_workload(
                 ),
                 temperature=temperature,
                 seed=int(rng.integers(0, 2**31)),
-                priority=int(rng.integers(0, priority_levels)),
                 deadline_offset=deadline_offset,
             )
         )

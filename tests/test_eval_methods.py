@@ -25,6 +25,7 @@ from repro.eval.prompts import (
 )
 from repro.mcq import build_benchmark
 from repro.model import ModelConfig, TransformerLM
+from repro.model.sampling import GenerationConfig
 from repro.tokenizer import WordTokenizer
 
 
@@ -46,6 +47,13 @@ def make_tokenizer(astro, space_prefix):
                  "Multiple choice questions Solution set :")
     texts.append("User : Assistant : the answer is .")
     return WordTokenizer.train(texts, vocab_size=4000, space_prefix=space_prefix)
+
+
+def greedy_until_eos(tok):
+    """Full-instruct decoding: greedy, 48 tokens, stopping at EOS."""
+    return GenerationConfig(
+        max_new_tokens=48, temperature=0.0, stop_token_ids=(tok.vocab.eos_id,)
+    )
 
 
 def per_question(evaluator):
@@ -307,9 +315,7 @@ class TestFullInstructEvaluator:
         trainer = Trainer(model, TrainingConfig(learning_rate=5e-3, total_steps=80))
         trainer.train(lambda: iter([(x, t, None)] * 1000))
 
-        evaluator = FullInstructEvaluator(
-            model, tok, eos_id=tok.vocab.eos_id
-        )
+        evaluator = FullInstructEvaluator(model, tok, greedy_until_eos(tok))
         outcome = evaluator.answer(q)
         assert outcome.parsed
         assert outcome.answer_idx == q.correct_idx
@@ -338,11 +344,14 @@ class TestBatchedPrediction:
         benchmark.  Only the predictions are compared: a row's logits may
         differ from the per-question ones in the last bits (about 5e-7)."""
         tok = make_tokenizer(astro, False)
-        model = make_real_model(tok, bench, seed=5)
+        # at the default init std every question gets the same letter,
+        # which would hide a row mix-up
+        model = make_real_model(tok, bench, seed=5, init_std=0.3)
         evaluator = TokenPredictionEvaluator(
             model, tok, bench.few_shot(2), batch_size=7
         )
         sequential = [evaluator.predict(q) for q in bench.test]
+        assert len(set(sequential)) >= 3
         batched = evaluator.predict_many(bench.test)
         assert batched == sequential
         # the shared scaffold really was prefilled (and only once)
@@ -379,6 +388,15 @@ class TestBatchedPrediction:
         assert fast.accuracy == slow.accuracy
         assert fast.per_topic == slow.per_topic
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_refused(self, astro, bench, batch_size):
+        tok = make_tokenizer(astro, False)
+        model = make_real_model(tok, bench)
+        with pytest.raises(ValueError, match="batch_size"):
+            TokenPredictionEvaluator(
+                model, tok, bench.few_shot(2), batch_size=batch_size
+            )
+
     def test_batched_runner_rejects_misaligned_batch(self, bench):
         # wrong length: one prediction for N questions
         broken = SimpleNamespace(predict_many=lambda questions: [0])
@@ -400,10 +418,10 @@ class TestFullInstructPrefixReuse:
         model = make_real_model(tok, bench, seed=7)
         questions = bench.test[:4]
         cold = FullInstructEvaluator(
-            model, tok, eos_id=tok.vocab.eos_id, reuse_prefix=False
+            model, tok, greedy_until_eos(tok), reuse_prefix=False
         )
         warm = FullInstructEvaluator(
-            model, tok, eos_id=tok.vocab.eos_id, reuse_prefix=True
+            model, tok, greedy_until_eos(tok), reuse_prefix=True
         )
         cold_preds = cold.predict_many(questions)
         warm_preds = warm.predict_many(questions)

@@ -110,7 +110,6 @@ ENTRY_POINTS = {
     "score_many": lambda m: m.next_token_logits_many([OTHER, OTHER[:3], [2]]),
     "score_many_prefix": score_many_prefix,
     "next_token_logits": lambda m: m.next_token_logits(np.array(OTHER)),
-    "perplexity": lambda m: m.perplexity(np.array([OTHER[:-1]]), np.array([OTHER[1:]])),
     "corpus_perplexity": lambda m: corpus_perplexity(m, [OTHER, OTHER[:5]], 0, seq_len=6),
     "generate_miss": generate_after(0),
     "generate_partial_cover": generate_after(5),
@@ -181,10 +180,6 @@ def test_pure_forward_matches_training_forward_bit_for_bit(kind):
     logits = model.forward(tokens)
     assert np.array_equal(model.forward(tokens, cache=model.new_cache()), logits)
     assert np.array_equal(model.next_token_logits(tokens[0]), logits[0, -1])
-    loss, _ = model.cross_entropy(logits, tokens)
-    np.testing.assert_array_equal(
-        model.perplexity(tokens, tokens), np.exp(min(loss, 30.0))
-    )
 
 
 def test_gradient_buffers_materialize_on_first_access():

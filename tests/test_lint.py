@@ -870,3 +870,13 @@ class TestCleanRepo:
         assert proc.returncode == 0
         for code in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"):
             assert code in proc.stdout
+        # every row's slug and description start at the same offsets
+        rows = proc.stdout.splitlines()
+        rules = {cls.code: cls for cls in all_rules()}
+        assert len(rows) == len(rules)
+        slug_at, desc_at = set(), set()
+        for row in rows:
+            rule = rules[row.split()[0]]
+            slug_at.add(row.index(rule.name, len(rule.code)))
+            desc_at.add(row.index(rule.description))
+        assert len(slug_at) == 1 and len(desc_at) == 1

@@ -28,9 +28,15 @@ from repro.serve import (
     SchedulerConfig,
     ServeConfig,
     ServeEngine,
-    StepCostModel,
     VirtualClock,
     WallClock,
+)
+from repro.serve.admission import SERVICE_TIME_HINT
+from repro.serve.engine import (
+    STEP_BASE,
+    STEP_PER_DECODE_ROW,
+    STEP_PER_PREFILL_TOKEN,
+    step_duration,
 )
 from repro.serve.metrics import Counter, Histogram, ServeMetrics
 from tests.conftest import ATOL, position_sensitive_model, recording_step_logits
@@ -143,25 +149,18 @@ class TestAdmissionQueue:
     def test_fifo_order(self):
         q = AdmissionQueue(capacity=4)
         for i in range(3):
-            q.push(queued_state(rid=f"r{i}", seq=i, priority=3 - i))
+            q.push(queued_state(rid=f"r{2 - i}", seq=2 - i))
         assert [q.pop().request_id for _ in range(3)] == ["r0", "r1", "r2"]
 
-    def test_priority_order_with_fifo_ties(self):
-        q = AdmissionQueue(capacity=8, policy="priority")
-        q.push(queued_state(rid="low", seq=0, priority=5))
-        q.push(queued_state(rid="hi-a", seq=1, priority=1))
-        q.push(queued_state(rid="hi-b", seq=2, priority=1))
-        order = [q.pop().request_id for _ in range(3)]
-        assert order == ["hi-a", "hi-b", "low"]
-
     def test_capacity_rejection_carries_retry_after(self):
-        q = AdmissionQueue(capacity=2, service_time_hint=0.5)
+        q = AdmissionQueue(capacity=2)
         q.push(queued_state(rid="a", seq=0))
         q.push(queued_state(rid="b", seq=1))
         with pytest.raises(QueueFullError) as exc:
             q.push(queued_state(rid="c", seq=2))
         assert exc.value.capacity == 2
-        assert exc.value.retry_after == pytest.approx(1.5)  # (2+1)*0.5
+        assert SERVICE_TIME_HINT == 1.0
+        assert exc.value.retry_after == 3 * SERVICE_TIME_HINT  # (2+1) waiting
 
     def test_expire_overdue_marks_and_removes(self):
         q = AdmissionQueue(capacity=4)
@@ -191,10 +190,6 @@ class TestAdmissionQueue:
     def test_validation(self):
         with pytest.raises(ValueError):
             AdmissionQueue(capacity=0)
-        with pytest.raises(ValueError):
-            AdmissionQueue(policy="lifo")
-        with pytest.raises(ValueError):
-            AdmissionQueue(service_time_hint=0.0)
 
 
 class TestMetrics:
@@ -561,24 +556,15 @@ class TestContinuousBatching:
         assert snap["prefix_hit_tokens"] == 3 * 12
 
     def test_step_cost_model_drives_virtual_clock(self, model):
-        cost = StepCostModel(base=2.0, per_prefill_token=0.0, per_decode_row=0.0)
-        engine = ServeEngine(model, config=ServeConfig(step_cost=cost))
-        engine.submit(req("r", (1, 2, 3), kind=RequestKind.SCORE))
-        engine.step()
-        assert engine.clock.now() == pytest.approx(2.0)
-
-    def test_priority_policy_admits_urgent_first(self, model):
-        config = ServeConfig(
-            queue_policy="priority",
-            scheduler=SchedulerConfig(max_running=1, token_budget=64),
+        assert (STEP_BASE, STEP_PER_PREFILL_TOKEN, STEP_PER_DECODE_ROW) == (
+            1.0, 0.01, 0.05,
         )
-        engine = ServeEngine(model, config=config)
+        engine = ServeEngine(model)
         engine.submit(
-            req("bg", (1, 2), kind=RequestKind.SCORE, priority=9)
+            req("g", (1, 2, 3, 4), generation=GenerationConfig(max_new_tokens=4))
         )
-        engine.submit(
-            req("urgent", (3, 4), kind=RequestKind.SCORE, priority=0)
-        )
-        engine.drain()
-        admits = [e[2] for e in engine.events if e[0] == "admit"]
-        assert admits == ["urgent", "bg"]
+        engine.step()  # admission: prefill of 4 tokens and one decode row
+        first = STEP_BASE + STEP_PER_PREFILL_TOKEN * 4 + STEP_PER_DECODE_ROW
+        assert engine.clock.now() == first == step_duration(4, 1)
+        engine.step()  # one decode row
+        assert engine.clock.now() == first + (STEP_BASE + STEP_PER_DECODE_ROW)

@@ -58,14 +58,13 @@ def model():
 
 
 # one scripted arrival: (gap to previous, prompt tail length, decode
-# budget, kind flag, priority, sampling seed)
+# budget, kind flag, sampling seed)
 arrival_specs = st.lists(
     st.tuples(
         st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False),
         st.integers(1, 8),
         st.integers(1, 8),
         st.booleans(),
-        st.integers(0, 2),
         st.integers(0, 2**20),
     ),
     min_size=1,
@@ -75,14 +74,13 @@ arrival_specs = st.lists(
 schedule_configs = st.tuples(
     st.integers(12, 48),  # token_budget
     st.integers(1, 4),  # max_running
-    st.sampled_from(["fifo", "priority"]),
 )
 
 
 def build_specs(raw):
     specs = []
     t = 0.0
-    for i, (gap, tail, budget, is_generate, priority, seed) in enumerate(raw):
+    for i, (gap, tail, budget, is_generate, seed) in enumerate(raw):
         t += gap
         specs.append(
             SimRequestSpec(
@@ -95,7 +93,6 @@ def build_specs(raw):
                 max_new_tokens=budget,
                 temperature=0.9,
                 seed=seed,
-                priority=priority,
             )
         )
     return specs
@@ -105,9 +102,8 @@ class TestSchedulerProperties:
     @given(raw=arrival_specs, config=schedule_configs)
     @settings(max_examples=25, deadline=None)
     def test_liveness_and_replay_identity(self, model, raw, config):
-        token_budget, max_running, policy = config
+        token_budget, max_running = config
         serve_config = ServeConfig(
-            queue_policy=policy,
             scheduler=SchedulerConfig(
                 token_budget=max(token_budget, 11 + 8),  # every spec fits
                 max_running=max_running,
@@ -128,13 +124,12 @@ class TestSchedulerProperties:
     @given(raw=arrival_specs, config=schedule_configs)
     @settings(max_examples=25, deadline=None)
     def test_budget_and_width_never_exceeded(self, model, raw, config):
-        token_budget, max_running, policy = config
+        token_budget, max_running = config
         budget = max(token_budget, 11 + 8)
         engine = ServeEngine(
             model,
             config=ServeConfig(
                 queue_capacity=128,
-                queue_policy=policy,
                 scheduler=SchedulerConfig(
                     token_budget=budget, max_running=max_running
                 ),
