@@ -1,8 +1,7 @@
-"""Result rendering: Table I, Figure 1, and experiment reports."""
+"""Result rendering: Table I, Figure 1 and the ablation sweeps."""
 
 from repro.analysis.tables import render_table_one_markdown, table_one_from_surrogate
 from repro.analysis.figures import Figure1Data, build_figure1, render_figure1_ascii
-from repro.analysis.reporting import ExperimentReport, format_comparison
 from repro.analysis.ablation import (
     Sweep,
     capacity_frontier,
@@ -16,10 +15,8 @@ __all__ = [
     "Figure1Data",
     "build_figure1",
     "render_figure1_ascii",
-    "ExperimentReport",
     "Sweep",
     "sft_remedy_sweep",
     "dataset_quality_sweep",
     "capacity_frontier",
-    "format_comparison",
 ]

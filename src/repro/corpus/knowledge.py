@@ -374,12 +374,6 @@ class KnowledgeBase:
     def facts_for_topic(self, topic: str) -> List[Fact]:
         return list(self.by_topic.get(topic, []))
 
-    def sample(self, n: int, rng: np.random.Generator) -> List[Fact]:
-        if n > len(self.facts):
-            raise ValueError(f"cannot sample {n} from {len(self.facts)} facts")
-        idx = rng.choice(len(self.facts), size=n, replace=False)
-        return [self.facts[i] for i in idx]
-
     def split(self, fraction: float, seed: int) -> Tuple["KnowledgeBase", "KnowledgeBase"]:
         """Deterministically split facts into two disjoint bases."""
         if not 0 < fraction < 1:

@@ -161,17 +161,22 @@ class TokenPredictionEvaluator:
         """``(shared_ids, per_question_suffix_ids)`` for the batched path.
 
         Fast path: encode the question-independent scaffold once and only
-        each question's tail.  The split is *verified* against the
-        sequential path's full encoding on the first question — if the
-        tokenizer merges across the boundary (so the concatenation is not
-        bit-identical), every prompt is fully encoded and the exact
-        longest common token prefix is used instead.
+        each question's tail.  A tail is encoded after the scaffold's last
+        word, whose ids are then dropped: encoded alone, its leading
+        newline would be normalised away and its first word would lose the
+        space marker it carries in the full prompt.  The split is
+        *verified* against the sequential path's full encoding on the
+        first question — if the tokenizer merges across the boundary (so
+        the concatenation is not bit-identical), every prompt is fully
+        encoded and the exact longest common token prefix is used instead.
         """
-        scaffold_ids = self.prefix_ids + self.tokenizer.encode(
-            format_next_token_scaffold(self.few_shot)
-        )
+        scaffold = format_next_token_scaffold(self.few_shot)
+        scaffold_ids = self.prefix_ids + self.tokenizer.encode(scaffold)
+        anchor = scaffold.split()[-1]
+        skip = len(self.tokenizer.encode(anchor))
         suffixes = [
-            self.tokenizer.encode(format_next_token_suffix(q)) for q in questions
+            self.tokenizer.encode(anchor + format_next_token_suffix(q))[skip:]
+            for q in questions
         ]
         if scaffold_ids + suffixes[0] == self._prompt_ids(questions[0]):
             return scaffold_ids, suffixes

@@ -164,10 +164,6 @@ class RecoveryResult:
     restarts: int = 0
     log: RecoveryLog = field(default_factory=RecoveryLog)
 
-    @property
-    def simulated_delay_seconds(self) -> float:
-        return self.log.total_simulated_delay()
-
 
 class RecoveryManager:
     """Runs a loop to completion through the faults of one plan."""

@@ -145,15 +145,10 @@ class PrefixCacheStore:
     def put(self, prefix: PrefixCache) -> PrefixCache:
         """Store ``prefix``, evicting the least recent entry if full.
 
-        An identical already-stored prefix (same token ids) is *deduped*:
-        the existing entry is refreshed to most-recent and returned, so a
-        re-put of a hot scaffold never evicts a distinct entry.
+        :func:`~repro.model.sampling.open_prompt` stores a prefill only
+        after :meth:`match` found no entry sharing its first token, so no
+        stored entry can equal ``prefix``.
         """
-        for entry in self._entries:
-            if entry.token_ids == prefix.token_ids:
-                self._entries.remove(entry)
-                self._entries.append(entry)
-                return entry
         self._entries.append(prefix)
         if len(self._entries) > self.max_entries:
             self._entries.pop(0)

@@ -30,10 +30,3 @@ def bf16_round_(x: np.ndarray) -> None:
     """In-place variant of :func:`bf16_round`."""
     x[...] = bf16_round(x)
 
-
-def bf16_ulp(x: float) -> float:
-    """The spacing between adjacent bf16 values around ``x``."""
-    if x == 0.0 or not np.isfinite(x):
-        return 2.0**-133  # smallest subnormal step near zero
-    exponent = int(np.floor(np.log2(abs(x))))
-    return float(2.0 ** (exponent - 7))

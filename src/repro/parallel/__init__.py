@@ -39,7 +39,6 @@ from repro.parallel.tensor_parallel import (
     RowParallelLinear,
     TensorParallelMLPTrainer,
     mlp_tp_forward,
-    tp_memory_per_rank,
 )
 from repro.parallel.zero_optimizer import Zero1AdamW, zero1_memory_per_rank
 from repro.parallel.cluster import (
@@ -71,7 +70,6 @@ __all__ = [
     "RowParallelLinear",
     "TensorParallelMLPTrainer",
     "mlp_tp_forward",
-    "tp_memory_per_rank",
     "GPUSpec",
     "A100_40GB",
     "A100_80GB",

@@ -49,24 +49,6 @@ class DeviceMesh:
             raise IndexError(f"rank {rank} out of range 0..{self.world_size - 1}")
         return self.devices[rank]
 
-    def dp_pp_groups(self, dp: int, pp: int) -> tuple:
-        """Factor the mesh into data-parallel and pipeline-parallel groups.
-
-        Returns ``(dp_groups, pp_groups)`` where each is a list of rank
-        lists.  ``dp_groups[i]`` holds the ranks that replicate pipeline
-        stage ``i``; ``pp_groups[j]`` holds the ranks forming pipeline ``j``.
-        """
-        if dp * pp != self.world_size:
-            raise ValueError(
-                f"dp*pp={dp * pp} must equal world_size={self.world_size}"
-            )
-        dp_groups = [
-            [stage * dp + replica for replica in range(dp)] for stage in range(pp)
-        ]
-        pp_groups = [
-            [stage * dp + replica for stage in range(pp)] for replica in range(dp)
-        ]
-        return dp_groups, pp_groups
 
     def is_cross_node(self, rank_a: int, rank_b: int) -> bool:
         return self.device(rank_a).node != self.device(rank_b).node

@@ -218,19 +218,3 @@ class TensorParallelMLPTrainer:
             optimizer.step(lr)
         return norm
 
-
-def attention_heads_tp_split(n_heads: int, parts: int) -> List[List[int]]:
-    """Head assignment for TP attention: contiguous head blocks per rank."""
-    if n_heads % parts != 0:
-        raise ValueError(f"{n_heads} heads not divisible by tp={parts}")
-    per = n_heads // parts
-    return [list(range(r * per, (r + 1) * per)) for r in range(parts)]
-
-
-def tp_memory_per_rank(
-    n_params: float, parts: int, bytes_per_param: float = 2.0
-) -> float:
-    """Serving memory per rank in bytes (weights only, evenly sharded)."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    return n_params * bytes_per_param / parts

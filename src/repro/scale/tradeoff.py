@@ -36,21 +36,13 @@ def points_for_cost_ratio(ratio: float, points_per_decade: float = POINTS_PER_DE
 
 @dataclass
 class ScorePriceFrontier:
-    """A log-linear score-vs-price frontier.
+    """A log-linear score-vs-price frontier with the paper's slope.
 
-    ``anchor_score`` at ``anchor_price`` (arbitrary units) with the paper's
-    slope; used to express score gains as cost-efficiency factors and to
-    place models relative to the flagship set.
+    Expresses score gains as cost-efficiency factors and places a score
+    among the flagships.
     """
 
-    anchor_score: float = 73.9  # LLaMA-2-70B base token score
-    anchor_price: float = 1.0
     points_per_decade: float = POINTS_PER_DECADE
-
-    def equivalent_price(self, score: float) -> float:
-        """Price at which ``score`` sits on the frontier."""
-        decades = (score - self.anchor_score) / self.points_per_decade
-        return self.anchor_price * (10.0**decades)
 
     def value_gain(self, old_score: float, new_score: float) -> float:
         """Cost-efficiency multiplier of moving old -> new at fixed price."""

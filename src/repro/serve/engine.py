@@ -125,9 +125,6 @@ class ServeEngine:
     def has_work(self) -> bool:
         return bool(self.queue) or bool(self.scheduler.running)
 
-    def state_of(self, request_id: str) -> RequestState:
-        return self.states[request_id]
-
     # ------------------------------------------------------------------
     def _reject(self, request: InferenceRequest, reason: str) -> None:
         self.metrics.inc("rejected")
@@ -208,7 +205,7 @@ class ServeEngine:
             directives = self.fault_hook.on_step(step)
         before = len(self.scheduler.events)
         self.metrics.queue_depth.observe(len(self.queue))
-        report = self.scheduler.step(step, self.clock.now(), directives)
+        report = self.scheduler.step(step, self.clock, directives)
         # batch width = requests that touched the model this step
         self.metrics.batch_size.observe(report.decode_rows + report.admitted)
         self.metrics.inc("prefill_tokens", report.prefill_tokens)

@@ -43,6 +43,7 @@ from typing import List, Optional, Tuple
 from repro.model.kv_cache import PrefixCacheStore
 from repro.model.sampling import DecodeStream, decode_step, open_prompt
 from repro.serve.admission import AdmissionQueue
+from repro.serve.clock import Clock
 from repro.serve.metrics import ServeMetrics
 from repro.serve.request import RequestKind, RequestState, RequestStatus
 
@@ -206,7 +207,7 @@ class ContinuousBatchingScheduler:
     def step(
         self,
         step: int,
-        now: float,
+        clock: Clock,
         directives: Optional[StepDirectives] = None,
     ) -> StepReport:
         """One continuous-batching iteration.
@@ -214,8 +215,11 @@ class ContinuousBatchingScheduler:
         Order matters and is fixed: fault preemptions, deadline expiry,
         admission (until the head no longer fits), then one decode token
         for every running GENERATE request.  SCOREs complete within their
-        admission step.
+        admission step.  Expiry and admission read ``clock`` when the step
+        starts; a first token and a finish are stamped when the work that
+        produced them is done.
         """
+        now = clock.now()
         report = StepReport()
         directives = directives or StepDirectives()
 
@@ -242,25 +246,26 @@ class ContinuousBatchingScheduler:
             report.prefix_hit_tokens += state.prefix_hit_tokens
             report.admitted += 1
             if state.request.kind is RequestKind.SCORE:
-                self._finish(state, step, now, "scored")
+                self._finish(state, step, clock.now(), "scored")
                 report.finished += 1
             elif state.budget == 0:
-                self._finish(state, step, now, "length")
+                self._finish(state, step, clock.now(), "length")
                 report.finished += 1
 
         # 4. one decode token per running request (admission order)
         running = list(self.running)
         picked = decode_step([state.decode for state in running])
+        decoded_at = clock.now()
         for state, (tok, reason) in zip(running, picked):
             state.output_ids.append(tok)
             if state.first_token_at is None:
-                state.first_token_at = now
+                state.first_token_at = decoded_at
             report.decode_rows += 1
             self.metrics.inc("decoded_tokens")
             if state.request.stream is not None:
                 state.request.stream(state.request_id, tok, reason is not None)
             if reason is not None:
-                self._finish(state, step, now, reason)
+                self._finish(state, step, decoded_at, reason)
                 report.finished += 1
 
         return report

@@ -230,14 +230,6 @@ class BPETokenizer:
     # ------------------------------------------------------------------
     # introspection used by the evaluation harness
     # ------------------------------------------------------------------
-    def token_ids_for_answer_letter(self, letter: str) -> List[int]:
-        """Ids whose token renders as ``letter`` (bare or space-prefixed).
-
-        The next-token benchmarking method scans these candidates when it
-        discovers the model's answer-token convention.
-        """
-        return list(self.answer_token_candidates(letter).values())
-
     def answer_token_candidates(self, letter: str) -> Dict[str, int]:
         """Map convention name -> token id for ``letter``, when in vocab."""
         out: Dict[str, int] = {}
@@ -246,23 +238,3 @@ class BPETokenizer:
         if SPACE_MARKER + letter in self.vocab:
             out["space-prefixed"] = self.vocab.strict_id_of(SPACE_MARKER + letter)
         return out
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "type": "bpe",
-            "vocab": self.vocab.to_dict(),
-            "merges": [list(p) for p in self.merges],
-            "normalizer": {
-                "lowercase": self.normalizer.lowercase,
-                "collapse_whitespace": self.normalizer.collapse_whitespace,
-                "strip_control": self.normalizer.strip_control,
-                "nfc": self.normalizer.nfc,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BPETokenizer":
-        vocab = Vocabulary.from_dict(data["vocab"])  # type: ignore[arg-type]
-        merges = [tuple(p) for p in data["merges"]]  # type: ignore[union-attr]
-        norm = TextNormalizer(**data["normalizer"])  # type: ignore[arg-type]
-        return cls(vocab, merges, norm)

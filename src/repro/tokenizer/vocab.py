@@ -95,19 +95,3 @@ class Vocabulary:
     @property
     def special_ids(self) -> List[int]:
         return [self.pad_id, self.bos_id, self.eos_id, self.unk_id]
-
-    # -- serialization ------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "specials": self.specials.as_list(),
-            "tokens": list(self._id_to_token),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Vocabulary":
-        specials_list = list(data["specials"])  # type: ignore[arg-type]
-        specials = SpecialTokens(*specials_list)
-        vocab = cls(specials)
-        for tok in data["tokens"]:  # type: ignore[union-attr]
-            vocab.add(str(tok))
-        return vocab

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.tokenizer.bpe import SPACE_MARKER, pretokenize, spaced_words
+from repro.tokenizer.bpe import SPACE_MARKER, BPETokenizer, pretokenize, spaced_words
 from repro.tokenizer.normalize import TextNormalizer
 from repro.tokenizer.vocab import SpecialTokens, Vocabulary
 
@@ -100,39 +100,9 @@ class WordTokenizer:
             return "".join(parts).replace(SPACE_MARKER, " ").strip()
         return " ".join(parts)
 
-    # ------------------------------------------------------------------
-    def token_ids_for_answer_letter(self, letter: str) -> List[int]:
-        """Candidate ids rendering as ``letter`` under this convention."""
-        return list(self.answer_token_candidates(letter).values())
-
-    def answer_token_candidates(self, letter: str) -> Dict[str, int]:
-        """Map convention name -> token id for ``letter``, when in vocab."""
-        out: Dict[str, int] = {}
-        if letter in self.vocab:
-            out["bare"] = self.vocab.strict_id_of(letter)
-        if SPACE_MARKER + letter in self.vocab:
-            out["space-prefixed"] = self.vocab.strict_id_of(SPACE_MARKER + letter)
-        return out
+    # one implementation for both tokenizers: it reads only ``self.vocab``
+    answer_token_candidates = BPETokenizer.answer_token_candidates
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "type": "word",
-            "vocab": self.vocab.to_dict(),
-            "space_prefix": self.space_prefix,
-            "normalizer": {
-                "lowercase": self.normalizer.lowercase,
-                "collapse_whitespace": self.normalizer.collapse_whitespace,
-                "strip_control": self.normalizer.strip_control,
-                "nfc": self.normalizer.nfc,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "WordTokenizer":
-        vocab = Vocabulary.from_dict(data["vocab"])  # type: ignore[arg-type]
-        norm = TextNormalizer(**data["normalizer"])  # type: ignore[arg-type]
-        return cls(vocab, norm, bool(data["space_prefix"]))

@@ -46,7 +46,7 @@ from repro.train.sft import (
     SFTResult,
     SupervisedFineTuner,
 )
-from repro.train.metrics import corpus_perplexity, ema
+from repro.train.metrics import corpus_perplexity
 
 __all__ = [
     "AdamW",
@@ -78,5 +78,4 @@ __all__ = [
     "SFTResult",
     "SupervisedFineTuner",
     "corpus_perplexity",
-    "ema",
 ]

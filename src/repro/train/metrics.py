@@ -1,25 +1,13 @@
-"""Training metrics: corpus perplexity and loss smoothing."""
+"""Training metrics: corpus perplexity."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.model.transformer import TransformerLM
 from repro.train.dataloader import pack_documents
-
-
-def ema(values: Sequence[float], alpha: float = 0.1) -> List[float]:
-    """Exponential moving average of a series (same length as input)."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    out: List[float] = []
-    acc: Optional[float] = None
-    for v in values:
-        acc = v if acc is None else alpha * v + (1 - alpha) * acc
-        out.append(acc)
-    return out
 
 
 def corpus_perplexity(

@@ -1,40 +1,10 @@
-"""Shared utilities: seeded RNG management, text helpers, and lightweight I/O.
+"""Shared utilities: seeded RNG management.
 
 Everything in the reproduction is deterministic given a seed; these helpers
 centralise how seeds are derived so that independent subsystems (corpus
 generation, model init, data shuffling) never share RNG streams by accident.
 """
 
-from repro.utils.rng import (
-    SeedSequenceRegistry,
-    derive_seed,
-    new_rng,
-    spawn_rngs,
-)
-from repro.utils.text import (
-    normalize_whitespace,
-    sentence_join,
-    truncate_tokens,
-    word_count,
-)
-from repro.utils.io import (
-    atomic_write_json,
-    read_json,
-    atomic_write_text,
-    read_text,
-)
+from repro.utils.rng import derive_seed, new_rng, spawn_rngs
 
-__all__ = [
-    "SeedSequenceRegistry",
-    "derive_seed",
-    "new_rng",
-    "spawn_rngs",
-    "normalize_whitespace",
-    "sentence_join",
-    "truncate_tokens",
-    "word_count",
-    "atomic_write_json",
-    "read_json",
-    "atomic_write_text",
-    "read_text",
-]
+__all__ = ["derive_seed", "new_rng", "spawn_rngs"]

@@ -12,7 +12,7 @@ Derivation hashes a namespace string together with the parent seed so that
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, Union
 
 import numpy as np
 
@@ -53,34 +53,3 @@ def new_rng(seed: SeedLike, *names: Union[str, int]) -> np.random.Generator:
 def spawn_rngs(seed: int, names: Iterable[str]) -> Dict[str, np.random.Generator]:
     """Spawn one independent generator per name, all derived from ``seed``."""
     return {name: new_rng(seed, name) for name in names}
-
-
-class SeedSequenceRegistry:
-    """Registry handing out reproducible, non-colliding child seeds.
-
-    Used by long-lived orchestrators (e.g. the end-to-end pipeline) that
-    need many child streams and want an audit trail of what was derived.
-
-    Repeated requests for the same path return the same seed; the registry
-    also counts how many times each path was requested, which tests use to
-    assert that no component silently re-seeds.
-    """
-
-    def __init__(self, root_seed: int) -> None:
-        self.root_seed = int(root_seed)
-        self._issued: Dict[str, int] = {}
-        self._counts: Dict[str, int] = {}
-
-    def seed_for(self, *names: Union[str, int]) -> int:
-        key = "/".join(str(n) for n in names)
-        if key not in self._issued:
-            self._issued[key] = derive_seed(self.root_seed, *names)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        return self._issued[key]
-
-    @property
-    def issued_paths(self) -> List[str]:
-        return sorted(self._issued)
-
-    def request_count(self, *names: Union[str, int]) -> int:
-        return self._counts.get("/".join(str(n) for n in names), 0)

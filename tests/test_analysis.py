@@ -1,12 +1,10 @@
-"""Analysis tests: table rendering, figure data, experiment reports."""
+"""Analysis tests: table rendering and figure data."""
 
 import pytest
 
 from repro.analysis import (
-    ExperimentReport,
     Figure1Data,
     build_figure1,
-    format_comparison,
     render_figure1_ascii,
     render_table_one_markdown,
     table_one_from_surrogate,
@@ -84,24 +82,3 @@ class TestFigureData:
         )
         art = render_figure1_ascii(fig)
         assert "LLaMA-2-7B" in art
-
-
-class TestReports:
-    def test_format_comparison(self):
-        line = format_comparison("x", 50.0, 48.5)
-        assert "paper 50.0%" in line and "measured 48.5%" in line and "-1.5" in line
-
-    def test_format_comparison_missing(self):
-        assert "–" in format_comparison("x", None, 48.5)
-
-    def test_report_render_and_delta(self):
-        report = ExperimentReport("T1", "Table I")
-        report.add("a", 76.0, 74.0)
-        report.add("b", 44.3, None)
-        report.note("micro scale")
-        text = report.render()
-        assert "T1: Table I" in text and "note: micro scale" in text
-        assert report.max_abs_delta() == pytest.approx(2.0)
-
-    def test_empty_report_delta(self):
-        assert ExperimentReport("x", "y").max_abs_delta() == 0.0

@@ -21,6 +21,7 @@ from repro.eval import (
 from repro.eval.prompts import (
     format_micro_chat_prompt,
     format_next_token_prompt,
+    format_next_token_scaffold,
     format_paper_full_instruct,
 )
 from repro.mcq import build_benchmark
@@ -358,6 +359,25 @@ class TestBatchedPrediction:
         assert evaluator._prefix_cache is not None
         assert evaluator._prefix_cache.length > 0
 
+    @pytest.mark.parametrize("space_prefix", [False, True], ids=["llama-2", "llama-3"])
+    def test_both_conventions_take_the_fast_split(self, astro, bench, space_prefix):
+        """The scaffold is encoded once and each question's tail on its
+        own, for bare and space-prefixed tokenizers alike (the normaliser
+        strips a tail's leading newline, so a tail encoded alone loses the
+        space marker of its first word), and the batched path predicts
+        what ``predict()`` does."""
+        tok = make_tokenizer(astro, space_prefix)
+        model = make_real_model(tok, bench, seed=7, init_std=0.3)
+        evaluator = TokenPredictionEvaluator(
+            model, tok, bench.few_shot(2), prefix_ids=[tok.vocab.eos_id], batch_size=7
+        )
+        shared, _ = evaluator._split_prompts(bench.test)
+        scaffold = format_next_token_scaffold(bench.few_shot(2))
+        assert shared == [tok.vocab.eos_id] + tok.encode(scaffold)
+        sequential = [evaluator.predict(q) for q in bench.test]
+        assert len(set(sequential)) >= 2
+        assert evaluator.predict_many(bench.test) == sequential
+
     def test_batch_size_sweep_matches_one_batch(self, astro, bench):
         """Chunked batches, last partial chunk included, predict what one
         batch of every question does."""
@@ -502,8 +522,6 @@ class BoundaryMergingTokenizer:
     def answer_token_candidates(self, letter):
         return self.base.answer_token_candidates(letter)
 
-    def token_ids_for_answer_letter(self, letter):
-        return self.base.token_ids_for_answer_letter(letter)
 
 
 class TestBoundaryMergingDifferential:
@@ -550,6 +568,11 @@ class TestBoundaryMergingDifferential:
         suffix_ids = tok.encode(format_next_token_suffix(bench.test[0]))
         full_ids = evaluator._prompt_ids(bench.test[0])
         assert scaffold_ids + suffix_ids != full_ids  # seam really merged
+        # the fallback splits at the exact longest common token prefix
+        shared, suffixes = evaluator._split_prompts(bench.test)
+        assert shared != scaffold_ids
+        for question, suffix in zip(bench.test, suffixes):
+            assert shared + suffix == evaluator._prompt_ids(question)
 
         sequential = [evaluator.predict(q) for q in bench.test]
         assert evaluator.predict_many(bench.test) == sequential
@@ -566,8 +589,8 @@ class TestBoundaryMergingDifferential:
         assert evaluator.predict_many(bench.test) == sequential
 
     def test_space_prefix_convention_differential(self, astro, bench):
-        # the built-in marker convention also breaks concat-stability at
-        # the seam; the fallback split must stay bit-compatible
+        # the built-in marker convention, with the answer map pinned to
+        # the space-prefixed letters
         tok = make_tokenizer(astro, True)
         model = make_real_model(tok, bench, seed=23)
         from repro.eval.token_pred import AnswerTokenMap

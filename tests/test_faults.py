@@ -172,7 +172,7 @@ class TestRecoveryPaths:
         _, _, result = managed_run(TensorParallelFaultLoop, plan, tmp_path)
         assert result.log.count("collective-retry") == 3
         assert result.restarts == 0
-        assert result.simulated_delay_seconds > 0.0
+        assert result.log.total_simulated_delay() > 0.0
 
     def test_spike_is_discarded_not_applied(self, tmp_path, clean_runs):
         plan = FaultPlan([FaultEvent(LOSS_SPIKE, 1, factor=1e8)], seed=PLAN_SEED)

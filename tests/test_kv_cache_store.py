@@ -89,31 +89,17 @@ class TestStoreLRU:
             assert matched is not None and matched[0] is scaffold, f"step {step}"
         assert len(store) == 2
 
-    def test_put_dedupes_identical_prefix(self):
-        """Re-putting an identical prefix refreshes the existing entry
-        instead of evicting a distinct one."""
+    def test_open_prompt_never_stores_a_duplicate(self):
+        """open_prompt puts a prefill only on a miss, so the store holds
+        distinct token runs even when prompts repeat and entries evict."""
         model = small_model()
         store = PrefixCacheStore(max_entries=2)
-        scaffold = store.put(model.prefill([1, 2, 3]))
-        other = store.put(model.prefill([4, 5, 6]))
-        again = store.put(model.prefill([1, 2, 3]))  # identical token ids
-        assert again is scaffold  # the stored entry, not the new prefill
-        assert len(store) == 2
-        assert store.evictions == 0
-        # both originals still matchable — nothing got evicted
-        assert store.match([4, 5, 6, 9])[0] is other
-        assert store.match([1, 2, 3, 9])[0] is scaffold
-
-    def test_put_dedupe_refreshes_lru_position(self):
-        model = small_model()
-        store = PrefixCacheStore(max_entries=2)
-        scaffold = store.put(model.prefill([1, 2, 3]))
-        store.put(model.prefill([4, 5, 6]))
-        store.put(model.prefill([1, 2, 3]))  # dedupe: scaffold now most recent
-        store.put(model.prefill([7, 8, 9]))  # evicts [4,5,6], not the scaffold
-        assert store.match([4, 5, 6, 9]) is None
-        assert store.match([1, 2, 3, 9])[0] is scaffold
-        assert store.evictions == 1
+        prompts = [[1, 2, 3], [4, 5], [1, 2, 3], [1, 2, 3, 7], [8], [4, 5], [1, 2, 3]]
+        for prompt in prompts:
+            open_prompt(model, prompt, store)
+            runs = [tuple(entry.token_ids) for entry in store._entries]
+            assert len(runs) == len(set(runs))
+        assert store.evictions == 3  # [1, 2, 3] came back after its eviction
 
     def test_eviction_counter_and_stats_snapshot(self):
         model = small_model()

@@ -16,7 +16,6 @@ from repro.model import (
     merge_lora,
 )
 from repro.model.config import scaled_config
-from repro.model.precision import bf16_ulp
 from repro.model.sampling import DecodeStream, clamp_prompt
 from repro.train.checkpointing import load_snapshot, save_snapshot
 from tests.conftest import ATOL, position_sensitive_model, recording_step_logits
@@ -360,11 +359,6 @@ class TestPrecision:
     def test_bf16_representable_values_unchanged(self):
         vals = np.array([1.0, 0.5, -2.0, 0.0], dtype=np.float32)
         np.testing.assert_array_equal(bf16_round(vals), vals)
-
-    def test_ulp(self):
-        assert bf16_ulp(1.0) == pytest.approx(2.0**-7)
-        assert bf16_ulp(2.0) == pytest.approx(2.0**-6)
-        assert bf16_ulp(0.0) > 0
 
 
 class TestLoRAIntegration:

@@ -31,19 +31,6 @@ class TestMesh:
         with pytest.raises(IndexError):
             DeviceMesh(1, 2).device(2)
 
-    def test_dp_pp_factorization(self):
-        mesh = DeviceMesh(2, 4)
-        dp_groups, pp_groups = mesh.dp_pp_groups(4, 2)
-        assert len(dp_groups) == 2 and all(len(g) == 4 for g in dp_groups)
-        assert len(pp_groups) == 4 and all(len(g) == 2 for g in pp_groups)
-        # every rank appears exactly once per factorization
-        assert sorted(r for g in dp_groups for r in g) == list(range(8))
-        assert sorted(r for g in pp_groups for r in g) == list(range(8))
-
-    def test_bad_factorization_raises(self):
-        with pytest.raises(ValueError):
-            DeviceMesh(1, 4).dp_pp_groups(3, 2)
-
     def test_cross_node_detection(self):
         mesh = DeviceMesh(2, 2)
         assert not mesh.is_cross_node(0, 1)

@@ -125,7 +125,3 @@ class TestTradeoff:
         names = [name for name, _ in comp]
         assert names[0] in ("Claude-3.0-Sonnet", "GLM-4-0520")
         assert FLAGSHIP_SCORES["Gemini-1.5-Pro-001"] > 76.0
-
-    def test_frontier_price_monotone(self):
-        f = ScorePriceFrontier()
-        assert f.equivalent_price(77.0) > f.equivalent_price(74.0)

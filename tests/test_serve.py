@@ -270,11 +270,11 @@ class TestEngineLifecycle:
         engine = ServeEngine(model)
         engine.submit(req("a", (1, 2)))
         assert engine.cancel("a") is True
-        assert engine.state_of("a").status is RequestStatus.CANCELLED
+        assert engine.states["a"].status is RequestStatus.CANCELLED
         assert engine.cancel("a") is False  # already terminal
         assert engine.cancel("ghost") is False
         engine.drain()
-        assert engine.state_of("a").output_ids == []
+        assert engine.states["a"].output_ids == []
 
     def test_drain_returns_states_in_submission_order(self, model):
         engine = ServeEngine(model)
@@ -295,6 +295,36 @@ class TestEngineLifecycle:
         assert state.first_token_at is not None
         assert state.finished_at > state.submitted_at
 
+
+    def test_lifecycle_stamps_follow_the_work(self, model):
+        """A first token and a finish are stamped after the forward that
+        produced them, not at the start of their step; admission keeps
+        the step's start time."""
+
+        class TickingClock:
+            """Moves one unit forward on every read, as wall time does."""
+
+            def __init__(self):
+                self.t = 0.0
+
+            def now(self):
+                self.t += 1.0
+                return self.t
+
+            def advance(self, seconds):
+                del seconds
+
+        engine = ServeEngine(model, clock=TickingClock())
+        engine.submit(
+            req("g", (1, 2, 3), generation=GenerationConfig(max_new_tokens=2))
+        )
+        engine.submit(req("s", (4, 5, 6), kind=RequestKind.SCORE))
+        engine.step()
+        g, s = engine.states["g"], engine.states["s"]
+        assert g.admitted_at == s.admitted_at  # both admitted in one step
+        assert g.submitted_at < g.admitted_at < s.finished_at < g.first_token_at
+        engine.drain()
+        assert g.first_token_at < g.finished_at
 
 class TestEngineGenerateParity:
     """Engine decode is bit-equal to generate(): tokens and step logits.
@@ -369,7 +399,7 @@ class TestEngineGenerateParity:
             engine.drain()
         for rid, config in configs.items():
             tokens, steps = reference(model, prompts[rid], config)
-            assert list(engine.state_of(rid).output_ids) == tokens
+            assert list(engine.states[rid].output_ids) == tokens
             assert_bit_equal(recorded[rid], steps)
             assert_matches_full_forward(model, prompts[rid], config, tokens, steps)
 
@@ -414,7 +444,7 @@ class TestEngineGenerateParity:
             engine.drain()
         for rid, config in configs.items():
             tokens, steps = reference(model, prompts[rid], config)
-            assert list(engine.state_of(rid).output_ids) == tokens
+            assert list(engine.states[rid].output_ids) == tokens
             assert_bit_equal(recorded[rid], steps)
             assert_matches_full_forward(model, prompts[rid], config, tokens, steps)
         # (step, reason, tokens): all three decode from step 0

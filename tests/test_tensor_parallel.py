@@ -2,17 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.parallel import Communicator, DeviceMesh, mlp_tp_forward
 from repro.parallel.tensor_parallel import (
     ColumnParallelLinear,
     RowParallelLinear,
-    attention_heads_tp_split,
     shard_columns,
     shard_rows,
-    tp_memory_per_rank,
 )
 
 RNG = np.random.default_rng(0)
@@ -109,27 +105,3 @@ class TestMLPTP:
         after = comm.stats.per_op_calls
         assert after.get("all_reduce", 0) - before.get("all_reduce", 0) == 1
         assert after.get("all_gather", 0) == before.get("all_gather", 0)
-
-
-class TestHeadSplit:
-    def test_partition(self):
-        groups = attention_heads_tp_split(8, 4)
-        assert groups == [[0, 1], [2, 3], [4, 5], [6, 7]]
-
-    def test_indivisible(self):
-        with pytest.raises(ValueError):
-            attention_heads_tp_split(6, 4)
-
-
-class TestMemory:
-    def test_70b_serving_footprint(self):
-        """The cost model's TP=4 choice: 70B bf16 fits 4 x A100-40GB."""
-        per_rank_gb = tp_memory_per_rank(70e9, 4) / 1e9
-        assert per_rank_gb == pytest.approx(35.0)
-        assert per_rank_gb < 40.0
-
-    @given(st.integers(1, 16))
-    @settings(max_examples=30, deadline=None)
-    def test_memory_conserved(self, parts):
-        total = tp_memory_per_rank(1e9, parts) * parts
-        assert total == pytest.approx(2e9)

@@ -164,7 +164,9 @@ class TestMergeBoundaryStability:
 
 
 class TestScaffoldSuffixSplit:
-    """Both branches of TokenPredictionEvaluator._split_prompts."""
+    """TokenPredictionEvaluator._split_prompts takes its fast path for every
+    tokenizer here; ``TestBoundaryMergingDifferential`` in
+    ``test_eval_methods.py`` forces the fallback."""
 
     @pytest.fixture(scope="class")
     def bench(self):
@@ -199,25 +201,25 @@ class TestScaffoldSuffixSplit:
         for q, suffix in zip(questions, suffixes):
             assert shared + suffix == ev._prompt_ids(q)
 
-    def test_fallback_taken_when_marker_breaks_concat(self, bench):
+    def test_fast_path_taken_for_the_marker_convention(self, bench):
         tok = self._corpus_tokenizer(bench, space_prefix=True)
         ev = self._evaluator(tok, bench)
         questions = bench.test[:6]
         scaffold_ids = tok.encode(format_next_token_scaffold(bench.dev[:2]))
+        # encoded alone, a tail's first word loses its space marker
         naive = scaffold_ids + tok.encode(format_next_token_suffix(questions[0]))
-        assert naive != ev._prompt_ids(questions[0])  # fast path must reject
+        assert naive != ev._prompt_ids(questions[0])
         shared, suffixes = ev._split_prompts(questions)
-        # fallback uses the exact longest common prefix, which extends past
-        # the scaffold into the shared "Question :" tokens
-        assert len(shared) > len(scaffold_ids)
+        assert shared == scaffold_ids
         for q, suffix in zip(questions, suffixes):
             assert shared + suffix == ev._prompt_ids(q)
 
-    def test_fallback_split_is_exact_for_bpe(self, bench):
+    def test_fast_path_taken_for_bpe(self, bench):
         texts = [format_next_token_prompt(q, bench.dev[:2]) for q in bench.test]
         tok = BPETokenizer.train(texts, vocab_size=600)
         ev = self._evaluator(tok, bench)
         questions = bench.test[:6]
         shared, suffixes = ev._split_prompts(questions)
+        assert shared == tok.encode(format_next_token_scaffold(bench.dev[:2]))
         for q, suffix in zip(questions, suffixes):
             assert shared + suffix == ev._prompt_ids(q)

@@ -21,7 +21,6 @@ from repro.train import (
     TrainingConfig,
     clip_grad_norm,
     corpus_perplexity,
-    ema,
     pack_documents,
     pad_examples,
 )
@@ -228,7 +227,6 @@ class TestTrainer:
         hist = trainer.train(lambda: iter([(x, x, None)] * 1000))
         assert hist.losses[-1] < hist.losses[0] * 0.5
 
-
     def test_span_contract(self, monkeypatch):
         """The benchmark's traced run times the step by the functions it
         calls: ``train_fwd_ms``/``train_bwd_ms`` are ``TransformerLM.forward``/
@@ -415,16 +413,6 @@ class TestSFT:
 
 
 class TestMetrics:
-    def test_ema_smooths(self):
-        values = [0.0, 1.0] * 10
-        smoothed = ema(values, alpha=0.2)
-        assert len(smoothed) == 20
-        assert 0.2 < smoothed[-1] < 0.8
-
-    def test_ema_validates_alpha(self):
-        with pytest.raises(ValueError):
-            ema([1.0], alpha=0.0)
-
     def test_perplexity_positive_and_bounded(self):
         texts = ["a b c d"] * 10
         tok = WordTokenizer.train(texts, vocab_size=32)

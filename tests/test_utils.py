@@ -1,24 +1,10 @@
-"""Utility tests: seeded RNG derivation, text helpers, atomic I/O."""
+"""Utility tests: seeded RNG derivation."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils import (
-    SeedSequenceRegistry,
-    atomic_write_json,
-    atomic_write_text,
-    derive_seed,
-    new_rng,
-    normalize_whitespace,
-    read_json,
-    read_text,
-    sentence_join,
-    spawn_rngs,
-    truncate_tokens,
-    word_count,
-)
+from repro.utils import derive_seed, new_rng, spawn_rngs
 
 
 class TestRNG:
@@ -48,57 +34,8 @@ class TestRNG:
         assert set(rngs) == {"a", "b"}
         assert rngs["a"].random() != rngs["b"].random()
 
-    def test_registry_stable_and_counts(self):
-        reg = SeedSequenceRegistry(9)
-        s1 = reg.seed_for("train", 0)
-        s2 = reg.seed_for("train", 0)
-        assert s1 == s2
-        assert reg.request_count("train", 0) == 2
-        assert reg.issued_paths == ["train/0"]
-
     @given(st.integers(min_value=0, max_value=2**32), st.text(max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_derive_seed_in_64bit_range(self, seed, name):
         s = derive_seed(seed, name)
         assert 0 <= s < 2**64
-
-
-class TestText:
-    def test_normalize(self):
-        assert normalize_whitespace("  a \t b \n c ") == "a b c"
-
-    def test_word_count(self):
-        assert word_count("") == 0
-        assert word_count("one two three") == 3
-        assert word_count("   spaced   out   ") == 2
-
-    def test_sentence_join_adds_periods(self):
-        assert sentence_join(["a", "b!"]) == "a. b!"
-        assert sentence_join(["", "x"]) == "x."
-
-    def test_truncate_tokens(self):
-        assert truncate_tokens([1, 2, 3], 2) == [1, 2]
-        assert truncate_tokens([1], 5) == [1]
-        with pytest.raises(ValueError):
-            truncate_tokens([1], -1)
-
-
-class TestIO:
-    def test_text_roundtrip(self, tmp_path):
-        path = tmp_path / "sub" / "file.txt"
-        atomic_write_text(path, "hello")
-        assert read_text(path) == "hello"
-
-    def test_json_roundtrip(self, tmp_path):
-        path = tmp_path / "data.json"
-        obj = {"b": [1, 2], "a": {"nested": True}}
-        atomic_write_json(path, obj)
-        assert read_json(path) == obj
-
-    def test_overwrite_atomic(self, tmp_path):
-        path = tmp_path / "f.txt"
-        atomic_write_text(path, "one")
-        atomic_write_text(path, "two")
-        assert read_text(path) == "two"
-        # no leftover temp files
-        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
