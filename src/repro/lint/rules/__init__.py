@@ -11,6 +11,7 @@ from repro.lint.rules.scalar_promotion import ScalarPromotionRule
 from repro.lint.rules.unused_import import UnusedImportRule
 from repro.lint.rules.inference_purity import InferencePurityRule
 from repro.lint.rules.workspace_escape import WorkspaceEscapeRule
+from repro.lint.rules.shard_order import ShardOrderRule
 
 __all__ = [
     "CacheMutationRule",
@@ -24,4 +25,5 @@ __all__ = [
     "UnusedImportRule",
     "InferencePurityRule",
     "WorkspaceEscapeRule",
+    "ShardOrderRule",
 ]

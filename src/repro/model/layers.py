@@ -166,9 +166,9 @@ class Linear(Module):
         """``x @ W``, written into ``out`` when given."""
         return _matmul_rows(x, self.params["weight"], out=out)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         self._cache = (x,)
-        return self(x)
+        return self(x, out=out)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         (x,) = self._cache

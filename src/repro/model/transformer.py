@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+import os
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -13,6 +16,68 @@ from repro.model.kv_cache import KVCache, PrefixCache
 from repro.model.layers import Embedding, Linear, Module, RMSNorm
 from repro.model.mlp import SwiGLU
 from repro.model.workspace import workspace
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
+#: A training batch of B rows runs as ``min(TRAIN_SHARDS, B)`` contiguous
+#: row shards, one per lane.  The gradient's bits depend on this constant,
+#: never on how many threads run the shards or in which order they finish.
+TRAIN_SHARDS = 2
+
+
+@functools.lru_cache(maxsize=None)
+def _train_pool(pid: int) -> Optional[ThreadPoolExecutor]:
+    """The helper threads that run training shards in process ``pid`` (a
+    forked child makes its own): shard 0 runs on the calling thread, so
+    one fewer than the shards the usable cores run at once, and none on
+    one core.  A thread starts on the pool's first task, and
+    ``concurrent.futures`` is imported only here, so a process that never
+    trains never loads it."""
+    helpers = min(TRAIN_SHARDS, len(os.sched_getaffinity(0))) - 1
+    if helpers < 1:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(helpers, thread_name_prefix="train-shard")
+
+
+def _run_shards(work: Callable[[int], None], n: int) -> None:
+    """``work(i)`` for every shard ``i < n``: shard 0 on the calling
+    thread, the others on the pool (in order on the calling thread when
+    there is none).  Returns once every shard has finished, re-raising
+    the first failure in shard order."""
+    pool = _train_pool(os.getpid()) if n > 1 else None
+    if pool is None:
+        for i in range(n):
+            work(i)
+        return
+    from concurrent.futures import wait
+
+    futures = [pool.submit(work, i) for i in range(1, n)]
+    try:
+        work(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _replica(module: Module) -> Module:
+    """``module`` as a training lane holds it: every attribute is shared
+    (parameter arrays, LoRA ``frozen_weight``, the RoPE tables), but the
+    children are replicas, and the stash and gradient buffers are its
+    own."""
+    lane = copy.copy(module)
+    lane._grads, lane._cache = {}, None
+    twins = {id(child): _replica(child) for _, child in module._children}
+    lane._children = [(name, twins[id(child)]) for name, child in module._children]
+    for key, value in vars(module).items():
+        if id(value) in twins:
+            setattr(lane, key, twins[id(value)])
+        elif isinstance(value, list) and any(id(v) in twins for v in value):
+            setattr(lane, key, [twins.get(id(v), v) for v in value])
+    return lane
 
 
 class TransformerBlock(Module):
@@ -117,6 +182,15 @@ class TransformerLM(Module):
         loss, dlogits = model.cross_entropy(logits, targets, mask)
         model.backward(dlogits)      # accumulates into model grads
 
+    The training forward and backward split a batch's rows into
+    ``min(TRAIN_SHARDS, B)`` contiguous shards.  Shard 0 runs on the model
+    itself; each other shard runs on a *lane*, a replica that shares every
+    array of the model and owns only its layers' stash and gradient
+    buffers, on a helper thread when a second core is usable.  The lanes
+    write their logits into one ``(B, T, vocab)`` array, so the loss is
+    computed once over the whole batch, and their gradients are added
+    into the model's in shard order.
+
     Usage for incremental decoding::
 
         cache = model.new_cache()
@@ -150,6 +224,9 @@ class TransformerLM(Module):
         )
         self.lm_head: Optional[Linear] = None
         self._tied_cache: Optional[np.ndarray] = None  # tied projection input
+        self._lanes: List[TransformerLM] = []  # built at the first sharded forward
+        self._lane_params: Dict[str, np.ndarray] = {}  # the arrays they were built on
+        self._shards: List[slice] = []  # the last training forward's row shards
         if not config.tie_embeddings:
             self.lm_head = self.add_child(
                 "lm_head",
@@ -181,27 +258,84 @@ class TransformerLM(Module):
             for i, block in enumerate(self.blocks):
                 x = block(x, start_pos, cache[i])
             return self._project_logits(x)
+        B = tokens.shape[0]
+        n = min(TRAIN_SHARDS, B)
+        lanes = self._train_lanes(n)
+        rows = self._shards = [slice(B * i // n, B * (i + 1) // n) for i in range(n)]
+        W = self.embed.params["weight"]
+        logits = np.empty(tokens.shape + (self.config.vocab_size,), W.dtype)
+        _run_shards(
+            lambda i: lanes[i]._lane_forward(tokens[rows[i]], start_pos, out=logits[rows[i]]),
+            n,
+        )
+        return logits
+
+    def backward(self, dlogits: np.ndarray) -> None:
+        """Backpropagate from logits gradient; accumulates parameter grads.
+
+        Each shard of the last training forward backpropagates its rows of
+        ``dlogits`` on its lane; shard 0 accumulates into the model's
+        gradients, every other lane into its own zeroed buffers, which are
+        then added into the model's in shard order."""
+        rows = self._shards
+        lanes = [self] + self._lanes[: len(rows) - 1]
+
+        def shard(i: int) -> None:
+            if i:
+                lanes[i].zero_grad()
+            lanes[i]._lane_backward(dlogits[rows[i]])
+
+        _run_shards(shard, len(rows))
+        if len(rows) > 1:
+            grads = self.named_gradients()
+            for lane in lanes[1:]:
+                for name, g in lane.named_gradients().items():
+                    grads[name] += g
+
+    def _train_lanes(self, n: int) -> List["TransformerLM"]:
+        """The model and ``n - 1`` lanes.  The lanes are (re)built when the
+        model's parameter arrays are not the ones they were built on: at
+        the first sharded forward, after ``apply_lora`` or ``merge_lora``
+        swapped a layer, or after a parameter was rebound (a dtype
+        change)."""
+        if n > 1:
+            live, held = self.named_parameters(), self._lane_params
+            if held.keys() != live.keys() or any(held[k] is not a for k, a in live.items()):
+                self._lanes = [self._new_lane() for _ in range(TRAIN_SHARDS - 1)]
+                self._lane_params = live
+        return [self] + self._lanes[: n - 1]
+
+    def _new_lane(self) -> "TransformerLM":
+        lane = _replica(self)
+        lane._tied_cache, lane._lanes, lane._shards, lane._lane_params = None, [], [], {}
+        return lane
+
+    def _lane_forward(self, tokens: np.ndarray, start_pos: int, *, out: np.ndarray) -> None:
+        """One shard's training forward, its logits written into ``out``;
+        layer-level calls only, so it runs the same on any thread."""
         x = self.embed.forward(tokens)
         for block in self.blocks:
             x = block.forward(x, start_pos)
-        return self.head_forward(x)
+        self.head_forward(x, out=out)
 
-    def backward(self, dlogits: np.ndarray) -> None:
-        """Backpropagate from logits gradient; accumulates parameter grads."""
+    def _lane_backward(self, dlogits: np.ndarray) -> None:
+        """Backward of :meth:`_lane_forward`, accumulating into this
+        lane's gradients."""
         dx = self.head_backward(dlogits)
         for block in reversed(self.blocks):
             dx = block.backward(dx)
         self.embed.backward(dx)
 
-    def head_forward(self, x: np.ndarray) -> np.ndarray:
+    def head_forward(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Training forward of the head: final norm, then the LM head or
-        the tied embedding projection.  Stashes what :meth:`head_backward`
-        reads; the pipeline's last stage calls it too."""
+        the tied embedding projection, written into ``out`` when given.
+        Stashes what :meth:`head_backward` reads; the pipeline's last
+        stage calls it too."""
         h = self.final_norm.forward(x)
         if self.lm_head is not None:
-            return self.lm_head.forward(h)
+            return self.lm_head.forward(h, out=out)
         self._tied_cache = h
-        return h @ self.embed.params["weight"].T
+        return np.matmul(h, self.embed.params["weight"].T, out=out)
 
     def head_backward(self, dlogits: np.ndarray) -> np.ndarray:
         """Backward of :meth:`head_forward`: accumulates the head's (or the

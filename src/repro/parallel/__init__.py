@@ -14,9 +14,11 @@ package reproduces the *system* layer in simulation:
 * :mod:`repro.parallel.cluster` — A100 cluster model with FLOP-rule
   GPU-hour estimation (regenerates the paper's cost accounting).
 
-Collectives run all ranks in one process (the host has one core); the cost
+Collectives run all ranks in one process, one after another; the cost
 model supplies the *timing* a real cluster would exhibit, which is what the
-scaling benchmarks measure.
+scaling benchmarks measure.  (Within each rank, the training forward and
+backward split the rank's rows across the host's cores:
+:class:`~repro.model.transformer.TransformerLM`.)
 """
 
 from repro.parallel.mesh import Device, DeviceMesh

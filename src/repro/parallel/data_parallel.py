@@ -6,9 +6,11 @@ are averaged with an all-reduce, and each replica applies the identical
 optimizer step.  The implementation preserves DDP's defining invariant —
 **replicas never diverge** — which the test suite asserts bit-exactly.
 
-Because the host is single-core, replicas execute sequentially; the
-communicator's cost model supplies the timing a real cluster would see,
-from which the scaling benchmarks compute parallel efficiency.
+Replicas execute one after another in one process (each replica's own
+forward and backward split its shard's rows across the host's cores, as
+every training forward does); the communicator's cost model supplies the
+timing a real cluster would see, from which the scaling benchmarks compute
+parallel efficiency.
 """
 
 from __future__ import annotations

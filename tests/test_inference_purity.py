@@ -22,6 +22,7 @@ from repro.model import (
     TransformerLM,
     generate,
 )
+import repro.model.transformer as transformer
 from repro.model.config import scaled_config
 from repro.model.lora import LoRAConfig, apply_lora
 from repro.model.workspace import workspace
@@ -30,8 +31,10 @@ from repro.train import corpus_perplexity
 from tests.conftest import recording_step_logits
 
 VOCAB = 64
-ROW = np.array([[5, 17, 3, 42, 8, 29, 11, 60]])
-TARGETS = np.array([[17, 3, 42, 8, 29, 11, 60, 2]])
+# two rows: the training forward runs them as two shards, the second on a
+# lane, so the interplay checks cover a lane's stash as well as the model's
+ROW = np.array([[5, 17, 3, 42, 8, 29, 11, 60], [9, 33, 21, 4, 50, 7, 13, 26]])
+TARGETS = np.array([[17, 3, 42, 8, 29, 11, 60, 2], [33, 21, 4, 50, 7, 13, 26, 1]])
 OTHER = [9, 33, 21, 4, 50, 7, 13, 26]  # a different 8-token prompt
 KINDS = ["untied", "tied", "lora"]
 
@@ -115,6 +118,9 @@ ENTRY_POINTS = {
     "generate_partial_cover": generate_after(5),
     "generate_exact_cover": generate_after(len(OTHER)),
     "engine_drain": engine_drain,
+    "generate_sampled": lambda m: generate(
+        m, OTHER, GenerationConfig(max_new_tokens=4, temperature=0.7, top_p=0.9, seed=2)
+    ),
 }
 
 
@@ -133,12 +139,31 @@ def arrays_in(result):
 
 
 def training_state(model):
-    """Names of modules holding a backward stash or gradient buffers."""
+    """Names of modules holding a backward stash or gradient buffers, and
+    the training lanes, which only a training forward builds."""
     held = [f"{name or 'model'}._cache" for name, m in model.modules() if m._cache is not None]
     held += [f"{name or 'model'}.grads" for name, m in model.modules() if m._grads]
     if model._tied_cache is not None:
         held.append("model._tied_cache")
+    held += [f"lane{i}" for i, _ in enumerate(model._lanes, 1)]
     return held
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_inference_builds_no_lane_and_starts_no_thread(monkeypatch, entry):
+    """Only the training forward and backward split rows onto lanes and
+    threads: no inference entry point builds a lane, asks for the
+    training pool or starts a thread."""
+
+    def no_pool(pid):
+        raise AssertionError("inference asked for the training pool")
+
+    monkeypatch.setattr(transformer, "_train_pool", no_pool)
+    model = make_model("untied")
+    threads = threading.active_count()
+    ENTRY_POINTS[entry](model)
+    assert model._lanes == []
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("kind", KINDS)

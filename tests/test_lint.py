@@ -362,6 +362,46 @@ VIOLATIONS = {
         """,
         MODEL_PATH,
     ),
+    "R13-accumulate-in-callback": (
+        "R13",
+        """
+        def backward(self, dlogits, pool):
+            grads = self.named_gradients()
+
+            def shard(lane):
+                for name, g in lane.grads_of(dlogits).items():
+                    grads[name] += g
+
+            for future in [pool.submit(shard, lane) for lane in self.lanes]:
+                future.result()
+        """,
+        MODEL_PATH,
+    ),
+    "R13-as-completed": (
+        "R13",
+        """
+        import concurrent.futures as cf
+
+        def losses(pool, shards):
+            futures = [pool.submit(s.loss) for s in shards]
+            return [f.result() for f in cf.as_completed(futures)]
+        """,
+        "src/repro/train/snippet.py",
+    ),
+    "R13-callback-handed-to-a-helper": (
+        "R13",
+        """
+        def run_shards(pool, work, n):
+            for future in [pool.submit(work, i) for i in range(n)]:
+                future.result()
+
+        def step(pool, replicas, batch):
+            losses = []
+            run_shards(pool, lambda i: losses.append(replicas[i].loss(batch[i])), 2)
+            return losses
+        """,
+        PARALLEL_PATH,
+    ),
 }
 
 #: clean counterparts: the same constructs used the sanctioned way
@@ -628,6 +668,36 @@ CLEAN = {
         """,
         MODEL_PATH,
     ),
+    "R13-shard-order-on-the-caller": (
+        """
+        def backward(self, dlogits, pool, rows):
+            def shard(i):
+                total = 0.0
+                self.lanes[i].zero_grad()
+                self.lanes[i].run(dlogits[rows[i]], out=self.logits[rows[i]])
+                total += 1.0
+                kept = []
+                kept.append(total)
+
+            futures = [pool.submit(shard, i) for i in range(len(rows))]
+            for future in futures:
+                future.result()
+            grads = self.named_gradients()
+            for lane in self.lanes:
+                for name, g in lane.named_gradients().items():
+                    grads[name] += g
+        """,
+        MODEL_PATH,
+    ),
+    "R13-outside-training-code": (
+        """
+        from concurrent.futures import as_completed
+
+        def score_all(pool, batches, model):
+            return [f.result() for f in as_completed(pool.submit(model.score, b) for b in batches)]
+        """,
+        EVAL_PATH,
+    ),
 }
 
 
@@ -750,7 +820,8 @@ class TestConfig:
             LintConfig.from_cli(select=["R99"])
 
     def test_rules_ordered_by_code_number(self):
-        codes = [f"R{n}" for n in range(1, 12)]
+        # R12 is held for batch invariance (ROADMAP item 2)
+        codes = [f"R{n}" for n in range(1, 12)] + ["R13"]
         assert [cls.code for cls in all_rules()] == codes
         assert [rule.code for rule in LintConfig().enabled_rules()] == codes
 

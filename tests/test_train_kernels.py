@@ -40,9 +40,13 @@ def ref_log_softmax(x, axis=-1):
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def ref_linear_forward(self, x):
+def ref_linear_forward(self, x, out=None):
     self._cache = (x,)
-    return x @ self.params["weight"]
+    y = x @ self.params["weight"]
+    if out is None:
+        return y
+    out[...] = y
+    return out
 
 
 def ref_linear_backward(self, dout):
