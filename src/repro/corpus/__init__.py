@@ -17,8 +17,8 @@ PDFs, LLM summaries) is replaced by a *generative astronomy world*:
   compresses full text to a dense 1k-4k-token digest.
 * :mod:`repro.corpus.datasets` — the three CPT dataset builders from the
   paper (Abstract / AIC / Summary) with coverage statistics.
-* :mod:`repro.corpus.general` — the general-domain pretraining corpus
-  (everyday facts + MCQ-format exercises) used to build base models.
+* :mod:`repro.corpus.general` — the MCQ-format exercises and everyday
+  filler that base-model pretraining mixes with general facts.
 """
 
 from repro.corpus.knowledge import (
@@ -38,8 +38,6 @@ from repro.corpus.datasets import (
     build_summary_dataset,
     with_qa_bridge,
 )
-from repro.corpus.general import GeneralCorpusConfig, build_general_corpus
-from repro.corpus.dedup import MinHasher, dedupe_documents, jaccard, shingles
 
 __all__ = [
     "Fact",
@@ -57,10 +55,4 @@ __all__ = [
     "build_aic_dataset",
     "build_summary_dataset",
     "with_qa_bridge",
-    "GeneralCorpusConfig",
-    "MinHasher",
-    "dedupe_documents",
-    "jaccard",
-    "shingles",
-    "build_general_corpus",
 ]

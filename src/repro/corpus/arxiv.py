@@ -9,7 +9,7 @@ the astro-ph category, from the inception of arXiv up to July 2023"
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.corpus.generator import PaperGenerator, PaperSpec, SyntheticPaper
 from repro.corpus.knowledge import KnowledgeBase
@@ -69,12 +69,6 @@ class ArxivArchive:
     def until(self, year: int, month: int) -> List[SyntheticPaper]:
         """Papers dated on or before (year, month) — a pipeline cutoff."""
         return [p for p in self.papers if (p.year, p.month) <= (year, month)]
-
-    def by_topic(self) -> Dict[str, List[SyntheticPaper]]:
-        out: Dict[str, List[SyntheticPaper]] = {}
-        for p in self.papers:
-            out.setdefault(p.topic, []).append(p)
-        return out
 
     # ------------------------------------------------------------------
     def fact_coverage(self, sections: str = "aic") -> Set[int]:

@@ -43,7 +43,6 @@ from repro.eval.runner import (
     EvaluationResult,
     assemble_result,
 )
-from repro.eval.probes import circuit_quality, knowledge_recall
 
 __all__ = [
     "PAPER_FULL_INSTRUCT_TEMPLATE",
@@ -62,6 +61,4 @@ __all__ = [
     "BatchedEvaluationRunner",
     "EvaluationResult",
     "assemble_result",
-    "knowledge_recall",
-    "circuit_quality",
 ]

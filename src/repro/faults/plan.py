@@ -34,8 +34,8 @@ Fault classes
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, List, Optional, Tuple
 
 from repro.train.checkpointing import STATE_NAME
 
@@ -98,9 +98,6 @@ class FaultEvent:
                 f"got {self.mode!r}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
 
 @dataclass
 class FaultPlan:
@@ -139,15 +136,6 @@ class FaultPlan:
         if kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {kind!r}")
         return [e for e in self.events if e.kind == kind]
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {"seed": self.seed, "events": [e.to_dict() for e in self.events]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultPlan":
-        events = [FaultEvent(**e) for e in data.get("events", [])]  # type: ignore[arg-type]
-        return cls(events=events, seed=int(data.get("seed", 0)))  # type: ignore[arg-type]
 
 
 def single_fault_plans(step: int, seed: int = 0) -> Iterable[Tuple[str, FaultPlan]]:

@@ -1,18 +1,14 @@
-"""The benchmark container: splits, serialization, scoring."""
+"""The benchmark container: splits and scoring."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.corpus.knowledge import KnowledgeBase
 from repro.mcq.araa import generate_review_articles
 from repro.mcq.generation import MCQExtractor, MCQuestion
 from repro.utils.rng import new_rng
-
-PathLike = Union[str, Path]
 
 
 @dataclass
@@ -54,12 +50,6 @@ class MCQBenchmark:
             raise ValueError(f"only {len(self._dev_idx)} dev questions available")
         return self.dev[:n]
 
-    def by_topic(self) -> Dict[str, List[MCQuestion]]:
-        out: Dict[str, List[MCQuestion]] = {}
-        for q in self.test:
-            out.setdefault(q.topic, []).append(q)
-        return out
-
     # ------------------------------------------------------------------
     @staticmethod
     def accuracy(
@@ -76,24 +66,6 @@ class MCQBenchmark:
             if p is not None and p == q.correct_idx
         )
         return hits / len(questions)
-
-    # ------------------------------------------------------------------
-    def save(self, path: PathLike) -> None:
-        payload = {
-            "dev_size": self.dev_size,
-            "seed": self.seed,
-            "questions": [q.as_dict() for q in self.questions],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: PathLike) -> "MCQBenchmark":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            questions=[MCQuestion.from_dict(q) for q in data["questions"]],
-            dev_size=int(data["dev_size"]),
-            seed=int(data["seed"]),
-        )
 
 
 def build_benchmark(

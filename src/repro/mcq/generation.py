@@ -14,7 +14,7 @@ The extractor enforces the paper's design principles:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.corpus.knowledge import ANSWER_LETTERS, KnowledgeBase
 from repro.mcq.araa import ReviewArticle
@@ -43,31 +43,6 @@ class MCQuestion:
         return "\n".join(
             f"{letter} : {value}"
             for letter, value in zip(ANSWER_LETTERS, self.options)
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "question_id": self.question_id,
-            "article_id": self.article_id,
-            "topic": self.topic,
-            "fact_id": self.fact_id,
-            "question": self.question,
-            "options": list(self.options),
-            "correct_idx": self.correct_idx,
-            "explanation": self.explanation,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MCQuestion":
-        return cls(
-            question_id=int(data["question_id"]),
-            article_id=str(data["article_id"]),
-            topic=str(data["topic"]),
-            fact_id=int(data["fact_id"]),
-            question=str(data["question"]),
-            options=tuple(data["options"]),  # type: ignore[arg-type]
-            correct_idx=int(data["correct_idx"]),
-            explanation=str(data["explanation"]),
         )
 
 

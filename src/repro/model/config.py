@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict
 
 
@@ -53,13 +53,6 @@ class ModelConfig:
         mlp = 3 * d * f
         norms = 2 * d * L + d
         return embed + lm_head + L * (attn + mlp) + norms
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModelConfig":
-        return cls(**data)
 
 
 def scaled_config(

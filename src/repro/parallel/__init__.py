@@ -11,6 +11,8 @@ package reproduces the *system* layer in simulation:
   gradient all-reduce, replica-consistency invariants;
 * :mod:`repro.parallel.pipeline_parallel` — GPipe/1F1B schedules with
   bubble accounting, plus a numerically exact pipelined executor;
+* :mod:`repro.parallel.tensor_parallel` — a Megatron-style sharded MLP
+  trained over simulated ranks;
 * :mod:`repro.parallel.cluster` — A100 cluster model with FLOP-rule
   GPU-hour estimation (regenerates the paper's cost accounting).
 
@@ -36,13 +38,7 @@ from repro.parallel.pipeline_parallel import (
     gpipe_schedule,
     one_f_one_b_schedule,
 )
-from repro.parallel.tensor_parallel import (
-    ColumnParallelLinear,
-    RowParallelLinear,
-    TensorParallelMLPTrainer,
-    mlp_tp_forward,
-)
-from repro.parallel.zero_optimizer import Zero1AdamW, zero1_memory_per_rank
+from repro.parallel.tensor_parallel import TensorParallelMLPTrainer
 from repro.parallel.cluster import (
     A100_40GB,
     A100_80GB,
@@ -66,12 +62,7 @@ __all__ = [
     "PipelinedModel",
     "gpipe_schedule",
     "one_f_one_b_schedule",
-    "Zero1AdamW",
-    "zero1_memory_per_rank",
-    "ColumnParallelLinear",
-    "RowParallelLinear",
     "TensorParallelMLPTrainer",
-    "mlp_tp_forward",
     "GPUSpec",
     "A100_40GB",
     "A100_80GB",

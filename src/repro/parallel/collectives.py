@@ -7,8 +7,7 @@ for ring algorithms:
 
 * all-reduce: ``2 (p-1)/p * n/B + 2 (p-1) * alpha`` (reduce-scatter +
   all-gather rings);
-* all-gather / reduce-scatter: ``(p-1)/p * n/B + (p-1) * alpha``;
-* broadcast (binomial tree): ``ceil(log2 p) * (alpha + n/B)``.
+* point-to-point: ``alpha + n/B``.
 
 ``n`` is the message size in bytes, ``B`` the per-link bandwidth and
 ``alpha`` the per-message latency.  Cross-node bandwidth can differ from
@@ -18,7 +17,6 @@ present in its group, as a synchronous ring would.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -62,21 +60,6 @@ class RingCostModel:
             return 0.0
         B = self.link_bandwidth(cross_node)
         return 2 * (p - 1) / p * nbytes / B + 2 * (p - 1) * self.latency
-
-    def all_gather_time(self, nbytes: int, p: int, cross_node: bool) -> float:
-        if p <= 1:
-            return 0.0
-        B = self.link_bandwidth(cross_node)
-        return (p - 1) / p * nbytes / B + (p - 1) * self.latency
-
-    reduce_scatter_time = all_gather_time
-
-    def broadcast_time(self, nbytes: int, p: int, cross_node: bool) -> float:
-        if p <= 1:
-            return 0.0
-        B = self.link_bandwidth(cross_node)
-        hops = math.ceil(math.log2(p))
-        return hops * (self.latency + nbytes / B)
 
     def point_to_point_time(self, nbytes: int, cross_node: bool) -> float:
         return self.latency + nbytes / self.link_bandwidth(cross_node)
@@ -168,61 +151,6 @@ class Communicator:
         t = self.cost_model.all_reduce_time(nbytes, self.size, self._cross_node)
         self.stats.record("all_reduce", nbytes * self.size, t * mult)
         return [reduced.copy() for _ in range(self.size)]
-
-    def all_gather(self, buffers: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Every rank receives the concatenation of all rank buffers (axis 0)."""
-        self._check(buffers)
-        mult = self._consult_hook("all_gather", int(buffers[0].nbytes) * self.size)
-        gathered = np.concatenate([np.atleast_1d(b) for b in buffers], axis=0)
-        nbytes = int(gathered.nbytes)
-        t = self.cost_model.all_gather_time(nbytes, self.size, self._cross_node)
-        self.stats.record("all_gather", nbytes * self.size, t * mult)
-        return [gathered.copy() for _ in range(self.size)]
-
-    def reduce_scatter(
-        self, buffers: Sequence[np.ndarray], op: str = "sum"
-    ) -> List[np.ndarray]:
-        """Reduce then scatter equal shards; rank i receives shard i.
-
-        The leading axis of each buffer must be divisible by the group size.
-        """
-        self._check(buffers)
-        mult = self._consult_hook("reduce_scatter", int(buffers[0].nbytes))
-        first = buffers[0]
-        if first.shape[0] % self.size != 0:
-            raise ValueError(
-                f"leading axis {first.shape[0]} not divisible by group size "
-                f"{self.size}"
-            )
-        if op == "mean":
-            reduced = np.sum(buffers, axis=0) / self.size
-        elif op in _OPS:
-            reduced = buffers[0].copy()
-            for b in buffers[1:]:
-                reduced = _OPS[op](reduced, b)
-        else:
-            raise ValueError(f"unknown reduce op {op!r}")
-        shards = np.split(reduced, self.size, axis=0)
-        nbytes = int(first.nbytes)
-        t = self.cost_model.reduce_scatter_time(nbytes, self.size, self._cross_node)
-        self.stats.record("reduce_scatter", nbytes * self.size, t * mult)
-        return [s.copy() for s in shards]
-
-    def broadcast(self, buffer: np.ndarray, root: int = 0) -> List[np.ndarray]:
-        """Rank ``root``'s buffer is copied to every rank."""
-        if not 0 <= root < self.size:
-            raise IndexError(f"root {root} out of group range")
-        nbytes = int(buffer.nbytes)
-        mult = self._consult_hook("broadcast", nbytes)
-        t = self.cost_model.broadcast_time(nbytes, self.size, self._cross_node)
-        self.stats.record("broadcast", nbytes * (self.size - 1), t * mult)
-        return [buffer.copy() for _ in range(self.size)]
-
-    def barrier(self) -> None:
-        """Synchronization point: costs one zero-byte all-reduce."""
-        mult = self._consult_hook("barrier", 0)
-        t = self.cost_model.all_reduce_time(0, self.size, self._cross_node)
-        self.stats.record("barrier", 0, t * mult)
 
     def point_to_point(
         self, buffer: np.ndarray, src: int, dst: int

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +25,33 @@ from repro.model.config import ModelConfig
 from repro.model.transformer import TransformerLM
 from repro.parallel.collectives import Communicator, RingCostModel
 from repro.parallel.mesh import DeviceMesh
-from repro.parallel.zero_optimizer import flatten_params, unflatten_into
 from repro.train.optimizer import AdamW, clip_grad_norm, grad_sq_sum
 from repro.train.schedule import CosineSchedule
+
+ParamDict = Dict[str, np.ndarray]
+
+
+def flatten_params(params: ParamDict) -> Tuple[np.ndarray, List[Tuple[str, int, tuple]]]:
+    """Concatenate parameters into one vector, in their dtype, + a layout
+    for unflattening."""
+    layout: List[Tuple[str, int, tuple]] = []
+    chunks: List[np.ndarray] = []
+    offset = 0
+    for key in sorted(params):
+        arr = params[key]
+        layout.append((key, offset, arr.shape))
+        chunks.append(arr.reshape(-1))
+        offset += arr.size
+    flat = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.float32)
+    return flat, layout
+
+
+def unflatten_into(flat: np.ndarray, layout: Sequence[Tuple[str, int, tuple]], params: ParamDict) -> None:
+    """Write a flat vector back into the parameter arrays, in place."""
+    for key, offset, shape in layout:
+        size = int(np.prod(shape))
+        params[key][...] = flat[offset : offset + size].reshape(shape)
+
 
 # Simulated per-rank compute throughput used for the timing model
 # (seconds per token of forward+backward).

@@ -1,21 +1,15 @@
-"""Tensor (intra-layer) parallelism: Megatron-style sharded linears.
+"""Tensor (intra-layer) parallelism: a Megatron-style sharded MLP.
 
 The 70B model cannot fit one GPU; serving it (the paper's 64-GPU-hour
 inference bill) shards every weight matrix across a tensor-parallel group.
-This module implements the two canonical shardings over simulated ranks:
-
-* :class:`ColumnParallelLinear` — weight split along the *output* axis;
-  each rank computes a slice of the outputs, combined by all-gather (or
-  left sharded for a following row-parallel layer);
-* :class:`RowParallelLinear` — weight split along the *input* axis; each
-  rank computes a partial product over its input slice, combined by
-  all-reduce.
-
-The classic transformer placement (column-parallel up-projection feeding a
-row-parallel down-projection) needs exactly one all-reduce per MLP, which
-:func:`mlp_tp_forward` demonstrates.  All shardings are *exact*: tests
-assert bit-level agreement (up to float addition order) with the dense
-computation.
+The two canonical shardings split a ``(d_in, d_out)`` weight along its
+*output* axis (:func:`shard_columns`: each rank computes a slice of the
+outputs) or its *input* axis (:func:`shard_rows`: each rank computes a
+partial product over its input slice, combined by all-reduce).  The
+classic transformer placement, a column-sharded up-projection feeding a
+row-sharded down-projection, needs exactly one all-reduce per MLP, and
+:class:`TensorParallelMLPTrainer` trains it end to end over simulated
+ranks.
 
 Like the rest of :mod:`repro.parallel`, arithmetic is real and timing is
 simulated via the communicator's cost model.
@@ -24,8 +18,7 @@ simulated via the communicator's cost model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -50,82 +43,11 @@ def shard_rows(weight: np.ndarray, parts: int) -> List[np.ndarray]:
     return [s.copy() for s in np.split(weight, parts, axis=0)]
 
 
-@dataclass
-class ColumnParallelLinear:
-    """``y = x W`` with W column-sharded; outputs concatenate across ranks."""
-
-    shards: List[np.ndarray]
-    comm: Communicator
-
-    @classmethod
-    def from_dense(cls, weight: np.ndarray, comm: Communicator) -> "ColumnParallelLinear":
-        return cls(shard_columns(weight, comm.size), comm)
-
-    def forward_sharded(self, x: np.ndarray) -> List[np.ndarray]:
-        """Each rank's output slice (no communication)."""
-        return [x @ w for w in self.shards]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Full output on every rank (one all-gather over the last axis)."""
-        slices = self.forward_sharded(x)
-        # all_gather concatenates on axis 0; move the feature axis out front
-        moved = [np.moveaxis(s, -1, 0) for s in slices]
-        gathered = self.comm.all_gather(moved)
-        return np.moveaxis(gathered[0], 0, -1)
-
-
-@dataclass
-class RowParallelLinear:
-    """``y = x W`` with W row-sharded; partial sums all-reduce across ranks."""
-
-    shards: List[np.ndarray]
-    comm: Communicator
-
-    @classmethod
-    def from_dense(cls, weight: np.ndarray, comm: Communicator) -> "RowParallelLinear":
-        return cls(shard_rows(weight, comm.size), comm)
-
-    def forward_from_sharded(self, x_shards: Sequence[np.ndarray]) -> np.ndarray:
-        """Consume per-rank input slices (the natural follow-up to a
-        column-parallel layer); one all-reduce combines partials."""
-        if len(x_shards) != self.comm.size:
-            raise ValueError("need one input shard per rank")
-        partials = [x @ w for x, w in zip(x_shards, self.shards)]
-        return self.comm.all_reduce(partials, "sum")[0]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Full (replicated) input: each rank slices its columns locally."""
-        d_in = sum(w.shape[0] for w in self.shards)
-        if x.shape[-1] != d_in:
-            raise ValueError(f"input dim {x.shape[-1]} != {d_in}")
-        splits = np.split(x, self.comm.size, axis=-1)
-        return self.forward_from_sharded(splits)
-
-
-def mlp_tp_forward(
-    x: np.ndarray,
-    w_up: np.ndarray,
-    w_down: np.ndarray,
-    comm: Communicator,
-    activation=None,
-) -> np.ndarray:
-    """The canonical TP MLP: column-parallel up, row-parallel down.
-
-    Exactly one all-reduce of the output activations; the intermediate
-    stays sharded end to end (the Megatron trick).
-    """
-    col = ColumnParallelLinear.from_dense(w_up, comm)
-    row = RowParallelLinear.from_dense(w_down, comm)
-    hidden_shards = col.forward_sharded(x)
-    if activation is not None:
-        hidden_shards = [activation(h) for h in hidden_shards]
-    return row.forward_from_sharded(hidden_shards)
-
-
 class TensorParallelMLPTrainer:
     """Trains the canonical TP MLP (``relu(x W_up) W_down``) end to end.
 
-    The forward is :func:`mlp_tp_forward`'s sharding with an exact analytic
+    The forward shards ``W_up`` by columns and ``W_down`` by rows (the
+    intermediate stays sharded end to end), with an exact analytic
     backward: every rank holds one column shard of ``W_up`` and the
     matching row shard of ``W_down`` plus its own AdamW moment shards.
     Two collectives sit in the numeric path — the all-reduce of output

@@ -118,15 +118,6 @@ class AdmissionQueue:
     def pop(self) -> RequestState:
         return heapq.heappop(self._heap)[1]
 
-    def remove(self, state: RequestState) -> bool:
-        """Withdraw one queued state (cancellation); False if absent."""
-        kept = [item for item in self._heap if item[1] is not state]
-        if len(kept) == len(self._heap):
-            return False
-        heapq.heapify(kept)
-        self._heap = kept
-        return True
-
     def requeue(self, state: RequestState) -> None:
         """Put a preempted request back; its original ``seq`` restores its
         position, so preemption never reorders peers."""

@@ -36,7 +36,6 @@ from repro.serve.request import (
     InferenceRequest,
     RequestKind,
     RequestState,
-    RequestStatus,
 )
 from repro.serve.scheduler import ContinuousBatchingScheduler, SchedulerConfig
 
@@ -180,21 +179,6 @@ class ServeEngine:
             ("submit", self._step_index, request.request_id)
         )
         return state
-
-    def cancel(self, request_id: str) -> bool:
-        """Withdraw a *queued* request; running ones are not interrupted."""
-        state = self.states.get(request_id)
-        if state is None or state.status is not RequestStatus.QUEUED:
-            return False
-        if not self.queue.remove(state):
-            return False
-        state.status = RequestStatus.CANCELLED
-        state.finish_reason = "cancelled"
-        state.finished_at = self.clock.now()
-        self.scheduler.events.append(
-            ("cancel", self._step_index, request_id)
-        )
-        return True
 
     # ------------------------------------------------------------------
     def step(self) -> List[tuple]:

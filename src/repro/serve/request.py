@@ -46,7 +46,6 @@ class RequestStatus(enum.Enum):
     FINISHED = "finished"  # completed (stop token, length, or scored)
     REJECTED = "rejected"  # refused at submit (overload / oversized)
     EXPIRED = "expired"  # deadline passed while still queued
-    CANCELLED = "cancelled"  # withdrawn by the caller
 
 
 #: states a request never leaves
@@ -54,7 +53,6 @@ TERMINAL_STATUSES = (
     RequestStatus.FINISHED,
     RequestStatus.REJECTED,
     RequestStatus.EXPIRED,
-    RequestStatus.CANCELLED,
 )
 
 
@@ -113,10 +111,6 @@ class RequestState:
     @property
     def request_id(self) -> str:
         return self.request.request_id
-
-    @property
-    def done(self) -> bool:
-        return self.status in TERMINAL_STATUSES
 
     def tokens_reserved(self) -> int:
         """Worst-case sequence length this request can reach (the token-

@@ -72,9 +72,6 @@ class SFTMixture:
         astro = sum(1 for ex in self.examples if ex.is_astronomy())
         return astro / len(self.examples)
 
-    def astronomy_only(self) -> List[SFTExample]:
-        return [ex for ex in self.examples if ex.is_astronomy()]
-
 
 def build_paper_mixture(
     archive: ArxivArchive,

@@ -1,31 +1,22 @@
 """Tokenization substrate.
 
-Two tokenizer families are provided:
-
-* :class:`~repro.tokenizer.bpe.BPETokenizer` — a from-scratch byte-pair
-  encoding tokenizer (trainable), mirroring the subword tokenizers of the
-  LLaMA family.
-* :class:`~repro.tokenizer.word.WordTokenizer` — a word-level tokenizer used
-  by the micro model zoo, where a compact semantic vocabulary lets tiny
-  models learn knowledge-recall tasks.
-
-Both expose the same protocol (``encode`` / ``decode`` / ``vocab``) and both
-support two *answer-token conventions*: some families emit option letters as
-bare tokens (``"A"``) and some as space-prefixed tokens (``" A"``).  The
-paper's next-token benchmarking method discovers the convention dynamically
-(Section V-B); we reproduce that variation here so the discovery code path is
-exercised for real.
+:class:`~repro.tokenizer.word.WordTokenizer` is a word-level tokenizer used
+by the micro model zoo, where a compact semantic vocabulary lets tiny
+models learn knowledge-recall tasks.  It exposes ``encode`` / ``decode`` /
+``vocab`` and supports two *answer-token conventions*: some families emit
+option letters as bare tokens (``"A"``) and some as space-prefixed tokens
+(``" A"``).  The paper's next-token benchmarking method discovers the
+convention dynamically (Section V-B); the two conventions reproduce that
+variation so the discovery code path is exercised for real.
 """
 
 from repro.tokenizer.vocab import SpecialTokens, Vocabulary
 from repro.tokenizer.normalize import TextNormalizer
-from repro.tokenizer.bpe import BPETokenizer
 from repro.tokenizer.word import WordTokenizer
 
 __all__ = [
     "SpecialTokens",
     "Vocabulary",
     "TextNormalizer",
-    "BPETokenizer",
     "WordTokenizer",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,6 @@ class Vocabulary:
         self._token_to_id[token] = idx
         self._id_to_token.append(token)
         return idx
-
-    def add_all(self, tokens: Iterable[str]) -> None:
-        for tok in tokens:
-            self.add(tok)
 
     # -- lookup -----------------------------------------------------------
     def id_of(self, token: str) -> int:

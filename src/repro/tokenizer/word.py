@@ -18,11 +18,39 @@ real behavioural difference to discover.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import re
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.tokenizer.bpe import SPACE_MARKER, BPETokenizer, pretokenize, spaced_words
 from repro.tokenizer.normalize import TextNormalizer
 from repro.tokenizer.vocab import SpecialTokens, Vocabulary
+
+SPACE_MARKER = "Ġ"  # 'Ġ', marks a word that follows a space
+
+# One match per word: (the whitespace run before it, the word itself).
+_WORD_RE = re.compile(r"(\s*)([A-Za-z0-9]+|[^\sA-Za-z0-9])")
+
+
+def spaced_words(text: str) -> List[Tuple[str, str]]:
+    """``(whitespace before, word)`` for each word of ``text``, in one pass.
+
+    A word is a maximal run of letters/digits or a single punctuation mark.
+    Trailing whitespace is stripped first: with no word after it, the
+    pattern would rescan the run from each of its characters (quadratic).
+    """
+    return _WORD_RE.findall(text.rstrip())
+
+
+def pretokenize(text: str) -> List[str]:
+    """Split text into marker-prefixed words.
+
+    A word is prefixed with :data:`SPACE_MARKER` exactly when whitespace
+    comes right before it, so a first word carries the marker only if the
+    text starts with whitespace.
+    """
+    return [
+        SPACE_MARKER + word if space else word
+        for space, word in spaced_words(text)
+    ]
 
 
 class WordTokenizer:
@@ -100,8 +128,14 @@ class WordTokenizer:
             return "".join(parts).replace(SPACE_MARKER, " ").strip()
         return " ".join(parts)
 
-    # one implementation for both tokenizers: it reads only ``self.vocab``
-    answer_token_candidates = BPETokenizer.answer_token_candidates
+    def answer_token_candidates(self, letter: str) -> Dict[str, int]:
+        """Map convention name -> token id for ``letter``, when in vocab."""
+        out: Dict[str, int] = {}
+        if letter in self.vocab:
+            out["bare"] = self.vocab.strict_id_of(letter)
+        if SPACE_MARKER + letter in self.vocab:
+            out["space-prefixed"] = self.vocab.strict_id_of(SPACE_MARKER + letter)
+        return out
 
     @property
     def vocab_size(self) -> int:

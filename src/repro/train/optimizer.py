@@ -1,11 +1,10 @@
 """AdamW and global-norm clipping, in the one copy every training path uses.
 
 AdamW's betas and eps are fixed at (0.9, 0.95) and 1e-8 (:data:`BETAS`,
-:data:`EPS`).  Dense :class:`AdamW` runs :func:`adamw_update` once per
-parameter, ZeRO-1 once per shard slice of a parameter; the update is
-elementwise, so both give the same bits.  Parameters are updated in place
-(the model exposes references, not copies), so an optimizer bound to a
-model at construction keeps working as training proceeds.
+:data:`EPS`).  :class:`AdamW` runs :func:`adamw_update` once per
+parameter.  Parameters are updated in place (the model exposes
+references, not copies), so an optimizer bound to a model at
+construction keeps working as training proceeds.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ def adamw_update(
     lr: float, t: int, weight_decay: float,
 ) -> None:
     """AdamW step ``t`` (1-based) on equal-shape arrays, in place on ``p``,
-    ``m`` and ``v`` (which may be views, such as a shard slice).  The
-    caller passes ``weight_decay`` 0 for a parameter :func:`decays` exempts.
+    ``m`` and ``v``.  The caller passes ``weight_decay`` 0 for a parameter
+    :func:`decays` exempts.
     """
     beta1, beta2 = BETAS
     bc1 = 1.0 - beta1**t

@@ -115,6 +115,7 @@ class Trainer:
                     inputs, targets, mask = next(iterator)
                 logits = self.model.forward(inputs)
                 loss, dlogits = self.model.cross_entropy(logits, targets, mask)
+                del logits  # only the loss reads them; free before backward
                 # mean over microbatches: scale each contribution
                 if cfg.grad_accum > 1:
                     dlogits /= cfg.grad_accum

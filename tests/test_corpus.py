@@ -7,12 +7,10 @@ import pytest
 
 from repro.corpus import (
     ArxivArchive,
-    GeneralCorpusConfig,
     NougatOCR,
     OCRNoiseModel,
     build_abstract_dataset,
     build_aic_dataset,
-    build_general_corpus,
     build_summary_dataset,
     clean_ocr_text,
     make_astro_knowledge,
@@ -345,24 +343,3 @@ class TestGeneralCorpus:
             answer = lines[5].split(" : ")[1]
             option_line = lines[1 + ANSWER_LETTERS.index(answer)]
             assert option_line.endswith(f.correct)
-
-    def test_corpus_includes_astro_fraction(self, general, astro):
-        cfg = GeneralCorpusConfig(astro_coverage=0.5, seed=1)
-        docs = build_general_corpus(general, astro, cfg)
-        astro_subjects = {f.subject for f in astro.facts}
-        hits = sum(1 for d in docs if any(s in d for s in astro_subjects))
-        assert hits > 0
-
-    def test_zero_astro_coverage(self, general, astro):
-        cfg = GeneralCorpusConfig(astro_coverage=0.0, seed=1)
-        docs = build_general_corpus(general, astro, cfg)
-        astro_values = {f.correct for f in astro.facts}
-        # value strings may coincide with general values; check subjects
-        astro_subjects = {f.subject for f in astro.facts}
-        assert not any(any(s in d for s in astro_subjects) for d in docs)
-
-    def test_deterministic(self, general, astro):
-        cfg = GeneralCorpusConfig(seed=2)
-        assert build_general_corpus(general, astro, cfg) == build_general_corpus(
-            general, astro, cfg
-        )

@@ -12,42 +12,6 @@ from repro.eval.runner import BatchedEvaluationRunner
 from repro.mcq import build_benchmark
 from repro.corpus import make_astro_knowledge
 from repro.model import ModelConfig, TransformerLM
-from repro.tokenizer import BPETokenizer
-from repro.tokenizer.bpe import SPACE_MARKER
-
-
-class TestBPEInvariants:
-    CORPUS = [
-        "the star formation rate of the galaxy is high",
-        "the galaxy rotation curve is flat in the outskirts",
-        "star formation in the galaxy follows the gas surface density",
-    ] * 3
-
-    def test_merges_are_prefix_consistent(self):
-        """Every merged symbol must be the concatenation of its pair."""
-        tok = BPETokenizer.train(self.CORPUS, vocab_size=200)
-        for a, b in tok.merges:
-            assert (a + b) in tok.vocab
-
-    def test_encoding_is_deterministic_function_of_text(self):
-        tok = BPETokenizer.train(self.CORPUS, vocab_size=200)
-        a = tok.encode("the galaxy rotation")
-        b = tok.encode("the galaxy rotation")
-        assert a == b
-
-    def test_cache_does_not_change_results(self):
-        tok1 = BPETokenizer.train(self.CORPUS, vocab_size=200)
-        tok2 = BPETokenizer(tok1.vocab, tok1.merges, tok1.normalizer)  # cold cache
-        text = "star formation rate curve"
-        warm = tok1.encode(text)
-        warm_again = tok1.encode(text)  # now cached
-        cold = tok2.encode(text)
-        assert warm == warm_again == cold
-
-    def test_space_marker_roundtrip_boundary(self):
-        tok = BPETokenizer.train(self.CORPUS, vocab_size=200)
-        # marker must never leak into decoded text
-        assert SPACE_MARKER not in tok.decode(tok.encode("the star is far"))
 
 
 class TestChunkedPrefill:

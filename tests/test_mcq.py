@@ -78,11 +78,6 @@ class TestExtraction:
         with pytest.raises(ValueError):
             MCQExtractor(astro, questions_per_article=5).extract(articles)
 
-    def test_question_serialization_roundtrip(self, bench):
-        q = bench.questions[0]
-        q2 = MCQuestion.from_dict(q.as_dict())
-        assert q2 == q
-
 
 class TestQuality:
     def test_full_validation_passes(self, bench):
@@ -136,21 +131,6 @@ class TestBenchmarkContainer:
     def test_accuracy_validates_lengths(self, bench):
         with pytest.raises(ValueError):
             MCQBenchmark.accuracy(bench.test[:3], [0, 1])
-
-    def test_save_load_roundtrip(self, bench, tmp_path):
-        path = tmp_path / "bench.json"
-        bench.save(path)
-        loaded = MCQBenchmark.load(path)
-        assert len(loaded) == len(bench)
-        assert loaded.questions[0] == bench.questions[0]
-        assert {q.question_id for q in loaded.dev} == {
-            q.question_id for q in bench.dev
-        }
-
-    def test_by_topic_partitions_test_split(self, bench):
-        grouped = bench.by_topic()
-        total = sum(len(v) for v in grouped.values())
-        assert total == len(bench.test)
 
     def test_paper_scale_build(self, astro):
         bench = build_benchmark(astro, n_articles=885, dev_size=8, seed=0)

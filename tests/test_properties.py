@@ -164,18 +164,6 @@ class TestCollectiveProperties:
         for o in out:
             np.testing.assert_allclose(o, expected, atol=1e-9)
 
-    @given(st.integers(2, 6), st.integers(1, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_reduce_scatter_then_gather_is_all_reduce(self, world, shard):
-        mesh = DeviceMesh(1, world)
-        comm = Communicator(mesh)
-        rng = np.random.default_rng(world)
-        buffers = [rng.normal(size=world * shard) for _ in range(world)]
-        rs = comm.reduce_scatter(buffers, "sum")
-        gathered = comm.all_gather(rs)
-        ar = comm.all_reduce(buffers, "sum")
-        np.testing.assert_allclose(gathered[0], ar[0], atol=1e-9)
-
 
 class TestScheduleValidity:
     @given(st.integers(1, 6), st.integers(1, 12))

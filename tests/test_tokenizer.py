@@ -1,4 +1,4 @@
-"""Tokenizer tests: BPE training/round-trips, word tokenizer conventions."""
+"""Tokenizer tests: vocabulary, pretokenizer, word tokenizer conventions."""
 
 import re
 import string
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tokenizer import BPETokenizer, TextNormalizer, Vocabulary, WordTokenizer
-from repro.tokenizer.bpe import SPACE_MARKER, pretokenize
+from repro.tokenizer import TextNormalizer, Vocabulary, WordTokenizer
+from repro.tokenizer.word import SPACE_MARKER, pretokenize
 
 CORPUS = [
     "the star is a bright sun in the night sky",
@@ -101,44 +101,6 @@ class TestPretokenize:
         # convention is exactly the pretokenizer
         assert WordTokenizer._split(text, False) == _REFERENCE_WORD_RE.findall(text)
         assert WordTokenizer._split(text, True) == _reference_pretokenize(text)
-
-
-class TestBPE:
-    def test_trains_and_roundtrips(self):
-        tok = BPETokenizer.train(CORPUS, vocab_size=200)
-        for text in CORPUS:
-            normalized = tok.normalizer(text)
-            assert tok.decode(tok.encode(text)) == normalized
-
-    def test_merges_reduce_sequence_length(self):
-        tok = BPETokenizer.train(CORPUS, vocab_size=300)
-        naive_len = len(pretokenize(CORPUS[0])) * 8  # chars-ish upper bound
-        assert len(tok.encode(CORPUS[0])) < naive_len
-
-    def test_bos_eos(self):
-        tok = BPETokenizer.train(CORPUS, vocab_size=150)
-        ids = tok.encode("the star", add_bos=True, add_eos=True)
-        assert ids[0] == tok.vocab.bos_id and ids[-1] == tok.vocab.eos_id
-
-    def test_vocab_size_honoured(self):
-        tok = BPETokenizer.train(CORPUS, vocab_size=120)
-        assert len(tok.vocab) <= 120
-
-    def test_too_small_vocab_raises(self):
-        with pytest.raises(ValueError):
-            BPETokenizer.train(CORPUS, vocab_size=5)
-
-    def test_unknown_chars_map_to_unk(self):
-        tok = BPETokenizer.train(CORPUS, vocab_size=150)
-        ids = tok.encode("étoile")  # 'é' absent from training corpus
-        assert tok.vocab.unk_id in ids
-
-    @given(st.text(alphabet=st.characters(whitelist_categories=("Ll", "Nd"), max_codepoint=127), min_size=0, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_encode_never_crashes(self, text):
-        tok = BPETokenizer.train(CORPUS, vocab_size=150)
-        ids = tok.encode(text)
-        assert all(0 <= i < len(tok.vocab) for i in ids)
 
 
 class TestWordTokenizer:

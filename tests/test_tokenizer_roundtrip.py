@@ -6,12 +6,12 @@ Three property families:
 
 * **round-trip idempotence** — for any generated text, the ids produced by
   ``encode`` survive a decode/re-encode cycle bit-identically
-  (``encode(decode(ids)) == ids``) for BPE and both word conventions;
-* **merge-boundary stability** — word-internal BPE merges never cross a
-  whitespace boundary, so encoding a concatenation equals concatenating
-  encodings (exactly for the bare-word convention; up to the leading space
-  marker otherwise), which is the property the batched evaluator's
-  scaffold/suffix split depends on;
+  (``encode(decode(ids)) == ids``) for both word conventions;
+* **boundary stability** — tokens never cross a whitespace boundary, so
+  encoding a concatenation equals concatenating encodings (exactly for the
+  bare-word convention; up to the leading space marker otherwise), which
+  is the property the batched evaluator's scaffold/suffix split depends
+  on;
 * **scaffold/suffix split coverage** — ``TokenPredictionEvaluator
   ._split_prompts`` takes its verified fast path for concat-stable
   tokenizers and falls back to the exact longest-common-prefix split when
@@ -31,8 +31,7 @@ from repro.eval.prompts import (
 )
 from repro.eval.token_pred import AnswerTokenMap, TokenPredictionEvaluator
 from repro.mcq import build_benchmark
-from repro.tokenizer import BPETokenizer, WordTokenizer
-from repro.tokenizer.bpe import SPACE_MARKER, pretokenize
+from repro.tokenizer import WordTokenizer
 
 N_CASES = 40  # generated texts per property
 
@@ -63,11 +62,6 @@ def training_corpus():
 
 
 @pytest.fixture(scope="module")
-def bpe(training_corpus):
-    return BPETokenizer.train(training_corpus, vocab_size=400)
-
-
-@pytest.fixture(scope="module")
 def word_bare(training_corpus):
     return WordTokenizer.train(training_corpus, vocab_size=4000, space_prefix=False)
 
@@ -77,25 +71,25 @@ def word_marked(training_corpus):
     return WordTokenizer.train(training_corpus, vocab_size=4000, space_prefix=True)
 
 
-def all_tokenizers(bpe, word_bare, word_marked):
-    return [("bpe", bpe), ("word-bare", word_bare), ("word-marked", word_marked)]
+def all_tokenizers(word_bare, word_marked):
+    return [("word-bare", word_bare), ("word-marked", word_marked)]
 
 
 class TestRoundTripIdempotence:
-    def test_encode_decode_encode_is_identity(self, bpe, word_bare, word_marked):
+    def test_encode_decode_encode_is_identity(self, word_bare, word_marked):
         rng = random.Random(7)
-        for name, tok in all_tokenizers(bpe, word_bare, word_marked):
+        for name, tok in all_tokenizers(word_bare, word_marked):
             for case in range(N_CASES):
                 text = make_text(rng)
                 ids = tok.encode(text)
                 again = tok.encode(tok.decode(ids))
                 assert again == ids, f"{name} case {case}: {text!r}"
 
-    def test_decode_restores_normalized_text(self, bpe, word_bare, word_marked):
+    def test_decode_restores_normalized_text(self, word_bare, word_marked):
         # vocabularies cover the whole pool, so decode must reproduce the
         # normalizer's view of the text (whitespace collapsed) exactly
         rng = random.Random(11)
-        for name, tok in all_tokenizers(bpe, word_bare, word_marked):
+        for name, tok in all_tokenizers(word_bare, word_marked):
             for case in range(N_CASES):
                 text = make_text(rng)
                 expected = tok.normalizer(text)
@@ -105,11 +99,11 @@ class TestRoundTripIdempotence:
         ids = word_bare.encode("quasar redshift")
         assert word_bare.decode(ids + [word_bare.vocab.unk_id])
 
-    def test_specials_skipped_on_decode(self, bpe):
+    def test_specials_skipped_on_decode(self, word_marked):
         text = "dark matter halo"
-        ids = bpe.encode(text, add_bos=True, add_eos=True)
-        assert bpe.decode(ids) == text
-        assert bpe.encode(bpe.decode(ids)) == bpe.encode(text)
+        ids = word_marked.encode(text, add_bos=True, add_eos=True)
+        assert word_marked.decode(ids) == text
+        assert word_marked.encode(word_marked.decode(ids)) == word_marked.encode(text)
 
 
 class TestMergeBoundaryStability:
@@ -129,7 +123,7 @@ class TestMergeBoundaryStability:
                 f"case {case}: {left!r} + {right!r}"
             )
 
-    @pytest.mark.parametrize("tok_name", ["bpe", "word_marked"])
+    @pytest.mark.parametrize("tok_name", ["word_marked"])
     def test_marked_concat_differs_only_in_space_marker(self, request, tok_name):
         # With the GPT-2 space marker the suffix's first word encodes
         # differently in isolation (no preceding space) — exactly the case
@@ -144,23 +138,6 @@ class TestMergeBoundaryStability:
             joined = tok.encode(left + " " + right)
             marked_right = tok.encode(sentinel + " " + right)[sentinel_len:]
             assert joined == tok.encode(left) + marked_right, f"case {case}"
-
-    def test_bpe_merges_stay_word_internal(self, bpe):
-        # no learned merge may span a word boundary: the space marker only
-        # ever appears glued to a word start, so a merged symbol may carry
-        # it at position 0 and nowhere else
-        assert bpe.merges, "training produced no merges — property vacuous"
-        for a, b in bpe.merges:
-            merged = a + b
-            assert SPACE_MARKER not in merged[1:], (a, b)
-
-    def test_bpe_word_tokens_reconstruct_each_word(self, bpe):
-        rng = random.Random(31)
-        for _ in range(N_CASES):
-            text = make_text(rng)
-            for word in pretokenize(bpe.normalizer(text)):
-                symbols = bpe._bpe_word(word)
-                assert "".join(symbols) == word
 
 
 class TestScaffoldSuffixSplit:
@@ -211,15 +188,5 @@ class TestScaffoldSuffixSplit:
         assert naive != ev._prompt_ids(questions[0])
         shared, suffixes = ev._split_prompts(questions)
         assert shared == scaffold_ids
-        for q, suffix in zip(questions, suffixes):
-            assert shared + suffix == ev._prompt_ids(q)
-
-    def test_fast_path_taken_for_bpe(self, bench):
-        texts = [format_next_token_prompt(q, bench.dev[:2]) for q in bench.test]
-        tok = BPETokenizer.train(texts, vocab_size=600)
-        ev = self._evaluator(tok, bench)
-        questions = bench.test[:6]
-        shared, suffixes = ev._split_prompts(questions)
-        assert shared == tok.encode(format_next_token_scaffold(bench.dev[:2]))
         for q, suffix in zip(questions, suffixes):
             assert shared + suffix == ev._prompt_ids(q)

@@ -227,6 +227,32 @@ class TestTrainer:
         hist = trainer.train(lambda: iter([(x, x, None)] * 1000))
         assert hist.losses[-1] < hist.losses[0] * 0.5
 
+    def test_logits_released_before_backward(self, monkeypatch):
+        """Only ``cross_entropy`` reads a microbatch's logits, so the
+        trainer must not hold them through ``backward``."""
+        import weakref
+
+        refs = []
+        alive_at_backward = []
+        forward, backward = TransformerLM.forward, TransformerLM.backward
+
+        def tracked_forward(self, *args, **kwargs):
+            out = forward(self, *args, **kwargs)
+            refs.append(weakref.ref(out))
+            return out
+
+        def checked_backward(self, *args, **kwargs):
+            alive_at_backward.append(refs[-1]() is not None)
+            return backward(self, *args, **kwargs)
+
+        monkeypatch.setattr(TransformerLM, "forward", tracked_forward)
+        monkeypatch.setattr(TransformerLM, "backward", checked_backward)
+        trainer = Trainer(
+            tiny_model(), TrainingConfig(learning_rate=1e-3, total_steps=2, grad_accum=2)
+        )
+        trainer.train(self._stream())
+        assert alive_at_backward == [False] * 4
+
     def test_span_contract(self, monkeypatch):
         """The benchmark's traced run times the step by the functions it
         calls: ``train_fwd_ms``/``train_bwd_ms`` are ``TransformerLM.forward``/
