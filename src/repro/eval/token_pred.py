@@ -208,8 +208,9 @@ class TokenPredictionEvaluator:
         letter_ids = self.answer_map.letter_ids()
         # Batch similar lengths together (stable sort) so each batch's
         # attention pads as little as possible.  A row's logits depend on
-        # its batch in the last bits (about 5e-7), so the order can flip a
-        # prediction only where two letters' logits are that close.
+        # its batch and its shard in the last bits (about 5e-7), so the
+        # order can flip a prediction only where two letters' logits are
+        # that close.
         order = sorted(range(len(suffixes)), key=lambda i: len(suffixes[i]))
         predictions: List[int] = [0] * len(suffixes)
         for i in range(0, len(order), self.batch_size):

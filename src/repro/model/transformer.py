@@ -20,34 +20,40 @@ from repro.model.workspace import workspace
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-#: A training batch of B rows runs as ``min(TRAIN_SHARDS, B)`` contiguous
-#: row shards, one per lane.  The gradient's bits depend on this constant,
-#: never on how many threads run the shards or in which order they finish.
-TRAIN_SHARDS = 2
+#: A training batch, or a batch of prompts to score, of B rows runs as
+#: ``min(SHARDS, B)`` contiguous row shards.  The bits depend on this
+#: constant, never on how many threads run the shards or in which order
+#: they finish.
+SHARDS = 2
 
 
 @functools.lru_cache(maxsize=None)
-def _train_pool(pid: int) -> Optional[ThreadPoolExecutor]:
-    """The helper threads that run training shards in process ``pid`` (a
-    forked child makes its own): shard 0 runs on the calling thread, so
-    one fewer than the shards the usable cores run at once, and none on
-    one core.  A thread starts on the pool's first task, and
+def _shard_pool(pid: int) -> Optional[ThreadPoolExecutor]:
+    """The helper threads that run training and scoring shards in process
+    ``pid`` (a forked child makes its own): shard 0 runs on the calling
+    thread, so one fewer than the shards the usable cores run at once,
+    and none on one core.  A thread starts on the pool's first task, and
     ``concurrent.futures`` is imported only here, so a process that never
-    trains never loads it."""
-    helpers = min(TRAIN_SHARDS, len(os.sched_getaffinity(0))) - 1
+    trains or scores a batch never loads it."""
+    helpers = min(SHARDS, len(os.sched_getaffinity(0))) - 1
     if helpers < 1:
         return None
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(helpers, thread_name_prefix="train-shard")
+    return ThreadPoolExecutor(helpers, thread_name_prefix="shard")
 
 
 def _run_shards(work: Callable[[int], None], n: int) -> None:
     """``work(i)`` for every shard ``i < n``: shard 0 on the calling
     thread, the others on the pool (in order on the calling thread when
-    there is none).  Returns once every shard has finished, re-raising
-    the first failure in shard order."""
-    pool = _train_pool(os.getpid()) if n > 1 else None
+    there is none).  ``work(i)`` writes only shard ``i``'s own outputs
+    (its rows of an array the caller owns, or its lane's buffers), and
+    the caller combines them in shard order.  A helper must call no
+    traced entry point (``forward``, ``prefill``,
+    ``next_token_logits_many``), only what those call.  Returns once
+    every shard has finished, re-raising the first failure in shard
+    order."""
+    pool = _shard_pool(os.getpid()) if n > 1 else None
     if pool is None:
         for i in range(n):
             work(i)
@@ -61,6 +67,20 @@ def _run_shards(work: Callable[[int], None], n: int) -> None:
         wait(futures)
     for future in futures:
         future.result()
+
+
+def _token_shards(lengths: Sequence[int], n: int) -> List[slice]:
+    """``n`` contiguous row shards of about equal token count: shard ``i``
+    ends at the row where the running token count first reaches
+    ``(i + 1) / n`` of the total, moved only as far as it takes to leave
+    every shard a row.  The cut depends on the lengths and ``n`` alone."""
+    ends = np.cumsum(lengths)
+    cuts = [0]
+    for i in range(1, n):
+        at = int(np.searchsorted(ends * n, i * ends[-1])) + 1
+        cuts.append(min(max(at, cuts[-1] + 1), len(lengths) - n + i))
+    cuts.append(len(lengths))
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _replica(module: Module) -> Module:
@@ -183,7 +203,7 @@ class TransformerLM(Module):
         model.backward(dlogits)      # accumulates into model grads
 
     The training forward and backward split a batch's rows into
-    ``min(TRAIN_SHARDS, B)`` contiguous shards.  Shard 0 runs on the model
+    ``min(SHARDS, B)`` contiguous shards.  Shard 0 runs on the model
     itself; each other shard runs on a *lane*, a replica that shares every
     array of the model and owns only its layers' stash and gradient
     buffers, on a helper thread when a second core is usable.  The lanes
@@ -201,7 +221,11 @@ class TransformerLM(Module):
     :meth:`next_token_logits_many` and :meth:`next_token_logits` run only
     the layers' pure calls: inference stashes
     no activations and allocates no gradient buffers, so it may run
-    between a training forward and its :meth:`backward`.
+    between a training forward and its :meth:`backward`.  Batched
+    scoring splits its rows into ``min(SHARDS, B)`` contiguous shards of
+    about equal token count and runs them on the same pool as training,
+    but on the model itself: the pure calls write nothing on the layers
+    and each thread has its own workspace, so scoring needs no lane.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0) -> None:
@@ -259,7 +283,7 @@ class TransformerLM(Module):
                 x = block(x, start_pos, cache[i])
             return self._project_logits(x)
         B = tokens.shape[0]
-        n = min(TRAIN_SHARDS, B)
+        n = min(SHARDS, B)
         lanes = self._train_lanes(n)
         rows = self._shards = [slice(B * i // n, B * (i + 1) // n) for i in range(n)]
         W = self.embed.params["weight"]
@@ -301,7 +325,7 @@ class TransformerLM(Module):
         if n > 1:
             live, held = self.named_parameters(), self._lane_params
             if held.keys() != live.keys() or any(held[k] is not a for k, a in live.items()):
-                self._lanes = [self._new_lane() for _ in range(TRAIN_SHARDS - 1)]
+                self._lanes = [self._new_lane() for _ in range(SHARDS - 1)]
                 self._lane_params = live
         return [self] + self._lanes[: n - 1]
 
@@ -449,13 +473,13 @@ class TransformerLM(Module):
                 )
         return x  # the last block's fresh (B, d)
 
-    def _project_logits(self, h: np.ndarray) -> np.ndarray:
-        """Final norm + vocab projection for already-gathered positions;
-        pure, for inference."""
+    def _project_logits(self, h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Final norm + vocab projection for already-gathered positions,
+        written into ``out`` when given; pure, for inference."""
         h = self.final_norm(h)
         if self.lm_head is not None:
-            return self.lm_head(h)
-        return h @ self.embed.params["weight"].T
+            return self.lm_head(h, out=out)
+        return np.matmul(h, self.embed.params["weight"].T, out=out)
 
     def prefill(self, token_ids: Sequence[int]) -> PrefixCache:
         """Forward a prompt prefix once; the result is reusable forever.
@@ -497,10 +521,16 @@ class TransformerLM(Module):
         ``(B, vocab)`` logits are materialized there.  The prefix's
         read-only keys/values are never extended, so the same
         :class:`PrefixCache` can score any number of batches.  An empty
-        suffix is not forwarded; its row is ``prefix.last_logits``.  Every
-        temporary, the packed residual stream included, lives in the
-        thread's workspace (:mod:`repro.model.workspace`), so a warm call
-        allocates little beyond its result, which is a fresh array.
+        suffix is not forwarded; its row is ``prefix.last_logits``.
+
+        The forwarded rows run as ``min(SHARDS, B)`` contiguous shards cut
+        by token count (:func:`_token_shards`), shard 0 on the calling
+        thread and the others on the shard pool; each shard projects into
+        its own rows of the result.  A row's bits depend on its batch and
+        its shard, never on the thread count.  Every temporary, the packed
+        residual stream included, lives in the running thread's workspace
+        (:mod:`repro.model.workspace`), so a warm call allocates little
+        beyond its result, which is a fresh array.
         Returns ``(len(suffixes), vocab)``.
         """
         if not suffixes:
@@ -508,12 +538,20 @@ class TransformerLM(Module):
         start = prefix.length if prefix is not None else 0
         cache = prefix.cache if prefix is not None else None
         live = [i for i, s in enumerate(suffixes) if len(s)]
-        if len(live) == len(suffixes):
-            return self._project_logits(self._last_hidden(suffixes, start, cache))
-        if prefix is None or prefix.last_logits is None:
+        rows = [suffixes[i] for i in live]
+        if len(rows) < len(suffixes) and (prefix is None or prefix.last_logits is None):
             raise ValueError("empty suffix requires a prefix with logits")
+        W = self.embed.params["weight"]
+        scored = np.empty((len(rows), self.config.vocab_size), W.dtype)
+        shards = _token_shards([len(r) for r in rows], min(SHARDS, len(rows))) if rows else []
+        _run_shards(
+            lambda i: self._project_logits(
+                self._last_hidden(rows[shards[i]], start, cache), out=scored[shards[i]]
+            ),
+            len(shards),
+        )
+        if len(rows) == len(suffixes):
+            return scored
         out = np.repeat(prefix.last_logits[None], len(suffixes), axis=0)
-        if live:
-            rows = [suffixes[i] for i in live]
-            out[live] = self._project_logits(self._last_hidden(rows, start, cache))
+        out[live] = scored
         return out

@@ -149,21 +149,28 @@ def training_state(model):
     return held
 
 
+#: the entry points that score more than one row in one batched call
+SHARDED = {"score_many", "score_many_prefix"}
+
+
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_inference_builds_no_lane_and_starts_no_thread(monkeypatch, entry):
-    """Only the training forward and backward split rows onto lanes and
-    threads: no inference entry point builds a lane, asks for the
-    training pool or starts a thread."""
+    """No inference entry point builds a lane.  Only batched scoring of
+    several rows splits them into shards on the shard pool, and starts at
+    most ``SHARDS - 1`` threads; every other entry point never asks for
+    the pool and starts no thread."""
+    if entry not in SHARDED:
 
-    def no_pool(pid):
-        raise AssertionError("inference asked for the training pool")
+        def no_pool(pid):
+            raise AssertionError("inference asked for the shard pool")
 
-    monkeypatch.setattr(transformer, "_train_pool", no_pool)
+        monkeypatch.setattr(transformer, "_shard_pool", no_pool)
     model = make_model("untied")
     threads = threading.active_count()
     ENTRY_POINTS[entry](model)
     assert model._lanes == []
-    assert threading.active_count() == threads
+    started = threading.active_count() - threads
+    assert started <= (transformer.SHARDS - 1 if entry in SHARDED else 0)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -13,6 +13,7 @@ from repro.model import (
     generate,
     shared_prefix,
 )
+import repro.model.transformer as transformer
 from repro.model.sampling import DecodeStream, open_prompt
 from tests.conftest import ATOL, position_sensitive_model, recording_step_logits
 
@@ -324,7 +325,8 @@ class TestDebugCacheGuard:
 
     def test_scoring_kernel_gets_read_only_prefix(self, monkeypatch):
         """Batched scoring reads the stored prefix as it is, so the
-        attention kernel receives read-only arrays."""
+        attention kernel receives read-only arrays, once per layer in
+        each row shard."""
         model = small_model(seed=3)
         pc = model.prefill([1, 2, 3, 4, 5])
         seen = []
@@ -335,8 +337,10 @@ class TestDebugCacheGuard:
             return kernel(self, q, k, v, kp, vp, *rest)
 
         monkeypatch.setattr(MultiHeadAttention, "_shared_prefix_attention", spy)
-        model.next_token_logits_many([[6, 7], [8]], prefix=pc)
-        assert len(seen) == 2 * model.config.n_layers
+        rows = [[6, 7], [8]]
+        model.next_token_logits_many(rows, prefix=pc)
+        shards = min(transformer.SHARDS, len(rows))
+        assert len(seen) == 2 * model.config.n_layers * shards
         for arr in seen:
             with pytest.raises(ValueError):
                 # lint: disable=R1 (intentional violation: proves the guard trips)

@@ -1,12 +1,17 @@
-"""Training on row shards: the same bits at any thread count.
+"""Row shards, in training and in batched scoring: the same bits at any
+thread count.
 
 ``TransformerLM.forward`` (training) and ``backward`` split a batch of B
-rows into ``min(TRAIN_SHARDS, B)`` contiguous shards.  Shard 0 runs on the
+rows into ``min(SHARDS, B)`` contiguous shards.  Shard 0 runs on the
 model, every other shard on a lane (a replica sharing the model's
 arrays), on a helper thread when a second core is usable.  The loss runs
 once over the whole batch and the lanes' gradients are added into the
 model's in shard order, so the bits depend on the shard count only:
 never on the thread count or the order in which shards finish.
+
+``next_token_logits_many`` splits its forwarded rows the same way, cut
+by token count, and runs the shards on the model itself on the same
+pool; each shard projects into its own rows of the result.
 """
 
 import json
@@ -20,6 +25,7 @@ import pytest
 
 import repro.model.transformer as transformer
 from repro.model import ModelConfig, TransformerLM
+from repro.model.config import scaled_config
 from repro.model.lora import LoRAConfig, LoRALinear, apply_lora
 from repro.train import Trainer, TrainingConfig
 
@@ -52,7 +58,7 @@ def step(model, x, t, mask=None):
 
 
 def one_lane(monkeypatch):
-    monkeypatch.setattr(transformer, "TRAIN_SHARDS", 1)
+    monkeypatch.setattr(transformer, "SHARDS", 1)
 
 
 def assert_grads_close(got, want):
@@ -73,13 +79,13 @@ def own_pool(monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(transformer, "_train_pool", lambda pid: pool)
+    monkeypatch.setattr(transformer, "_shard_pool", lambda pid: pool)
     yield pool
     pool.shutdown()
 
 
 def no_pool(monkeypatch):
-    monkeypatch.setattr(transformer, "_train_pool", lambda pid: None)
+    monkeypatch.setattr(transformer, "_shard_pool", lambda pid: None)
 
 
 # -- the split --------------------------------------------------------------
@@ -249,7 +255,7 @@ def test_completion_order_does_not_change_the_bits(monkeypatch, own_pool, last):
     no_pool(monkeypatch)
     want = train()
 
-    monkeypatch.setattr(transformer, "_train_pool", lambda pid: own_pool)
+    monkeypatch.setattr(transformer, "_shard_pool", lambda pid: own_pool)
     for name in ("_lane_forward", "_lane_backward"):
         run = getattr(TransformerLM, name)
         done = threading.Event()
@@ -277,12 +283,12 @@ def test_more_shards_than_cores_under_fast_switching(monkeypatch):
     same four shards run in order."""
     from concurrent.futures import ThreadPoolExecutor
 
-    monkeypatch.setattr(transformer, "TRAIN_SHARDS", 4)
+    monkeypatch.setattr(transformer, "SHARDS", 4)
     x, t = batch(rows=7, seed=8)
     no_pool(monkeypatch)
     want = step(small_model(), x, t)
     pool = ThreadPoolExecutor(3)
-    monkeypatch.setattr(transformer, "_train_pool", lambda pid: pool)
+    monkeypatch.setattr(transformer, "_shard_pool", lambda pid: pool)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -298,19 +304,19 @@ def test_more_shards_than_cores_under_fast_switching(monkeypatch):
 
 
 def test_pool_is_bounded_by_the_shard_count(monkeypatch):
-    """On a 64-core affinity the pool still holds ``TRAIN_SHARDS - 1``
+    """On a 64-core affinity the pool still holds ``SHARDS - 1``
     threads; none is started to check it."""
     before = threading.active_count()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    pool = transformer._train_pool.__wrapped__(-1)
+    pool = transformer._shard_pool.__wrapped__(-1)
     try:
-        assert pool._max_workers == transformer.TRAIN_SHARDS - 1
+        assert pool._max_workers == transformer.SHARDS - 1
         assert not pool._threads
         assert threading.active_count() == before
     finally:
         pool.shutdown()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert transformer._train_pool.__wrapped__(-1) is None
+    assert transformer._shard_pool.__wrapped__(-1) is None
 
 
 CPT_STEPS = """
@@ -319,6 +325,7 @@ import numpy as np
 if sys.argv[2] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from repro.model import ModelConfig, TransformerLM
+from repro.model.config import scaled_config
 from repro.train import ContinualPretrainer, CPTConfig
 model = TransformerLM(
     ModelConfig(vocab_size=50, d_model=32, n_layers=2, n_heads=4, max_seq_len=32), seed=3
@@ -359,3 +366,193 @@ def test_cpt_bits_equal_on_one_and_all_cpus(tmp_path):
             params[mode] = {k: saved[k] for k in saved.files}
     assert cpus["one"] == 1 and cpus["all"] >= 2
     assert_grads_equal(params["all"], params["one"])
+
+
+# -- batched scoring ----------------------------------------------------------
+SCORE_VOCAB = 300
+
+
+def scoring_case(seed=0, rows=32):
+    """A Table-I-shaped scoring call: the large tier, a 76-token prefix
+    and 32 rows of 20-39 tokens in ascending length, as ``predict_many``
+    sorts them.  Returns the model, the prefix and the suffixes."""
+    model = TransformerLM(scaled_config(SCORE_VOCAB, "large", max_seq_len=128), seed=seed)
+    rng = np.random.default_rng(seed)
+    prefix = model.prefill(rng.integers(1, SCORE_VOCAB, 76).tolist())
+    lengths = sorted(int(n) for n in rng.integers(20, 40, rows))
+    suffixes = [rng.integers(1, SCORE_VOCAB, n).tolist() for n in lengths]
+    return model, prefix, suffixes
+
+
+def fail_pool(pid):
+    raise AssertionError("a one-shard call asked for the shard pool")
+
+
+def test_token_cut_balances_tokens_and_leaves_every_shard_a_row():
+    lengths = [20, 21, 22, 25, 30, 33, 38, 39]  # 228 tokens
+    first, second = transformer._token_shards(lengths, 2)
+    # 20 + 21 + 22 + 25 = 88 < 114 <= 118: the cut follows the fifth row
+    assert (first, second) == (slice(0, 5), slice(5, 8))
+    assert transformer._token_shards([1, 100], 2) == [slice(0, 1), slice(1, 2)]
+    assert transformer._token_shards([100, 1], 2) == [slice(0, 1), slice(1, 2)]
+    assert transformer._token_shards([5] * 3, 1) == [slice(0, 3)]
+    cuts = transformer._token_shards([1, 1, 1, 100], 4)
+    assert cuts == [slice(i, i + 1) for i in range(4)]
+
+
+def test_threaded_scoring_shards_equal_the_same_shards_in_order(monkeypatch, own_pool):
+    model, prefix, suffixes = scoring_case()
+    batches = [suffixes, suffixes[:7] + [[]] + suffixes[7:]]
+    threaded = [model.next_token_logits_many(b, prefix) for b in batches]
+    no_pool(monkeypatch)
+    for batch_, got in zip(batches, threaded):
+        np.testing.assert_array_equal(got, model.next_token_logits_many(batch_, prefix))
+
+
+@pytest.mark.parametrize("last", ["caller", "helper"])
+def test_scoring_completion_order_does_not_change_the_bits(monkeypatch, own_pool, last):
+    """Either shard finishing its projection last gives the same bits:
+    each writes its own rows of the result."""
+    model, prefix, suffixes = scoring_case(seed=1)
+    no_pool(monkeypatch)
+    want = model.next_token_logits_many(suffixes, prefix)
+
+    monkeypatch.setattr(transformer, "_shard_pool", lambda pid: own_pool)
+    run = TransformerLM._project_logits
+    done = threading.Event()
+
+    def ordered(self, *args, **kwargs):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (last == "caller"):
+            assert done.wait(timeout=30)
+            return run(self, *args, **kwargs)
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            done.set()
+
+    monkeypatch.setattr(TransformerLM, "_project_logits", ordered)
+    np.testing.assert_array_equal(model.next_token_logits_many(suffixes, prefix), want)
+    assert done.is_set()
+
+
+def test_more_scoring_shards_than_cores_under_fast_switching(monkeypatch):
+    """Four scoring shards on a three-thread pool, the interpreter
+    switching threads every microsecond: the shards share the model, the
+    prefix and the result array, each thread its own workspace, and the
+    bits equal the same four shards run in order."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(transformer, "SHARDS", 4)
+    model, prefix, suffixes = scoring_case(seed=5, rows=13)
+    no_pool(monkeypatch)
+    want = model.next_token_logits_many(suffixes, prefix)
+    pool = ThreadPoolExecutor(3)
+    monkeypatch.setattr(transformer, "_shard_pool", lambda pid: pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [model.next_token_logits_many(suffixes, prefix) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    for logits in got:
+        np.testing.assert_array_equal(logits, want)
+
+
+SCORE_PINNED = """
+import json, os, sys
+import numpy as np
+if sys.argv[2] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from repro.model import TransformerLM
+from tests.test_train_shards import scoring_case
+model, prefix, suffixes = scoring_case()
+shards, run = [], TransformerLM._last_hidden
+def spy(self, rows, *args, **kwargs):
+    shards.append(len(rows))
+    return run(self, rows, *args, **kwargs)
+TransformerLM._last_hidden = spy
+np.save(sys.argv[1], model.next_token_logits_many(suffixes, prefix))
+print(json.dumps({"shards": sorted(shards), "cpus": len(os.sched_getaffinity(0))}))
+"""
+
+
+def test_scoring_bits_equal_on_one_and_all_cpus(tmp_path):
+    """A process pinned to one cpu (no helper thread: the shards run in
+    order) cuts the same shards and scores the same bits as one on every
+    usable cpu, BLAS pinned to one thread in both."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable cpu: both runs would be the same")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO_ROOT, "src"), REPO_ROOT]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    logits, facts = {}, {}
+    for mode in ("one", "all"):
+        out = tmp_path / f"{mode}.npy"
+        proc = subprocess.run(
+            [sys.executable, "-c", SCORE_PINNED, str(out), mode],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        facts[mode] = json.loads(proc.stdout.splitlines()[-1])
+        logits[mode] = np.load(out)
+    assert facts["one"]["cpus"] == 1 and facts["all"]["cpus"] >= 2
+    assert facts["one"]["shards"] == facts["all"]["shards"]
+    assert len(facts["all"]["shards"]) == transformer.SHARDS
+    np.testing.assert_array_equal(logits["all"], logits["one"])
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_one_shard_gives_the_unsplit_bits(monkeypatch, empty):
+    """``SHARDS`` at 1: one unsplit pass over the forwarded rows, which
+    never asks for the pool; empty suffixes take the prefix's logits."""
+    model, prefix, suffixes = scoring_case(seed=2)
+    batch_ = [[]] + suffixes[:10] + [[]] + suffixes[10:] if empty else suffixes
+    live = [i for i, s in enumerate(batch_) if s]
+    want = np.repeat(prefix.last_logits[None], len(batch_), axis=0)
+    want[live] = model._project_logits(
+        model._last_hidden([batch_[i] for i in live], prefix.length, prefix.cache)
+    )
+    monkeypatch.setattr(transformer, "SHARDS", 1)
+    monkeypatch.setattr(transformer, "_shard_pool", fail_pool)
+    np.testing.assert_array_equal(model.next_token_logits_many(batch_, prefix), want)
+
+
+def test_one_forwarded_row_scores_as_prefill(monkeypatch):
+    """One row, and one live row among empty suffixes, are one shard on
+    the calling thread: a lone row scores ``prefill(row).last_logits``;
+    beside empty suffixes it scores as it does alone, and the empty rows
+    are the prefix's ``last_logits``."""
+    model, prefix, suffixes = scoring_case(seed=3)
+    monkeypatch.setattr(transformer, "_shard_pool", fail_pool)
+    row = suffixes[5]
+    np.testing.assert_array_equal(
+        model.next_token_logits_many([row])[0], model.prefill(row).last_logits
+    )
+    alone = model.next_token_logits_many([row], prefix)[0]
+    got = model.next_token_logits_many([[], row, []], prefix)
+    np.testing.assert_array_equal(got[1], alone)
+    np.testing.assert_array_equal(got[[0, 2]], np.stack([prefix.last_logits] * 2))
+
+
+def test_helpers_call_no_traced_entry_point(monkeypatch, own_pool):
+    """The benchmark's tracer wraps ``next_token_logits_many``,
+    ``forward`` and ``prefill`` and keeps one span stack for all threads,
+    so during a sharded score only the calling thread may enter them;
+    the helper runs a shard's ``_last_hidden``."""
+    seen = {}
+    for name in ("next_token_logits_many", "forward", "prefill", "_last_hidden"):
+
+        def spy(self, *args, _run=getattr(TransformerLM, name), _name=name, **kwargs):
+            seen.setdefault(_name, set()).add(threading.current_thread())
+            return _run(self, *args, **kwargs)
+
+        monkeypatch.setattr(TransformerLM, name, spy)
+    model, prefix, suffixes = scoring_case(seed=4)
+    model.next_token_logits_many(suffixes, prefix)
+    model.next_token_logits_many(suffixes[:3] + [[]] + suffixes[3:], prefix)
+    main = threading.main_thread()
+    for name in ("next_token_logits_many", "forward", "prefill"):
+        assert seen.get(name, set()) <= {main}, name
+    assert len(seen["_last_hidden"]) == 2 and main in seen["_last_hidden"]
