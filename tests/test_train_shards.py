@@ -374,8 +374,9 @@ SCORE_VOCAB = 300
 
 def scoring_case(seed=0, rows=32):
     """A Table-I-shaped scoring call: the large tier, a 76-token prefix
-    and 32 rows of 20-39 tokens in ascending length, as ``predict_many``
-    sorts them.  Returns the model, the prefix and the suffixes."""
+    and ``rows`` suffixes of 20-39 tokens in ascending length, as
+    ``predict_many`` sorts them.  Returns the model, the prefix and the
+    suffixes."""
     model = TransformerLM(scaled_config(SCORE_VOCAB, "large", max_seq_len=128), seed=seed)
     rng = np.random.default_rng(seed)
     prefix = model.prefill(rng.integers(1, SCORE_VOCAB, 76).tolist())
